@@ -30,7 +30,6 @@ from .graphfile import (
     write_graph_file,
 )
 from .graphs import (
-    Component,
     Dims,
     EdgeClass,
     Graph,
@@ -39,7 +38,6 @@ from .graphs import (
     canonical_edge,
     classify_edge,
     complete_graph,
-    components,
     density_matrix,
     entangled_edge_pool,
     laplacian,
@@ -50,14 +48,12 @@ from .graphs import (
     single_edge_graph,
     star_graph,
     tensor_product,
-    vertex_at,
 )
 from .harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
     SuiteReport,
     TrialFailure,
-    cross_consistency,
     run_suite,
     suite_instance,
     trial_seed,
@@ -72,17 +68,20 @@ from .matrix import (
     partial_transpose,
     purity,
     quadratic_form,
-    rank_exact,
 )
-from .report import AnalysisReport, analyze, render_text, report_json_dict
+from .report import (
+    AnalysisReport,
+    PPTResult,
+    analyze,
+    render_text,
+    report_json_dict,
+)
 from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionResult,
     DegreeCriterionWitness,
     LOW_PPT_DIMS,
     LowDimPPT,
-    NegativeEigenvalueWitness,
-    PPTResult,
     PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,

@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad input or parameters, 2 internal error,
-3 verification suite reported failures.
+Exit codes: 0 success, 1 bad input or parameters, 2 internal error
+(numerical non-convergence included), 3 verification suite reported
+failures.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import BadParamsError, GraphSepError
+from .errors import BadParamsError, GraphSepError, NoConvergenceError
 from .graphfile import format_graph, parse_graph_file
 from .graphs import (
     Dims,
@@ -22,8 +23,14 @@ from .graphs import (
     star_graph,
 )
 from .harness import SUITE_DESCRIPTIONS, SUITE_IDS, run_suite
-from .matrix import eigenvalues_sym, float12, partial_transpose
-from .report import analyze, render_text, report_json_dict
+from .report import (
+    analyze,
+    render_text,
+    report_json_dict,
+    spectrum,
+    spectrum_json_dict,
+    spectrum_lines,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,9 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument(
-        "--parallel", action="store_true", help="run trials on a thread pool"
-    )
-    pv.add_argument(
         "--dump-dir",
         default="graphsep-failures",
         help="directory for failing instances",
@@ -163,7 +167,6 @@ def _cmd_verify(args) -> int:
         (args.p, args.q),
         args.trials,
         args.seed,
-        parallel=args.parallel,
         dump_dir=args.dump_dir,
     )
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -172,22 +175,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = parse_graph_file(args.path)
-    sigma = density_matrix(g)
-    dens = eigenvalues_sym(sigma)
-    pt = eigenvalues_sym(partial_transpose(sigma, g.dims))
+    spec = spectrum(density_matrix(g), g.dims)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "density": [float12(x) for x in dens],
-                    "partial_transpose": [float12(x) for x in pt],
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(spectrum_json_dict(spec), indent=2))
     else:
-        print("density spectrum: " + ", ".join(f"{x:.6g}" for x in dens))
-        print("partial transpose spectrum: " + ", ".join(f"{x:.6g}" for x in pt))
+        print("\n".join(spectrum_lines(spec)))
     return 0
 
 
@@ -205,6 +197,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_spectrum(args)
+    except NoConvergenceError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     except GraphSepError as exc:
         line = getattr(exc, "line", None)
         location = f"line {line}: " if line is not None else ""
@@ -217,3 +212,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -19,7 +19,6 @@ from .errors import (
     BadDimsError,
     BadParamsError,
     EmptyEdgeSetError,
-    NotEntangledEdgeError,
     OnlyLoopsError,
     OutOfRangeError,
 )
@@ -42,11 +41,6 @@ def linear_index(v: Vertex, dims: Dims) -> int:
     """1-based row-major position of (i, j)."""
     i, j = v
     return (i - 1) * dims.q + j
-
-
-def vertex_at(k: int, dims: Dims) -> Vertex:
-    """Inverse of linear_index for 1 <= k <= p*q."""
-    return ((k - 1) // dims.q + 1, (k - 1) % dims.q + 1)
 
 
 class EdgeClass(Enum):
@@ -176,48 +170,6 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
             edges.add(frozenset({(a, x), (b, y)}))
             edges.add(frozenset({(a, y), (b, x)}))
     return build_graph(out_dims, edges)
-
-
-@dataclass(frozen=True)
-class Component:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-
-def components(g: Graph) -> tuple[Component, ...]:
-    """Connected components over all grid vertices, isolated ones included."""
-    adj: dict[Vertex, set[Vertex]] = {
-        (i, j): set() for i in range(1, g.dims.p + 1) for j in range(1, g.dims.q + 1)
-    }
-    for u, v in g.sorted_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    loop_at: dict[Vertex, list[Edge]] = {}
-    for e in g.edges:
-        if len(e) == 1:
-            loop_at.setdefault(next(iter(e)), []).append(e)
-    seen: set[Vertex] = set()
-    out = []
-    for start in sorted(adj, key=lambda v: linear_index(v, g.dims)):
-        if start in seen:
-            continue
-        stack, verts = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        verts.sort(key=lambda v: linear_index(v, g.dims))
-        vset = set(verts)
-        comp_edges = [e for e in g.non_loop_edges if e & vset]
-        for v in verts:
-            comp_edges.extend(loop_at.get(v, []))
-        key = lambda e: tuple(sorted(linear_index(v, g.dims) for v in e))
-        out.append(Component(tuple(verts), tuple(sorted(comp_edges, key=key))))
-    return tuple(out)
 
 
 def complete_graph(dims: Dims) -> Graph:

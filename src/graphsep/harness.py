@@ -3,17 +3,15 @@
 Each suite checks one guaranteed behavior of the classifier on freshly
 generated random instances.  Trials are reproducible: trial i of a run with
 master seed s derives its own 64-bit seed with a splitmix64 step, so reports
-are identical run to run and independent of worker scheduling.
+are identical run to run.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from .errors import BadDimsError, BadParamsError, BadTrialCountError
@@ -35,6 +33,7 @@ from .graphs import (
 )
 from .matrix import (
     SymMatrix,
+    eigenvalues_sym,
     exact_str,
     float12,
     is_psd_exact,
@@ -211,7 +210,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     """Returns (failure reason or None, witness value or None, artifact, unknown)."""
     g = suite_instance(suite, dims, tseed)
     if suite == 1:
-        if ppt_test(g).holds:
+        if ppt_test(g):
             return "partial-transpose-stayed-positive", None, g, False
         wit = quadratic_witness(g, _first_entangled_edge(g))
         if wit.value >= 0:
@@ -229,7 +228,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if suite == 4:
         if block_lss_certificate(g) is None:
             return "block-certificate-missing", None, g, False
-        if not ppt_test(g).holds:
+        if not ppt_test(g):
             return "partial-transpose-not-positive", None, g, False
         v = verdict(g)
         if v.status != Status.SEPARABLE or not isinstance(
@@ -264,7 +263,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         v = verdict(g)
         if v.status != Status.SEPARABLE:
             return "verdict-not-separable", None, g, False
-        if not ppt_test(g).holds:
+        if not ppt_test(g):
             return "partial-transpose-not-positive", None, g, False
         return None, None, g, False
     # suite 0: structural invariants and cross-consistency
@@ -282,16 +281,16 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if not is_psd_exact(lap):
         return "laplacian-not-psd", None, g, False
     ppt = ppt_test(g)
-    if abs(ppt.min_eigenvalue_estimate) > 1e-11:
-        if (ppt.min_eigenvalue_estimate < 0) == ppt.holds:
-            return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
-    if not ppt.holds:
+    min_eigenvalue = eigenvalues_sym(partial_transpose(sigma, g.dims))[0]
+    if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
+        return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
+    if not ppt:
         certs = [all_separable_certificate(g), block_lss_certificate(g)]
         if g.dims.p == 2:
             certs.append(pe_matching_certificate(g))
         if any(c is not None for c in certs):
             return "certificate-granted-despite-negative-partial-transpose", None, g, False
-    if ppt.holds != degree_criterion(g).holds:
+    if ppt != degree_criterion(g).holds:
         return "degree-and-positivity-tests-disagree", None, g, False
     v = verdict(g)
     unknown = v.status == Status.UNKNOWN
@@ -326,7 +325,6 @@ def run_suite(
     trials: int,
     seed: int,
     *,
-    parallel: bool = False,
     dump_dir=None,
 ) -> SuiteReport:
     """Run one suite and collect failures instead of raising on them."""
@@ -342,15 +340,7 @@ def run_suite(
     _check_suite_dims(suite, dims)
     start = time.perf_counter()
     tseeds = [trial_seed(seed, i) for i in range(trials)]
-
-    def work(i: int):
-        return _run_trial(suite, dims, tseeds[i])
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(work, range(trials)))
-    else:
-        results = [work(i) for i in range(trials)]
+    results = [_run_trial(suite, dims, tseed) for tseed in tseeds]
 
     failures = []
     min_witness = None
@@ -378,8 +368,3 @@ def _dump_failure(dump_dir, suite: int, dims: Dims, trial: int, g: Graph) -> Pat
     path = out / f"suite{suite}-p{dims.p}q{dims.q}-trial{trial:04d}.graph"
     write_graph_file(path, g)
     return path
-
-
-def cross_consistency(dims, trials: int, seed: int, **kwargs) -> SuiteReport:
-    """Structural-invariant sweep; alias for suite 0."""
-    return run_suite(0, dims, trials, seed, **kwargs)

@@ -190,26 +190,6 @@ def is_psd_exact(mat: SymMatrix) -> bool:
     return True
 
 
-def rank_exact(mat: SymMatrix) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in mat.rows]
-    n = mat.order
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        d = a[rank][c]
-        for i in range(rank + 1, n):
-            f = a[i][c] / d
-            if f:
-                for j in range(c, n):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-    return rank
-
-
 def _max_offdiag(a: list[list[float]]) -> float:
     n = len(a)
     return max(abs(a[r][c]) for r in range(n - 1) for c in range(r + 1, n))

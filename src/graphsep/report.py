@@ -1,12 +1,17 @@
-"""Full analysis of a single graph, renderable as text or JSON."""
+"""Full analysis of a single graph, renderable as text or JSON.
+
+The float eigenvalue estimates of a report are computed here, next to the
+exact checks; no verdict depends on them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import EdgeClass, Graph, classify_edge, density_matrix
+from .graphs import Dims, EdgeClass, Graph, classify_edge, density_matrix
 from .matrix import (
+    SymMatrix,
     eigenvalues_sym,
     exact_str,
     float12,
@@ -15,26 +20,22 @@ from .matrix import (
 )
 from .separability import (
     DegreeCriterionResult,
-    LOW_PPT_DIMS,
-    PPTResult,
     Status,
     Verdict,
-    all_separable_certificate,
-    block_lss_certificate,
+    _decide,
+    _granted_certificates,
     degree_criterion,
-    pe_matching_certificate,
     ppt_test,
     revalidate,
-    verdict,
     verdict_to_json_dict,
 )
 
-CERTIFICATE_ORDER = (
-    "all-edges-separable",
-    "block-line-sum-symmetric",
-    "pe-matching",
-    "low-dim-ppt",
-)
+@dataclass(frozen=True)
+class PPTResult:
+    """Exact partial-transpose positivity plus a float spectral estimate."""
+
+    holds: bool
+    min_eigenvalue_estimate: float
 
 
 @dataclass(frozen=True)
@@ -49,41 +50,55 @@ class AnalysisReport:
     spectrum: dict | None
 
 
+def spectrum(
+    sigma: SymMatrix, dims: Dims, pt_eigenvalues: list[float] | None = None
+) -> dict[str, list[float]]:
+    """Float eigenvalues of a density matrix and of its partial transpose.
+
+    pt_eigenvalues, when given, is the partial transpose's spectrum already
+    computed by the caller.
+    """
+    if pt_eigenvalues is None:
+        pt_eigenvalues = eigenvalues_sym(partial_transpose(sigma, dims))
+    return {"density": eigenvalues_sym(sigma), "partial_transpose": pt_eigenvalues}
+
+
+def spectrum_json_dict(spec: dict[str, list[float]]) -> dict:
+    return {key: [float12(x) for x in vals] for key, vals in spec.items()}
+
+
+def spectrum_lines(spec: dict[str, list[float]]) -> list[str]:
+    return [
+        f"{label}: " + ", ".join(f"{x:.6g}" for x in spec[key])
+        for key, label in (
+            ("density", "density spectrum"),
+            ("partial_transpose", "partial transpose spectrum"),
+        )
+    ]
+
+
 def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
-    """Run every check on one graph and cross-validate the verdict."""
+    """Run every check once on one graph and revalidate the verdict."""
     counts = {cls.value: 0 for cls in EdgeClass}
     for e in g.edges:
         counts[classify_edge(e).value] += 1
-    ppt = ppt_test(g)
+    sigma = density_matrix(g)
+    pt_eigenvalues = eigenvalues_sym(partial_transpose(sigma, g.dims))
+    ppt = PPTResult(ppt_test(g), pt_eigenvalues[0])
     degree = degree_criterion(g)
-    granted = []
-    if all_separable_certificate(g) is not None:
-        granted.append("all-edges-separable")
-    if block_lss_certificate(g) is not None:
-        granted.append("block-line-sum-symmetric")
-    if g.dims.p == 2 and pe_matching_certificate(g) is not None:
-        granted.append("pe-matching")
-    if tuple(g.dims) in LOW_PPT_DIMS and ppt.holds:
-        granted.append("low-dim-ppt")
-    v = verdict(g)
+    certificates = tuple(_granted_certificates(g, ppt.holds))
+    v = _decide(degree, certificates)
     if not revalidate(g, v):
         raise RuntimeError("verdict evidence failed revalidation")
-    spectrum = None
-    if include_spectrum:
-        sigma = density_matrix(g)
-        spectrum = {
-            "density": eigenvalues_sym(sigma),
-            "partial_transpose": eigenvalues_sym(partial_transpose(sigma, g.dims)),
-        }
     return AnalysisReport(
         graph=g,
         edge_classes=counts,
-        purity=purity(density_matrix(g)),
+        purity=purity(sigma),
         ppt=ppt,
         degree=degree,
-        certificates=tuple(k for k in CERTIFICATE_ORDER if k in granted),
+        certificates=tuple(c.kind for c in certificates),
         verdict=v,
-        spectrum=spectrum,
+        spectrum=spectrum(sigma, g.dims, pt_eigenvalues) if include_spectrum else None,
     )
 
 
@@ -116,9 +131,7 @@ def report_json_dict(r: AnalysisReport) -> dict:
         }
     )
     if r.spectrum is not None:
-        out["spectrum"] = {
-            key: [float12(x) for x in vals] for key, vals in r.spectrum.items()
-        }
+        out["spectrum"] = spectrum_json_dict(r.spectrum)
     return out
 
 
@@ -128,8 +141,6 @@ def _witness_line(v: Verdict) -> str | None:
         return None
     if w.kind == "degree-criterion":
         return f"witness: degree change at row {w.row}, sum {exact_str(w.row_sum)}"
-    if w.kind == "negative-eigenvalue":
-        return f"witness: negative eigenvalue, about {w.min_eigenvalue_estimate:.6g}"
     return (
         f"witness: quadratic form value {exact_str(w.value)}"
         f" (density scale {exact_str(Fraction(w.value, w.degree_sum))})"
@@ -172,10 +183,5 @@ def render_text(r: AnalysisReport) -> str:
         "certificates: " + (", ".join(r.certificates) if r.certificates else "none")
     )
     if r.spectrum is not None:
-        for key, label in (
-            ("density", "density spectrum"),
-            ("partial_transpose", "partial transpose spectrum"),
-        ):
-            vals = ", ".join(f"{x:.6g}" for x in r.spectrum[key])
-            lines.append(f"{label}: {vals}")
+        lines.extend(spectrum_lines(r.spectrum))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import NotEntangledEdgeError, WrongDimsError
 from .graphs import (
@@ -27,10 +27,9 @@ from .graphs import (
 )
 from .matrix import (
     SymMatrix,
+    add,
     block,
-    eigenvalues_sym,
     exact_str,
-    float12,
     is_psd_exact,
     kron,
     line_sum_symmetric,
@@ -43,18 +42,9 @@ from .matrix import (
 LOW_PPT_DIMS = frozenset({(2, 2), (2, 3), (3, 2)})
 
 
-@dataclass(frozen=True)
-class PPTResult:
-    """Exact partial-transpose positivity plus a float spectral estimate."""
-
-    holds: bool
-    min_eigenvalue_estimate: float
-
-
-def ppt_test(g: Graph) -> PPTResult:
-    pt_lap = partial_transpose(laplacian(g), g.dims)
-    pt_density = partial_transpose(density_matrix(g), g.dims)
-    return PPTResult(is_psd_exact(pt_lap), eigenvalues_sym(pt_density)[0])
+def ppt_test(g: Graph) -> bool:
+    """Exact positivity of the partially transposed Laplacian."""
+    return is_psd_exact(partial_transpose(laplacian(g), g.dims))
 
 
 @dataclass(frozen=True)
@@ -192,15 +182,7 @@ def reconstruct(cert: ProductDecomposition) -> SymMatrix:
     total = None
     for weight, row_factor, col_factor in cert.terms:
         piece = kron(row_factor, col_factor).scaled(weight)
-        if total is None:
-            total = piece
-        else:
-            total = SymMatrix(
-                tuple(
-                    tuple(x + y for x, y in zip(ra, rb))
-                    for ra, rb in zip(total.rows, piece.rows)
-                )
-            )
+        total = piece if total is None else add(total, piece)
     return total
 
 
@@ -243,12 +225,6 @@ def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
 # ---------------------------------------------------------------------------
 # Witnesses of entanglement
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NegativeEigenvalueWitness:
-    kind: ClassVar[str] = "negative-eigenvalue"
-    min_eigenvalue_estimate: float
 
 
 @dataclass(frozen=True)
@@ -295,39 +271,56 @@ class Verdict:
     witness: object | None = None
 
 
-def verdict(g: Graph) -> Verdict:
-    """Classify a graph state, cheapest decisive check first.
+def _granted_certificates(g: Graph, ppt: bool | None = None) -> Iterator:
+    """Every certificate of separability the graph earns, in verdict order.
 
-    Order: degree preservation, exact partial-transpose positivity, the
-    all-separable product construction, block line-sum symmetry, the
-    two-row matching certificate, and last the small-grid positivity rule.
-    Anything that survives all six is reported unknown.
+    Order: the all-separable product construction, block line-sum
+    symmetry, the two-row matching certificate, and last the small-grid
+    positivity rule.  Each check runs only when the next certificate is
+    asked for.  ppt, when given, is ppt_test(g) already computed.
     """
-    degree = degree_criterion(g)
+    cert = all_separable_certificate(g)
+    if cert is not None:
+        yield cert
+    cert = block_lss_certificate(g)
+    if cert is not None:
+        yield cert
+    if g.dims.p == 2:
+        cert = pe_matching_certificate(g)
+        if cert is not None:
+            yield cert
+    if tuple(g.dims) in LOW_PPT_DIMS and (ppt_test(g) if ppt is None else ppt):
+        yield LowDimPPT()
+
+
+def _decide(degree: DegreeCriterionResult, certificates: Iterable) -> Verdict:
+    """Verdict from the degree check and the granted certificates.
+
+    Certificates are consulted only when degrees are preserved, and then
+    only the first one is taken.
+    """
     if not degree.holds:
         return Verdict(
             Status.ENTANGLED,
             witness=DegreeCriterionWitness(degree.violating_row, degree.row_sum),
         )
-    ppt = ppt_test(g)
-    if not ppt.holds:
-        return Verdict(
-            Status.ENTANGLED,
-            witness=NegativeEigenvalueWitness(ppt.min_eigenvalue_estimate),
-        )
-    cert = all_separable_certificate(g)
-    if cert is not None:
-        return Verdict(Status.SEPARABLE, certificate=cert)
-    cert = block_lss_certificate(g)
-    if cert is not None:
-        return Verdict(Status.SEPARABLE, certificate=cert)
-    if g.dims.p == 2:
-        cert = pe_matching_certificate(g)
-        if cert is not None:
-            return Verdict(Status.SEPARABLE, certificate=cert)
-    if tuple(g.dims) in LOW_PPT_DIMS:
-        return Verdict(Status.SEPARABLE, certificate=LowDimPPT())
-    return Verdict(Status.UNKNOWN)
+    cert = next(iter(certificates), None)
+    if cert is None:
+        return Verdict(Status.UNKNOWN)
+    return Verdict(Status.SEPARABLE, certificate=cert)
+
+
+def verdict(g: Graph) -> Verdict:
+    """Classify a graph state: the degree check, then the certificates.
+
+    A changed degree is an entanglement witness.  Preserved degrees already
+    make the partial transpose positive, since it is then the Laplacian of
+    another graph (Braunstein, Ghosh and Severini, PRA 73, 2006; Hildebrand,
+    Mancini and Severini, MSCS 18, 2008), so the certificates are tried next
+    in _granted_certificates order.  Anything none of them certifies is
+    reported unknown.
+    """
+    return _decide(degree_criterion(g), _granted_certificates(g))
 
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
@@ -368,7 +361,7 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
             return False
         return cert.separable_edge_count == len(g.sorted_edges) - q
     if isinstance(cert, LowDimPPT):
-        return tuple(g.dims) in LOW_PPT_DIMS and ppt_test(g).holds
+        return tuple(g.dims) in LOW_PPT_DIMS and ppt_test(g)
     return False
 
 
@@ -378,8 +371,6 @@ def _revalidate_witness(g: Graph, wit) -> bool:
         if not (1 <= wit.row <= g.n):
             return False
         return sums[wit.row - 1] == wit.row_sum and wit.row_sum != 0
-    if isinstance(wit, NegativeEigenvalueWitness):
-        return not is_psd_exact(partial_transpose(laplacian(g), g.dims))
     if isinstance(wit, QuadraticWitness):
         return witness_value(g, wit.vector) == wit.value and wit.value < 0
     return False
@@ -391,11 +382,7 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         return v.witness is None and _revalidate_certificate(g, v.certificate)
     if v.status == Status.ENTANGLED:
         return v.certificate is None and _revalidate_witness(g, v.witness)
-    return (
-        v.certificate is None
-        and v.witness is None
-        and ppt_test(g).holds
-    )
+    return v.certificate is None and v.witness is None and ppt_test(g)
 
 
 def _matrix_strings(mat: SymMatrix) -> list[list[str]]:
@@ -432,12 +419,7 @@ def verdict_to_json_dict(v: Verdict) -> dict:
     wit = None
     if v.witness is not None:
         w = v.witness
-        if isinstance(w, NegativeEigenvalueWitness):
-            wit = {
-                "kind": w.kind,
-                "min_eigenvalue_estimate": float12(w.min_eigenvalue_estimate),
-            }
-        elif isinstance(w, DegreeCriterionWitness):
+        if isinstance(w, DegreeCriterionWitness):
             wit = {"kind": w.kind, "row": w.row, "row_sum": exact_str(w.row_sum)}
         else:
             wit = {

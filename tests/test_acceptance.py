@@ -121,11 +121,7 @@ def test_criterion_7_cross_consistency_suite():
 def test_criterion_8_determinism(capsys, tmp_path):
     for suite, dims in [(0, (3, 3)), (1, (2, 3)), (7, (2, 4))]:
         a = run_suite(suite, dims, 50, 42).to_json_dict(include_elapsed=False)
-        b = run_suite(suite, dims, 50, 42, parallel=True).to_json_dict(
-            include_elapsed=False
-        )
         c = run_suite(suite, dims, 50, 42).to_json_dict(include_elapsed=False)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
     args = ["verify", "--theorem", "1", "--p", "2", "--q", "2", "--trials", "30",
             "--seed", "5", "--dump-dir", str(tmp_path / "d")]

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphsep.report
 from graphsep.cli import main
+from graphsep.errors import NoConvergenceError
 from graphsep.graphfile import parse_graph_file
-from graphsep.graphs import Dims, star_graph
+from graphsep.graphs import Dims, complete_graph, pe_matching_graph, star_graph
 from graphsep.graphfile import write_graph_file
+from graphsep.separability import Status, revalidate, verdict
 
 
 @pytest.fixture
@@ -126,18 +133,6 @@ def test_verify_cross_consistency_suite(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["theorem"] == 0
 
 
-def test_verify_parallel_matches_sequential(capsys, tmp_path):
-    base = ["verify", "--theorem", "7", "--p", "2", "--q", "3", "--trials", "25",
-            "--seed", "3", "--dump-dir", str(tmp_path / "d")]
-    assert main(base) == 0
-    a = json.loads(capsys.readouterr().out)
-    assert main(base + ["--parallel"]) == 0
-    b = json.loads(capsys.readouterr().out)
-    a.pop("elapsed_ms")
-    b.pop("elapsed_ms")
-    assert a == b
-
-
 def test_verify_bad_dims_exit_1(capsys, tmp_path):
     args = ["verify", "--theorem", "7", "--p", "3", "--q", "2",
             "--dump-dir", str(tmp_path / "d")]
@@ -199,3 +194,41 @@ def test_usage_errors_exit_1():
 def test_help_exits_0():
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0
+
+
+def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergenceError("jacobi stopped")
+
+    # every binding, so a Jacobi call anywhere on the verdict path would raise
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphsep" and hasattr(module, "eigenvalues_sym"):
+            monkeypatch.setattr(module, "eigenvalues_sym", no_convergence)
+    assert graphsep.report.eigenvalues_sym is no_convergence
+    cases = [
+        (star_graph(Dims(3, 3)), Status.ENTANGLED),
+        (complete_graph(Dims(3, 3)), Status.SEPARABLE),
+        (pe_matching_graph(Dims(2, 3), (2, 3, 1)), Status.SEPARABLE),
+    ]
+    for g, status in cases:
+        v = verdict(g)
+        assert v.status == status
+        assert revalidate(g, v)
+    path = tmp_path / "k.graph"
+    write_graph_file(path, complete_graph(Dims(2, 2)))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("internal error: jacobi stopped")
+
+
+def test_module_entry_point():
+    src = str(Path(graphsep.report.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsep.cli", "generate", "star", "--p", "2", "--q", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "dims 2 2"

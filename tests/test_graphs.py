@@ -21,7 +21,6 @@ from graphsep.graphs import (
     canonical_edge,
     classify_edge,
     complete_graph,
-    components,
     density_matrix,
     entangled_edge_pool,
     entangled_pool_size,
@@ -34,7 +33,6 @@ from graphsep.graphs import (
     single_edge_graph,
     star_graph,
     tensor_product,
-    vertex_at,
 )
 
 GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4), Dims(4, 2)]
@@ -45,9 +43,7 @@ def test_linear_index_bijection(dims):
     seen = set()
     for i in range(1, dims.p + 1):
         for j in range(1, dims.q + 1):
-            k = linear_index((i, j), dims)
-            assert vertex_at(k, dims) == (i, j)
-            seen.add(k)
+            seen.add(linear_index((i, j), dims))
     assert seen == set(range(1, dims.n + 1))
 
 
@@ -159,7 +155,6 @@ def test_tensor_product_known_small_case():
     t = tensor_product(k2, k2)
     assert t.dims == Dims(2, 2)
     assert t.sorted_edges == (((1, 1), (2, 2)), ((1, 2), (2, 1)))
-    assert len(components(t)) == 2
 
 
 @pytest.mark.parametrize(
@@ -183,28 +178,6 @@ def test_tensor_product_edges_all_entangled():
     assert all(
         classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED for pr in t.sorted_edges
     )
-
-
-def test_components_isolated_and_loops():
-    g = build_graph(
-        Dims(2, 2), [frozenset({(1, 1), (2, 2)}), frozenset({(2, 1)})]
-    )
-    comps = components(g)
-    assert len(comps) == 3
-    assert comps[0].vertices == ((1, 1), (2, 2))
-    assert comps[1].vertices == ((1, 2),)
-    assert comps[1].edges == ()
-    assert comps[2].vertices == ((2, 1),)
-    assert comps[2].edges == (frozenset({(2, 1)}),)
-
-
-def test_degree_sum_additive_over_components():
-    g = build_graph(
-        Dims(2, 3),
-        [frozenset({(1, 1), (1, 2)}), frozenset({(2, 2), (2, 3)})],
-    )
-    comps = components(g)
-    assert sum(2 * len([e for e in c.edges if len(e) == 2]) for c in comps) == g.degree_sum
 
 
 def test_pe_matching_graph_validation():

@@ -9,7 +9,6 @@ from graphsep.harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
     _dump_failure,
-    cross_consistency,
     run_suite,
     suite_instance,
     trial_seed,
@@ -105,11 +104,7 @@ def test_suite1_known_min_witness():
 def test_reports_are_deterministic():
     for suite, dims in [(0, (3, 3)), (1, (2, 3)), (7, (2, 4))]:
         a = run_suite(suite, dims, 40, 123).to_json_dict(include_elapsed=False)
-        b = run_suite(suite, dims, 40, 123, parallel=True).to_json_dict(
-            include_elapsed=False
-        )
         c = run_suite(suite, dims, 40, 123).to_json_dict(include_elapsed=False)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
 
 
@@ -183,14 +178,6 @@ def test_dump_failure_helper(tmp_path):
     path = _dump_failure(tmp_path, 7, Dims(2, 3), 12, star_graph(Dims(2, 3)))
     assert path.name == "suite7-p2q3-trial0012.graph"
     assert path.read_text().startswith("dims 2 3\n")
-
-
-def test_cross_consistency_alias():
-    a = cross_consistency((2, 2), 20, 3)
-    b = run_suite(0, (2, 2), 20, 3)
-    assert a.ok and b.ok
-    assert a.to_json_dict(include_elapsed=False) == b.to_json_dict(include_elapsed=False)
-    assert a.suite == 0
 
 
 def test_unknown_count_tracked_but_not_serialized():

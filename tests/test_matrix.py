@@ -24,7 +24,6 @@ from graphsep.matrix import (
     partial_transpose,
     purity,
     quadratic_form,
-    rank_exact,
 )
 
 
@@ -175,13 +174,6 @@ def test_psd_agrees_with_float_eigenvalues(m):
         assert is_psd_exact(m)
     elif eigs.min() < -1e-8:
         assert not is_psd_exact(m)
-
-
-def test_rank_exact():
-    assert rank_exact(identity(3)) == 3
-    assert rank_exact(SymMatrix(((0, 0), (0, 0)))) == 0
-    assert rank_exact(SymMatrix(((1, -1), (-1, 1)))) == 1
-    assert rank_exact(STAR_LAPLACIAN) == 3
 
 
 def test_eigenvalues_small_cases():

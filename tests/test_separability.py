@@ -10,7 +10,9 @@ from graphsep.graphs import (
     build_graph,
     complete_graph,
     density_matrix,
+    entangled_edge_pool,
     entangled_pool_size,
+    laplacian,
     pe_matching_graph,
     random_graph,
     separable_edge_pool,
@@ -22,7 +24,6 @@ from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
     LowDimPPT,
-    NegativeEigenvalueWitness,
     PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,
@@ -41,19 +42,24 @@ from graphsep.separability import (
     verdict_to_json_dict,
     witness_value,
 )
+from graphsep.matrix import is_psd_exact, partial_transpose
+from graphsep.report import analyze
 
 STAR_GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3)]
 
 
 def test_ppt_single_edge():
     g = single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)})
-    res = ppt_test(g)
+    assert not ppt_test(g)
+    res = analyze(g).ppt
     assert not res.holds
     assert res.min_eigenvalue_estimate == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_ppt_complete():
-    res = ppt_test(complete_graph(Dims(2, 2)))
+    g = complete_graph(Dims(2, 2))
+    assert ppt_test(g)
+    res = analyze(g).ppt
     assert res.holds
     assert res.min_eigenvalue_estimate == pytest.approx(0.0, abs=1e-10)
 
@@ -231,7 +237,7 @@ LOW_DIM_CYCLE = [
 def test_verdict_low_dim_ppt_rule():
     # degree-preserving entangled cycle on 3x2: no other certificate applies
     g = build_graph(Dims(3, 2), LOW_DIM_CYCLE)
-    assert ppt_test(g).holds
+    assert ppt_test(g)
     assert block_lss_certificate(g) is None
     v = verdict(g)
     assert v.status == Status.SEPARABLE
@@ -248,7 +254,7 @@ UNKNOWN_EDGES = [
 
 def test_verdict_unknown_instance():
     g = build_graph(Dims(3, 3), UNKNOWN_EDGES)
-    assert ppt_test(g).holds
+    assert ppt_test(g)
     assert degree_criterion(g).holds
     assert block_lss_certificate(g) is None
     v = verdict(g)
@@ -277,7 +283,7 @@ def test_revalidate_rejects_tampered_evidence():
     assert not revalidate(star, Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric()))
     # entangled claim against a separable graph
     assert not revalidate(
-        k4, Verdict(Status.ENTANGLED, witness=NegativeEigenvalueWitness(-0.1))
+        k4, Verdict(Status.ENTANGLED, witness=DegreeCriterionWitness(3, -1))
     )
     # degree witness pointing at a balanced row
     assert not revalidate(
@@ -364,3 +370,26 @@ def test_every_verdict_revalidates(dims, ns, ne, seed):
         ns = 1
     g = random_graph(dims, ns, ne, seed)
     assert revalidate(g, verdict(g))
+
+
+@st.composite
+def pt_paired_graphs(draw):
+    """Graphs on grids up to 4x4 where some entangled edges come with their
+    partial-transpose image: {(i,j),(s,t)} paired with {(i,t),(s,j)}."""
+    dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    chosen = draw(st.lists(st.sampled_from(entangled_edge_pool(dims)), min_size=1, max_size=6))
+    paired = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = set(draw(st.lists(st.sampled_from(separable_edge_pool(dims)), max_size=4)))
+    for ((i, j), (s, t)), pair in zip(chosen, paired):
+        edges.add(((i, j), (s, t)))
+        if pair:
+            edges.add(((i, t), (s, j)))
+    return build_graph(dims, [frozenset(e) for e in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pt_paired_graphs())
+def test_degree_preservation_equals_exact_ppt(g):
+    # the theorem that lets verdict skip a separate positivity step
+    exact = is_psd_exact(partial_transpose(laplacian(g), g.dims))
+    assert degree_criterion(g).holds == exact
