@@ -64,10 +64,8 @@ from .matrix import (
     exact_str,
     is_psd_exact,
     kron,
-    line_sum_symmetric,
     partial_transpose,
     purity,
-    quadratic_form,
 )
 from .report import (
     AnalysisReport,

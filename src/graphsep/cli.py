@@ -25,6 +25,7 @@ from .graphs import (
 from .harness import SUITE_DESCRIPTIONS, SUITE_IDS, run_suite
 from .report import (
     analyze,
+    check_dense_size,
     render_text,
     report_json_dict,
     spectrum,
@@ -175,6 +176,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = parse_graph_file(args.path)
+    check_dense_size(g)
     spec = spectrum(density_matrix(g), g.dims)
     if args.format == "json":
         print(json.dumps(spectrum_json_dict(spec), indent=2))

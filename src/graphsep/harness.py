@@ -280,7 +280,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         return "partial-transpose-changed-diagonal", None, g, False
     if not is_psd_exact(lap):
         return "laplacian-not-psd", None, g, False
-    ppt = ppt_test(g)
+    ppt = is_psd_exact(pt)
     min_eigenvalue = eigenvalues_sym(partial_transpose(sigma, g.dims))[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
         return "eigenvalue-sign-disagrees-with-exact-test", None, g, False

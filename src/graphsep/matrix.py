@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DimMismatchError,
@@ -71,9 +71,6 @@ class SymMatrix:
     def diagonal(self) -> tuple[Entry, ...]:
         return tuple(self.rows[i][i] for i in range(self.order))
 
-    def row_sums(self) -> tuple[Entry, ...]:
-        return tuple(sum(row) for row in self.rows)
-
     def scaled(self, factor: Entry) -> "SymMatrix":
         f = Fraction(factor)
         return SymMatrix(tuple(tuple(f * x for x in row) for row in self.rows))
@@ -124,33 +121,6 @@ def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
         for row in range(n)
     )
     return SymMatrix(rows)
-
-
-def block(mat: SymMatrix, dims, i: int, j: int) -> tuple[tuple[Entry, ...], ...]:
-    """The (i, j) block of the p-by-p block partition, 1-based, as raw rows."""
-    p, q = dims
-    if mat.order != p * q:
-        raise DimMismatchError(f"order {mat.order} does not factor as {p}*{q}")
-    if not (1 <= i <= p and 1 <= j <= p):
-        raise DimMismatchError(f"block index ({i},{j}) outside 1..{p}")
-    return tuple(
-        tuple(mat.rows[(i - 1) * q + r][(j - 1) * q + c] for c in range(q))
-        for r in range(q)
-    )
-
-
-def line_sum_symmetric(rows) -> bool:
-    """True when every row sum equals the matching column sum."""
-    if isinstance(rows, SymMatrix):
-        rows = rows.rows
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise DimMismatchError("line sums need a square block")
-    for l in range(n):
-        if sum(rows[l]) != sum(rows[r][l] for r in range(n)):
-            return False
-    return True
 
 
 def is_psd_exact(mat: SymMatrix) -> bool:
@@ -245,17 +215,6 @@ def eigenvalues_sym(
                 f"jacobi stopped after {max_sweeps} sweeps, off-diagonal {off:.3e}"
             )
     return sorted(a[i][i] for i in range(n))
-
-
-def quadratic_form(mat: SymMatrix, x: Sequence[Entry]) -> Fraction:
-    """Exact value of x^T A x."""
-    if len(x) != mat.order:
-        raise DimMismatchError(f"vector length {len(x)} != order {mat.order}")
-    vec = [Fraction(v) for v in x]
-    total = Fraction(0)
-    for r, row in enumerate(mat.rows):
-        total += vec[r] * sum(e * vec[c] for c, e in enumerate(row))
-    return total
 
 
 def purity(mat: SymMatrix) -> Fraction:

@@ -4,16 +4,21 @@ Everything that decides a verdict runs in exact arithmetic.  A verdict is
 always backed by evidence: a certificate object for separable states, a
 witness object for entangled ones.  revalidate() re-derives that evidence
 from scratch so callers never have to trust the classifier.
+
+The partial transpose keeps the Laplacian's diagonal and moves the entry of
+an edge {(i,j),(s,t)} to ((i,t),(s,j)), so the degree, block and witness
+checks read it off the edge list in O(m) without building a matrix.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Sequence
 
-from .errors import NotEntangledEdgeError, WrongDimsError
+from .errors import DimMismatchError, NotEntangledEdgeError, WrongDimsError
 from .graphs import (
     Dims,
     Edge,
@@ -28,13 +33,10 @@ from .graphs import (
 from .matrix import (
     SymMatrix,
     add,
-    block,
     exact_str,
     is_psd_exact,
     kron,
-    line_sum_symmetric,
     partial_transpose,
-    quadratic_form,
 )
 
 # Grid shapes where a nonnegative partial transpose already settles
@@ -43,7 +45,8 @@ LOW_PPT_DIMS = frozenset({(2, 2), (2, 3), (3, 2)})
 
 
 def ppt_test(g: Graph) -> bool:
-    """Exact positivity of the partially transposed Laplacian."""
+    """Exact positivity of the dense partially transposed Laplacian; the
+    reference that suites and tests hold the edge-based checks against."""
     return is_psd_exact(partial_transpose(laplacian(g), g.dims))
 
 
@@ -51,10 +54,10 @@ def ppt_test(g: Graph) -> bool:
 class DegreeCriterionResult:
     """Whether the partial transpose preserves every vertex degree.
 
-    When it does not, violating_row names a 1-based row of the partially
-    transposed combinatorial matrix whose sum went negative, scanning from
-    the last row upward.  The sums total zero, so a nonzero sum anywhere
-    guarantees a negative one somewhere.
+    When it does not, violating_row names the last 1-based row of the
+    partially transposed combinatorial matrix whose sum went negative.  The
+    sums total zero, so a nonzero sum anywhere guarantees a negative one
+    somewhere.
     """
 
     holds: bool
@@ -62,14 +65,20 @@ class DegreeCriterionResult:
     row_sum: int | None = None
 
 
+def _pt_row_sums(g: Graph) -> dict[int, int]:
+    """Nonzero row sums of the partially transposed Laplacian by 1-based row."""
+    sums = Counter()
+    for (i, j), (s, t) in g.sorted_edges:
+        for v, d in (((i, j), 1), ((s, t), 1), ((i, t), -1), ((s, j), -1)):
+            sums[linear_index(v, g.dims)] += d
+    return {row: x for row, x in sums.items() if x}
+
+
 def degree_criterion(g: Graph) -> DegreeCriterionResult:
-    sums = partial_transpose(laplacian(g), g.dims).row_sums()
-    if all(s == 0 for s in sums):
+    negative = [(row, x) for row, x in _pt_row_sums(g).items() if x < 0]
+    if not negative:
         return DegreeCriterionResult(True)
-    for row in range(g.n, 0, -1):
-        if sums[row - 1] < 0:
-            return DegreeCriterionResult(False, row, sums[row - 1])
-    raise AssertionError("nonzero row sums must include a negative one")
+    return DegreeCriterionResult(False, *max(negative))
 
 
 def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
@@ -93,7 +102,13 @@ def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
 
 def witness_value(g: Graph, x: Sequence) -> Fraction:
     """Exact quadratic form of x against the partially transposed Laplacian."""
-    return quadratic_form(partial_transpose(laplacian(g), g.dims), x)
+    if len(x) != g.n:
+        raise DimMismatchError(f"vector length {len(x)} != order {g.n}")
+    at = lambda i, j: Fraction(x[linear_index((i, j), g.dims) - 1])
+    total = Fraction(0)
+    for (i, j), (s, t) in g.sorted_edges:
+        total += at(i, j) ** 2 + at(s, t) ** 2 - 2 * at(i, t) * at(s, j)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +202,16 @@ def reconstruct(cert: ProductDecomposition) -> SymMatrix:
 
 
 def block_lss_certificate(g: Graph) -> BlockLineSumSymmetric | None:
-    lap = laplacian(g)
-    p = g.dims.p
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            if not line_sum_symmetric(block(lap, g.dims, i, j)):
-                return None
+    """Certificate when every q-by-q Laplacian block has equal row and column
+    sums.  Diagonal blocks always do; an edge {(i,j),(s,t)} with i < s adds
+    to row j and column t of block (i, s), whose transpose is block (s, i)."""
+    excess = Counter()
+    for (i, j), (s, t) in g.sorted_edges:
+        if i < s:
+            excess[i, s, j] += 1
+            excess[i, s, t] -= 1
+    if any(excess.values()):
+        return None
     return BlockLineSumSymmetric()
 
 
@@ -271,13 +290,14 @@ class Verdict:
     witness: object | None = None
 
 
-def _granted_certificates(g: Graph, ppt: bool | None = None) -> Iterator:
+def _granted_certificates(g: Graph, degree: DegreeCriterionResult) -> Iterator:
     """Every certificate of separability the graph earns, in verdict order.
 
     Order: the all-separable product construction, block line-sum
     symmetry, the two-row matching certificate, and last the small-grid
     positivity rule.  Each check runs only when the next certificate is
-    asked for.  ppt, when given, is ppt_test(g) already computed.
+    asked for.  degree is degree_criterion(g), whose preserved degrees are
+    the positive partial transpose the last rule needs.
     """
     cert = all_separable_certificate(g)
     if cert is not None:
@@ -289,7 +309,7 @@ def _granted_certificates(g: Graph, ppt: bool | None = None) -> Iterator:
         cert = pe_matching_certificate(g)
         if cert is not None:
             yield cert
-    if tuple(g.dims) in LOW_PPT_DIMS and (ppt_test(g) if ppt is None else ppt):
+    if tuple(g.dims) in LOW_PPT_DIMS and degree.holds:
         yield LowDimPPT()
 
 
@@ -320,7 +340,8 @@ def verdict(g: Graph) -> Verdict:
     in _granted_certificates order.  Anything none of them certifies is
     reported unknown.
     """
-    return _decide(degree_criterion(g), _granted_certificates(g))
+    degree = degree_criterion(g)
+    return _decide(degree, _granted_certificates(g, degree))
 
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
@@ -361,17 +382,17 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
             return False
         return cert.separable_edge_count == len(g.sorted_edges) - q
     if isinstance(cert, LowDimPPT):
-        return tuple(g.dims) in LOW_PPT_DIMS and ppt_test(g)
+        return tuple(g.dims) in LOW_PPT_DIMS and degree_criterion(g).holds
     return False
 
 
 def _revalidate_witness(g: Graph, wit) -> bool:
     if isinstance(wit, DegreeCriterionWitness):
-        sums = partial_transpose(laplacian(g), g.dims).row_sums()
-        if not (1 <= wit.row <= g.n):
-            return False
-        return sums[wit.row - 1] == wit.row_sum and wit.row_sum != 0
+        # a row outside the grid has no entry, so its sum reads as zero
+        return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
     if isinstance(wit, QuadraticWitness):
+        if len(wit.vector) != g.n:
+            return False
         return witness_value(g, wit.vector) == wit.value and wit.value < 0
     return False
 
@@ -382,7 +403,7 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         return v.witness is None and _revalidate_certificate(g, v.certificate)
     if v.status == Status.ENTANGLED:
         return v.certificate is None and _revalidate_witness(g, v.witness)
-    return v.certificate is None and v.witness is None and ppt_test(g)
+    return v.certificate is None and v.witness is None and degree_criterion(g).holds
 
 
 def _matrix_strings(mat: SymMatrix) -> list[list[str]]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import graphsep.cli
 import graphsep.report
 from graphsep.cli import main
 from graphsep.errors import NoConvergenceError
@@ -218,6 +219,22 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
     write_graph_file(path, complete_graph(Dims(2, 2)))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("internal error: jacobi stopped")
+
+
+def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
+    # a 10^10-vertex grid: refused before any dense build is attempted
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(graphsep.report, "density_matrix", dense)
+    monkeypatch.setattr(graphsep.cli, "density_matrix", dense)
+    path = tmp_path / "huge.graph"
+    path.write_text("dims 100000 100000\nedge 1 1 2 2\n")
+    for command in ("analyze", "spectrum"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(graphsep.report.MAX_DENSE_VERTICES) in err
 
 
 def test_module_entry_point():

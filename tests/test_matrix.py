@@ -13,17 +13,14 @@ from graphsep.errors import (
 from graphsep.matrix import (
     SymMatrix,
     add,
-    block,
     eigenvalues_sym,
     exact_str,
     float12,
     identity,
     is_psd_exact,
     kron,
-    line_sum_symmetric,
     partial_transpose,
     purity,
-    quadratic_form,
 )
 
 
@@ -81,7 +78,6 @@ def test_basic_accessors():
     assert m.order == 2
     assert m.trace() == 4
     assert m.diagonal() == (2, 2)
-    assert m.row_sums() == (1, 1)
     assert m.scaled(Fraction(1, 2)).rows[0] == (1, Fraction(-1, 2))
     assert m.to_floats() == [[2.0, -1.0], [-1.0, 2.0]]
 
@@ -127,21 +123,6 @@ def test_partial_transpose_involution_trace_diagonal(dims, data):
     assert partial_transpose(pt, dims) == m
     assert pt.trace() == m.trace()
     assert pt.diagonal() == m.diagonal()
-
-
-def test_block_extracts_and_validates():
-    assert block(STAR_LAPLACIAN, (2, 2), 1, 2) == ((-1, -1), (0, 0))
-    assert block(STAR_LAPLACIAN, (2, 2), 2, 2) == ((1, 0), (0, 1))
-    with pytest.raises(DimMismatchError):
-        block(STAR_LAPLACIAN, (2, 2), 3, 1)
-
-
-def test_line_sum_symmetric():
-    assert line_sum_symmetric(((0, -1), (-1, 0)))
-    assert line_sum_symmetric(identity(3))
-    assert not line_sum_symmetric(((-1, -1), (0, 0)))
-    with pytest.raises(DimMismatchError):
-        line_sum_symmetric(((1, 2, 3), (4, 5, 6)))
 
 
 def test_psd_known_cases():
@@ -193,14 +174,6 @@ def test_eigenvalues_match_numpy(m):
     got = eigenvalues_sym(m)
     want = sorted(np.linalg.eigvalsh(np.array(m.to_floats())))
     assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_quadratic_form_exact():
-    m = SymMatrix(((1, -1), (-1, 1)))
-    assert quadratic_form(m, (Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 36)
-    assert quadratic_form(m, (1, 1)) == 0
-    with pytest.raises(DimMismatchError):
-        quadratic_form(m, (1, 2, 3))
 
 
 def test_purity():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsep.separability
 from graphsep.errors import NotEntangledEdgeError, WrongDimsError
 from graphsep.graphs import (
     Dims,
@@ -296,6 +297,9 @@ def test_revalidate_rejects_tampered_evidence():
     assert revalidate(lone, Verdict(Status.ENTANGLED, witness=w))
     fake = QuadraticWitness(w.vector, Fraction(-1, 3), w.degree_sum)
     assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=fake))
+    # quadratic witness whose vector does not fit the grid
+    short = QuadraticWitness(w.vector[:-1], w.value, w.degree_sum)
+    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=short))
     # unknown claim for a decided graph
     assert not revalidate(star, Verdict(Status.UNKNOWN))
     # matching permutation that does not cover the edges
@@ -387,9 +391,64 @@ def pt_paired_graphs(draw):
     return build_graph(dims, [frozenset(e) for e in edges])
 
 
+def dense_degree_criterion(pt):
+    """(holds, violating row, its sum) from the rows of a dense matrix."""
+    sums = [sum(row) for row in pt.rows]
+    negative = [r + 1 for r, x in enumerate(sums) if x < 0]
+    if not negative:
+        return True, None, None
+    return False, negative[-1], sums[negative[-1] - 1]
+
+
+def dense_blocks_line_sum_symmetric(lap, dims):
+    p, q = dims
+    for a in range(p):
+        for b in range(p):
+            blk = [[lap.rows[a * q + r][b * q + c] for c in range(q)] for r in range(q)]
+            if any(sum(blk[l]) != sum(row[l] for row in blk) for l in range(q)):
+                return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
-@given(pt_paired_graphs())
-def test_degree_preservation_equals_exact_ppt(g):
-    # the theorem that lets verdict skip a separate positivity step
-    exact = is_psd_exact(partial_transpose(laplacian(g), g.dims))
-    assert degree_criterion(g).holds == exact
+@given(pt_paired_graphs(), st.data())
+def test_degree_preservation_equals_exact_ppt(g, data):
+    # the theorem that lets verdict skip a separate positivity step, and the
+    # edge-based checks against dense references
+    lap = laplacian(g)
+    pt = partial_transpose(lap, g.dims)
+    degree = degree_criterion(g)
+    assert degree.holds == is_psd_exact(pt)
+    assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
+    blocks = block_lss_certificate(g) is not None
+    assert blocks == dense_blocks_line_sum_symmetric(lap, g.dims)
+    x = data.draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=7),
+            min_size=g.n,
+            max_size=g.n,
+        )
+    )
+    dense = sum(x[r] * e * x[c] for r, row in enumerate(pt.rows) for c, e in enumerate(row))
+    assert witness_value(g, x) == dense
+
+
+def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
+    # a 10^6-vertex grid: any n-by-n build would take far too long
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    for name in ("laplacian", "partial_transpose", "density_matrix"):
+        monkeypatch.setattr(graphsep.separability, name, dense)
+    dims = Dims(1000, 1000)
+    edge = frozenset({(500, 7), (999, 1000)})
+    image = frozenset({(500, 1000), (999, 7)})
+    lone = build_graph(dims, [edge])
+    v = verdict(lone)
+    assert v.witness == DegreeCriterionWitness(998 * 1000 + 7, -1)
+    assert revalidate(lone, v)
+    paired = build_graph(dims, [edge, image])
+    v = verdict(paired)
+    assert v.status == Status.SEPARABLE
+    assert isinstance(v.certificate, BlockLineSumSymmetric)
+    assert revalidate(paired, v)
