@@ -16,7 +16,6 @@ from .errors import (
     GraphFileError,
     GraphSepError,
     NoConvergenceError,
-    NotDensityError,
     NotEntangledEdgeError,
     NotSymmetricError,
     OnlyLoopsError,
@@ -35,12 +34,12 @@ from .graphs import (
     Graph,
     adjacency_matrix,
     build_graph,
-    canonical_edge,
     classify_edge,
     complete_graph,
     density_matrix,
     entangled_edge_pool,
     laplacian,
+    laplacian_entries,
     linear_index,
     pe_matching_graph,
     random_graph,
@@ -65,7 +64,6 @@ from .matrix import (
     is_psd_exact,
     kron,
     partial_transpose,
-    purity,
 )
 from .report import (
     AnalysisReport,

@@ -31,10 +31,6 @@ class NotSymmetricError(GraphSepError):
     """A matrix that must be symmetric is not."""
 
 
-class NotDensityError(GraphSepError):
-    """A matrix that must have trace exactly 1 does not."""
-
-
 class NotEntangledEdgeError(GraphSepError):
     """The edge does not differ in both coordinates."""
 

@@ -13,7 +13,7 @@ file must be US-ASCII.
 from __future__ import annotations
 
 from .errors import GraphFileError, OutOfRangeError
-from .graphs import Dims, Graph, build_graph, linear_index
+from .graphs import Dims, Graph, build_graph
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -81,15 +81,7 @@ def parse_graph_file(path) -> Graph:
 def format_graph(g: Graph) -> str:
     """Canonical text form: dims line, then edges sorted by linear indices."""
     lines = [f"dims {g.dims.p} {g.dims.q}"]
-    rendered = []
-    for e in g.edges:
-        verts = sorted(e, key=lambda v: linear_index(v, g.dims))
-        u = verts[0]
-        w = verts[-1]
-        rendered.append(
-            (linear_index(u, g.dims), linear_index(w, g.dims), u, w)
-        )
-    for _, _, u, w in sorted(rendered):
+    for u, w in sorted((min(e), max(e)) for e in g.edges):
         lines.append(f"edge {u[0]} {u[1]} {w[0]} {w[1]}")
     return "\n".join(lines) + "\n"
 

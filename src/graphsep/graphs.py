@@ -1,17 +1,20 @@
 """Graphs on a p-by-q vertex grid and their exact density matrices.
 
 Vertices are pairs (i, j) with 1 <= i <= p and 1 <= j <= q, laid out
-row-major so (i, j) has 1-based linear index (i - 1) * q + j.  An edge is a
-frozenset of two vertices, or of one vertex for a loop.  Loops never enter
-the matrices; they are kept on the graph so callers can still see them.
+row-major so (i, j) has 1-based linear index (i - 1) * q + j; tuple order
+on vertices is that linear order.  An edge is a frozenset of two vertices,
+or of one vertex for a loop.  Loops never enter the matrices; they are kept
+on the graph so callers can still see them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import FrozenSet, Iterable, NamedTuple
 
@@ -66,13 +69,6 @@ def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
     return EdgeClass.ENTANGLED
 
 
-def canonical_edge(u: Vertex, v: Vertex, dims: Dims) -> tuple[Vertex, Vertex]:
-    """The edge's vertices ordered by linear index."""
-    if linear_index(u, dims) <= linear_index(v, dims):
-        return (u, v)
-    return (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     dims: Dims
@@ -82,18 +78,11 @@ class Graph:
     def n(self) -> int:
         return self.dims.n
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
-        """Non-loop edges as canonical pairs, sorted by linear indices."""
-        pairs = [
-            canonical_edge(*sorted(e), self.dims) for e in self.edges if len(e) == 2
-        ]
-        key = lambda pr: (linear_index(pr[0], self.dims), linear_index(pr[1], self.dims))
-        return tuple(sorted(pairs, key=key))
-
-    @property
-    def non_loop_edges(self) -> frozenset[Edge]:
-        return frozenset(e for e in self.edges if len(e) == 2)
+        """Non-loop edges as sorted pairs, sorted.  Tuple order on vertices is
+        their row-major linear order, since 1 <= j <= q."""
+        return tuple(sorted(tuple(sorted(e)) for e in self.edges if len(e) == 2))
 
     @property
     def loops(self) -> tuple[Vertex, ...]:
@@ -101,7 +90,7 @@ class Graph:
 
     @property
     def degree_sum(self) -> int:
-        return 2 * len(self.non_loop_edges)
+        return 2 * len(self.sorted_edges)
 
 
 def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
@@ -136,16 +125,25 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     return SymMatrix(tuple(tuple(row) for row in a))
 
 
-def laplacian(g: Graph) -> SymMatrix:
-    """Degree matrix minus adjacency matrix; loops contribute nothing."""
-    n = g.n
-    a = [[0] * n for _ in range(n)]
+def laplacian_entries(g: Graph) -> Counter:
+    """Nonzero Laplacian entries keyed by 0-based (row, column); loops
+    contribute nothing."""
+    entries = Counter()
     for u, v in g.sorted_edges:
         r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
-        a[r][c] -= 1
-        a[c][r] -= 1
-        a[r][r] += 1
-        a[c][c] += 1
+        entries[r, r] += 1
+        entries[c, c] += 1
+        entries[r, c] -= 1
+        entries[c, r] -= 1
+    return entries
+
+
+def laplacian(g: Graph) -> SymMatrix:
+    """Degree matrix minus adjacency matrix, filled from laplacian_entries."""
+    n = g.n
+    a = [[0] * n for _ in range(n)]
+    for (r, c), x in laplacian_entries(g).items():
+        a[r][c] = x
     return SymMatrix(tuple(tuple(row) for row in a))
 
 
@@ -222,7 +220,7 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
 
 
 def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
-    """All same-row and same-column edges, canonical and sorted."""
+    """All same-row and same-column edges as sorted pairs, sorted."""
     dims = Dims(*dims)
     pool = []
     for i in range(1, dims.p + 1):
@@ -233,12 +231,12 @@ def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
         for i in range(1, dims.p + 1):
             for s in range(i + 1, dims.p + 1):
                 pool.append(((i, j), (s, j)))
-    key = lambda pr: (linear_index(pr[0], dims), linear_index(pr[1], dims))
-    return sorted(pool, key=key)
+    return sorted(pool)
 
 
 def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
-    """All edges whose endpoints differ in both coordinates, canonical, sorted."""
+    """All edges whose endpoints differ in both coordinates, as sorted pairs,
+    sorted."""
     dims = Dims(*dims)
     pool = []
     for i in range(1, dims.p + 1):
@@ -247,8 +245,7 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
                 for t in range(1, dims.q + 1):
                     if j != t:
                         pool.append(((i, j), (s, t)))
-    key = lambda pr: (linear_index(pr[0], dims), linear_index(pr[1], dims))
-    return sorted(pool, key=key)
+    return sorted(pool)
 
 
 def separable_pool_size(dims: Dims) -> int:

@@ -187,7 +187,7 @@ def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
 
 def _first_entangled_edge(g: Graph):
     for pr in g.sorted_edges:
-        if classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED:
+        if classify_edge(pr) == EdgeClass.ENTANGLED:
             return frozenset(pr)
     return None
 

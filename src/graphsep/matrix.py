@@ -15,7 +15,6 @@ from typing import Iterable
 from .errors import (
     DimMismatchError,
     NoConvergenceError,
-    NotDensityError,
     NotSymmetricError,
 )
 
@@ -215,10 +214,3 @@ def eigenvalues_sym(
                 f"jacobi stopped after {max_sweeps} sweeps, off-diagonal {off:.3e}"
             )
     return sorted(a[i][i] for i in range(n))
-
-
-def purity(mat: SymMatrix) -> Fraction:
-    """Exact trace of the square of a trace-1 symmetric matrix."""
-    if mat.trace() != 1:
-        raise NotDensityError("trace must be exactly 1")
-    return Fraction(sum(x * x for row in mat.rows for x in row))

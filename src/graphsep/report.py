@@ -10,14 +10,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadDimsError
-from .graphs import Dims, EdgeClass, Graph, classify_edge, density_matrix
+from .graphs import (
+    Dims,
+    EdgeClass,
+    Graph,
+    classify_edge,
+    density_matrix,
+    laplacian_entries,
+)
 from .matrix import (
     SymMatrix,
     eigenvalues_sym,
     exact_str,
     float12,
     partial_transpose,
-    purity,
 )
 from .separability import (
     DegreeCriterionResult,
@@ -107,7 +113,9 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     return AnalysisReport(
         graph=g,
         edge_classes=counts,
-        purity=purity(sigma),
+        purity=Fraction(
+            sum(x * x for x in laplacian_entries(g).values()), g.degree_sum**2
+        ),
         ppt=ppt,
         degree=degree,
         certificates=tuple(c.kind for c in certificates),

@@ -7,7 +7,9 @@ from scratch so callers never have to trust the classifier.
 
 The partial transpose keeps the Laplacian's diagonal and moves the entry of
 an edge {(i,j),(s,t)} to ((i,t),(s,j)), so the degree, block and witness
-checks read it off the edge list in O(m) without building a matrix.
+checks read it off the edge list in O(m) without building a matrix.  A
+product decomposition is revalidated the same way, against the Laplacian's
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .graphs import (
     Graph,
     Vertex,
     classify_edge,
-    density_matrix,
     laplacian,
+    laplacian_entries,
     linear_index,
 )
 from .matrix import (
@@ -168,7 +170,7 @@ def _point_mass(n: int, i: int) -> SymMatrix:
 def _difference_projector(n: int, a: int, b: int) -> SymMatrix:
     """Unit-trace projector onto the normalized difference of two basis axes."""
     half = Fraction(1, 2)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     rows[a - 1][a - 1] = rows[b - 1][b - 1] = half
     rows[a - 1][b - 1] = rows[b - 1][a - 1] = -half
     return SymMatrix(tuple(tuple(row) for row in rows))
@@ -177,7 +179,7 @@ def _difference_projector(n: int, a: int, b: int) -> SymMatrix:
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
     """Explicit product mixture when no edge spans both coordinates."""
     pairs = g.sorted_edges
-    classes = [classify_edge(frozenset(pr)) for pr in pairs]
+    classes = [classify_edge(pr) for pr in pairs]
     if any(c == EdgeClass.ENTANGLED for c in classes):
         return None
     p, q = g.dims
@@ -193,7 +195,8 @@ def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
 
 
 def reconstruct(cert: ProductDecomposition) -> SymMatrix:
-    """Weighted sum of the Kronecker products of the certificate's terms."""
+    """Weighted sum of the Kronecker products of the certificate's terms; the
+    dense reference for the sparse comparison in revalidate."""
     total = None
     for weight, row_factor, col_factor in cert.terms:
         piece = kron(row_factor, col_factor).scaled(weight)
@@ -225,9 +228,7 @@ def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
     if g.dims.p != 2:
         raise WrongDimsError(f"matching certificate needs p = 2, got p = {g.dims.p}")
     q = g.dims.q
-    ent = tuple(
-        pr for pr in g.sorted_edges if classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED
-    )
+    ent = tuple(pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED)
     if len(ent) != q:
         return None
     firsts = sorted(u[1] for u, _ in ent)
@@ -348,19 +349,28 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
     if isinstance(cert, ProductDecomposition):
         if not cert.terms:
             return False
+        q = g.dims.q
         total_weight = Fraction(0)
+        mixture = Counter()  # degree_sum times the mixture, sparse like the Laplacian
         for weight, row_factor, col_factor in cert.terms:
             if weight <= 0:
                 return False
             total_weight += weight
-            for factor, dim in ((row_factor, g.dims.p), (col_factor, g.dims.q)):
+            for factor, dim in ((row_factor, g.dims.p), (col_factor, q)):
                 if factor.order != dim or factor.trace() != 1:
                     return False
                 if not is_psd_exact(factor):
                     return False
-        if total_weight != 1:
-            return False
-        return reconstruct(cert) == density_matrix(g)
+            # row-factor entry (a, b) times column-factor entry (c, d) lands at
+            # (a q + c, b q + d); an all-separable term has at most 4 of them
+            rows, cols = (
+                [(a, b, x) for a, row in enumerate(f.rows) for b, x in enumerate(row) if x]
+                for f in (row_factor, col_factor)
+            )
+            for a, b, x in rows:
+                for c, d, y in cols:
+                    mixture[a * q + c, b * q + d] += g.degree_sum * weight * x * y
+        return total_weight == 1 and mixture == laplacian_entries(g)
     if isinstance(cert, BlockLineSumSymmetric):
         return block_lss_certificate(g) is not None
     if isinstance(cert, PerfectEntangledMatching):
@@ -373,12 +383,8 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
         if any(perm[j - 1] == j for j in range(1, q + 1)):
             return False
         claimed = {((1, j), (2, perm[j - 1])) for j in range(1, q + 1)}
-        actual = {
-            pr
-            for pr in g.sorted_edges
-            if classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED
-        }
-        if claimed != actual:
+        actual = [pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED]
+        if claimed != set(actual) or sorted(cert.entangled_edges) != actual:
             return False
         return cert.separable_edge_count == len(g.sorted_edges) - q
     if isinstance(cert, LowDimPPT):
@@ -391,7 +397,7 @@ def _revalidate_witness(g: Graph, wit) -> bool:
         # a row outside the grid has no entry, so its sum reads as zero
         return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
     if isinstance(wit, QuadraticWitness):
-        if len(wit.vector) != g.n:
+        if len(wit.vector) != g.n or wit.degree_sum != g.degree_sum:
             return False
         return witness_value(g, wit.vector) == wit.value and wit.value < 0
     return False

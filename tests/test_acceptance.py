@@ -13,14 +13,14 @@ from graphsep.graphs import (
     Dims,
     build_graph,
     complete_graph,
-    density_matrix,
     laplacian,
     separable_edge_pool,
     single_edge_graph,
     star_graph,
 )
 from graphsep.harness import run_suite
-from graphsep.matrix import partial_transpose, purity
+from graphsep.matrix import partial_transpose
+from graphsep.report import analyze
 from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
@@ -110,8 +110,8 @@ def test_criterion_6_matching_suite():
 
 @criterion(7, "suite 0: structural invariants and criterion agreement hold")
 def test_criterion_7_cross_consistency_suite():
-    assert purity(density_matrix(single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)}))) == 1
-    assert purity(density_matrix(complete_graph(Dims(2, 2)))) == Fraction(1, 3)
+    assert analyze(single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)})).purity == 1
+    assert analyze(complete_graph(Dims(2, 2))).purity == Fraction(1, 3)
     for dims in [(2, 2), (2, 3), (3, 3)]:
         report = run_suite(0, dims, 200, 0)
         assert report.ok, (dims, report.failures[:3])

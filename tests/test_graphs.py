@@ -18,7 +18,6 @@ from graphsep.graphs import (
     EdgeClass,
     adjacency_matrix,
     build_graph,
-    canonical_edge,
     classify_edge,
     complete_graph,
     density_matrix,
@@ -54,11 +53,6 @@ def test_classify_edge():
     assert classify_edge(frozenset({(1, 1), (2, 2)})) == EdgeClass.ENTANGLED
     with pytest.raises(OutOfRangeError):
         classify_edge(frozenset({(1, 1), (3, 2)}), Dims(2, 2))
-
-
-def test_canonical_edge_orders_by_linear_index():
-    assert canonical_edge((2, 1), (1, 2), Dims(2, 2)) == ((1, 2), (2, 1))
-    assert canonical_edge((1, 1), (2, 2), Dims(2, 2)) == ((1, 1), (2, 2))
 
 
 def test_build_graph_validation():

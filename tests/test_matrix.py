@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphsep.errors import (
     DimMismatchError,
-    NotDensityError,
     NotSymmetricError,
 )
 from graphsep.matrix import (
@@ -20,7 +19,6 @@ from graphsep.matrix import (
     is_psd_exact,
     kron,
     partial_transpose,
-    purity,
 )
 
 
@@ -174,14 +172,6 @@ def test_eigenvalues_match_numpy(m):
     got = eigenvalues_sym(m)
     want = sorted(np.linalg.eigvalsh(np.array(m.to_floats())))
     assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_purity():
-    half = Fraction(1, 2)
-    assert purity(SymMatrix.from_rows([[half, 0], [0, half]])) == half
-    assert purity(SymMatrix.from_rows([[half, -half], [-half, half]])) == 1
-    with pytest.raises(NotDensityError):
-        purity(identity(2))
 
 
 @settings(max_examples=40)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsep.graphs
 import graphsep.separability
 from graphsep.errors import NotEntangledEdgeError, WrongDimsError
 from graphsep.graphs import (
@@ -300,12 +301,20 @@ def test_revalidate_rejects_tampered_evidence():
     # quadratic witness whose vector does not fit the grid
     short = QuadraticWitness(w.vector[:-1], w.value, w.degree_sum)
     assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=short))
+    # quadratic witness whose density scale uses the wrong degree sum
+    rescaled = QuadraticWitness(w.vector, w.value, 999)
+    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=rescaled))
     # unknown claim for a decided graph
     assert not revalidate(star, Verdict(Status.UNKNOWN))
     # matching permutation that does not cover the edges
     g = pe_matching_graph(Dims(2, 3), (2, 3, 1))
     wrong = PerfectEntangledMatching((3, 1, 2), (), 0)
     assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=wrong))
+    # right permutation, but the listed entangled edges are not the graph's
+    honest = pe_matching_certificate(g)
+    assert revalidate(g, Verdict(Status.SEPARABLE, certificate=honest))
+    bare = PerfectEntangledMatching((2, 3, 1), (), 0)
+    assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=bare))
 
 
 def test_verdict_json_shapes():
@@ -379,11 +388,13 @@ def test_every_verdict_revalidates(dims, ns, ne, seed):
 @st.composite
 def pt_paired_graphs(draw):
     """Graphs on grids up to 4x4 where some entangled edges come with their
-    partial-transpose image: {(i,j),(s,t)} paired with {(i,t),(s,j)}."""
+    partial-transpose image: {(i,j),(s,t)} paired with {(i,t),(s,j)}.  A graph
+    with no entangled edge at all gets at least one separable edge."""
     dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-    chosen = draw(st.lists(st.sampled_from(entangled_edge_pool(dims)), min_size=1, max_size=6))
+    chosen = draw(st.lists(st.sampled_from(entangled_edge_pool(dims)), max_size=6))
     paired = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
-    edges = set(draw(st.lists(st.sampled_from(separable_edge_pool(dims)), max_size=4)))
+    separable = st.sampled_from(separable_edge_pool(dims))
+    edges = set(draw(st.lists(separable, min_size=0 if chosen else 1, max_size=4)))
     for ((i, j), (s, t)), pair in zip(chosen, paired):
         edges.add(((i, j), (s, t)))
         if pair:
@@ -433,13 +444,46 @@ def test_degree_preservation_equals_exact_ppt(g, data):
     assert witness_value(g, x) == dense
 
 
+@settings(max_examples=150, deadline=None)
+@given(pt_paired_graphs())
+def test_sparse_purity_and_product_revalidation_match_dense(g):
+    sigma = density_matrix(g)
+    assert analyze(g).purity == sum(x * x for row in sigma.rows for x in row)
+    cert = all_separable_certificate(g)
+    if cert is None:
+        return
+    certs = [cert]
+    if len(cert.terms) >= 2:
+        (w0, r0, c0), (w1, r1, c1) = cert.terms[:2]
+        certs.append(ProductDecomposition(((w0, r0, c1), (w1, r1, c0)) + cert.terms[2:]))
+    for c in certs:
+        claim = Verdict(Status.SEPARABLE, certificate=c)
+        assert revalidate(g, claim) == (reconstruct(c) == sigma)
+    assert revalidate(g, Verdict(Status.SEPARABLE, certificate=cert))
+
+
 def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
-    # a 10^6-vertex grid: any n-by-n build would take far too long
+    # 10^4- and 10^6-vertex grids: any n-by-n build would take far too long
     def dense(*args):
         raise AssertionError("dense matrix built")
 
-    for name in ("laplacian", "partial_transpose", "density_matrix"):
+    for name in ("laplacian", "density_matrix"):
+        monkeypatch.setattr(graphsep.graphs, name, dense)
+    for name in ("laplacian", "partial_transpose", "kron", "reconstruct"):
         monkeypatch.setattr(graphsep.separability, name, dense)
+    grid = Dims(100, 100)
+    rows_and_columns = [
+        {(3, 5), (3, 90)},
+        {(3, 5), (77, 5)},
+        {(100, 1), (100, 100)},
+        {(50, 50), (51, 50)},
+        {(1, 1), (2, 1)},
+        {(64, 7), (64, 8)},
+    ]
+    separable = build_graph(grid, rows_and_columns)
+    v = verdict(separable)
+    assert isinstance(v.certificate, ProductDecomposition)
+    assert revalidate(separable, v)
     dims = Dims(1000, 1000)
     edge = frozenset({(500, 7), (999, 1000)})
     image = frozenset({(500, 1000), (999, 7)})
