@@ -89,6 +89,7 @@ from .separability import (
     entangled_edge_witness,
     pe_matching_certificate,
     ppt_test,
+    pt_laplacian_entries,
     quadratic_witness,
     reconstruct,
     revalidate,

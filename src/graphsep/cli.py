@@ -16,7 +16,6 @@ from .graphfile import format_graph, parse_graph_file
 from .graphs import (
     Dims,
     complete_graph,
-    density_matrix,
     pe_matching_graph,
     random_graph,
     single_edge_graph,
@@ -177,7 +176,7 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     g = parse_graph_file(args.path)
     check_dense_size(g)
-    spec = spectrum(density_matrix(g), g.dims)
+    spec = spectrum(g)
     if args.format == "json":
         print(json.dumps(spectrum_json_dict(spec), indent=2))
     else:

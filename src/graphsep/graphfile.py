@@ -6,8 +6,9 @@ Grammar, one directive per line:
     edge I J S T      joins (I, J) to (S, T); equal endpoints make a loop
 
 '#' starts a comment, blank lines are skipped, leading and trailing
-whitespace is tolerated, fields are separated by single spaces, and the
-file must be US-ASCII.
+whitespace is tolerated, fields are separated by single spaces, integers
+are decimal digits with an optional leading '-', and the file must be
+US-ASCII.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def _parse_int(field: str, lineno: int) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise GraphFileError(f"bad integer {field!r}", line=lineno) from None
+    """Decimal digits with an optional leading '-'; int() alone would also
+    take forms such as '+3', '1_0' and '0x1'.  Lines are ASCII by now, and
+    an ASCII string is isdigit() only when it is made of 0-9."""
+    if not field.removeprefix("-").isdigit():
+        raise GraphFileError(f"bad integer {field!r}", line=lineno)
+    return int(field)
 
 
 def parse_graph_file(path) -> Graph:

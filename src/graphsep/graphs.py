@@ -133,8 +133,7 @@ def laplacian_entries(g: Graph) -> Counter:
         r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
         entries[r, r] += 1
         entries[c, c] += 1
-        entries[r, c] -= 1
-        entries[c, r] -= 1
+        entries[r, c] = entries[c, r] = -1
     return entries
 
 

@@ -33,12 +33,12 @@ from .graphs import (
 )
 from .matrix import (
     SymMatrix,
-    eigenvalues_sym,
     exact_str,
     float12,
     is_psd_exact,
     partial_transpose,
 )
+from .report import density_eigenvalues
 from .separability import (
     BlockLineSumSymmetric,
     Status,
@@ -47,6 +47,7 @@ from .separability import (
     degree_criterion,
     pe_matching_certificate,
     ppt_test,
+    pt_laplacian_entries,
     quadratic_witness,
     revalidate,
     verdict,
@@ -281,7 +282,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if not is_psd_exact(lap):
         return "laplacian-not-psd", None, g, False
     ppt = is_psd_exact(pt)
-    min_eigenvalue = eigenvalues_sym(partial_transpose(sigma, g.dims))[0]
+    min_eigenvalue = density_eigenvalues(pt_laplacian_entries(g), g)[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
         return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
     if not ppt:

@@ -8,9 +8,11 @@ appears only in eigenvalue estimation, which is reporting, never deciding.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from numbers import Real
+from typing import Iterable, Mapping
 
 from .errors import (
     DimMismatchError,
@@ -73,9 +75,6 @@ class SymMatrix:
     def scaled(self, factor: Entry) -> "SymMatrix":
         f = Fraction(factor)
         return SymMatrix(tuple(tuple(f * x for x in row) for row in self.rows))
-
-    def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.rows]
 
 
 def identity(n: int) -> SymMatrix:
@@ -188,18 +187,13 @@ def _rotate(a: list[list[float]], p: int, q: int) -> None:
             a[k][q] = a[q][k] = akq + s * (akp - tau * akq)
 
 
-def eigenvalues_sym(
-    mat: SymMatrix, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS
-) -> list[float]:
-    """All eigenvalues, ascending, by cyclic Jacobi rotations on floats.
-
-    Sweeps continue until every off-diagonal magnitude is below tol; going
-    past the sweep cap raises NoConvergenceError.
-    """
-    a = mat.to_floats()
+def _jacobi(a: list[list[float]], tol: float, max_sweeps: int) -> list[float]:
+    """Diagonal of a after cyclic Jacobi sweeps, which stop once every
+    off-diagonal magnitude is below tol; past the sweep cap they raise
+    NoConvergenceError."""
     n = len(a)
-    if n <= 1:
-        return [a[0][0]] if n else []
+    if n == 1:
+        return [a[0][0]]
     for _ in range(max_sweeps):
         if _max_offdiag(a) < tol:
             break
@@ -213,4 +207,46 @@ def eigenvalues_sym(
             raise NoConvergenceError(
                 f"jacobi stopped after {max_sweeps} sweeps, off-diagonal {off:.3e}"
             )
-    return sorted(a[i][i] for i in range(n))
+    return [a[i][i] for i in range(n)]
+
+
+def eigenvalues_sym(
+    entries: Mapping[tuple[int, int], Real],
+    n: int,
+    tol: float = JACOBI_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+) -> list[float]:
+    """All n eigenvalues, ascending, of the symmetric n-by-n matrix whose
+    nonzero entries are given by 0-based (row, column).
+
+    The matrix is the direct sum of its blocks on the connected components
+    of its nonzero pattern, so Jacobi runs on each block's floats on its
+    own and an empty row contributes exactly 0.0.
+    """
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for (r, c), x in entries.items():
+        if not (0 <= r < n and 0 <= c < n):
+            raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
+        if entries.get((c, r), 0) != x:
+            raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
+        if r != c and x:
+            a, b = find(r), find(c)
+            root[max(a, b)] = min(a, b)
+    comp = [find(v) for v in range(n)]
+    pos = [0] * n
+    size = Counter()
+    for v, c in enumerate(comp):
+        pos[v] = size[c]
+        size[c] += 1
+    blocks = {c: [[0.0] * k for _ in range(k)] for c, k in size.items()}
+    for (r, c), x in entries.items():
+        if x:
+            blocks[comp[r]][pos[r]][pos[c]] = float(x)
+    return sorted(x for a in blocks.values() for x in _jacobi(a, tol, max_sweeps))

@@ -1,7 +1,9 @@
 """Full analysis of a single graph, renderable as text or JSON.
 
 The float eigenvalue estimates of a report are computed here, next to the
-exact checks; no verdict depends on them.
+exact checks; no verdict depends on them.  They come from the nonzero
+entries of the Laplacian and of its partial transpose, so no n-by-n matrix
+is built.
 """
 
 from __future__ import annotations
@@ -10,21 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadDimsError
-from .graphs import (
-    Dims,
-    EdgeClass,
-    Graph,
-    classify_edge,
-    density_matrix,
-    laplacian_entries,
-)
-from .matrix import (
-    SymMatrix,
-    eigenvalues_sym,
-    exact_str,
-    float12,
-    partial_transpose,
-)
+from .graphs import EdgeClass, Graph, classify_edge, laplacian_entries
+from .matrix import eigenvalues_sym, exact_str, float12
 from .separability import (
     DegreeCriterionResult,
     Status,
@@ -32,11 +21,13 @@ from .separability import (
     _decide,
     _granted_certificates,
     degree_criterion,
+    pt_laplacian_entries,
     revalidate,
     verdict_to_json_dict,
 )
 
-# Most vertices a report builds its dense n-by-n matrices for.
+# Most vertices a report lists a spectrum for, and so the largest block
+# Jacobi runs on.
 MAX_DENSE_VERTICES = 1024
 
 
@@ -60,17 +51,29 @@ class AnalysisReport:
     spectrum: dict | None
 
 
-def spectrum(
-    sigma: SymMatrix, dims: Dims, pt_eigenvalues: list[float] | None = None
-) -> dict[str, list[float]]:
-    """Float eigenvalues of a density matrix and of its partial transpose.
+def density_eigenvalues(entries: dict, g: Graph) -> list[float]:
+    """Float eigenvalues of the Laplacian-like entries scaled to unit trace.
+
+    Int true division rounds correctly, so x / degree_sum is exactly
+    float(Fraction(x, degree_sum)).
+    """
+    ds = g.degree_sum
+    return eigenvalues_sym({k: x / ds for k, x in entries.items()}, g.n)
+
+
+def spectrum(g: Graph, pt_eigenvalues: list[float] | None = None) -> dict[str, list[float]]:
+    """Float eigenvalues of a graph's density matrix and of its partial
+    transpose.
 
     pt_eigenvalues, when given, is the partial transpose's spectrum already
     computed by the caller.
     """
     if pt_eigenvalues is None:
-        pt_eigenvalues = eigenvalues_sym(partial_transpose(sigma, dims))
-    return {"density": eigenvalues_sym(sigma), "partial_transpose": pt_eigenvalues}
+        pt_eigenvalues = density_eigenvalues(pt_laplacian_entries(g), g)
+    return {
+        "density": density_eigenvalues(laplacian_entries(g), g),
+        "partial_transpose": pt_eigenvalues,
+    }
 
 
 def spectrum_json_dict(spec: dict[str, list[float]]) -> dict:
@@ -88,11 +91,11 @@ def spectrum_lines(spec: dict[str, list[float]]) -> list[str]:
 
 
 def check_dense_size(g: Graph) -> None:
-    """Refuse a graph too large for the dense matrices of a report."""
+    """Refuse a graph whose report would list too long a spectrum."""
     if g.n > MAX_DENSE_VERTICES:
         raise BadDimsError(
             f"{g.dims.p}x{g.dims.q} grid has {g.n} vertices;"
-            f" dense reports stop at {MAX_DENSE_VERTICES}"
+            f" reports stop at {MAX_DENSE_VERTICES}"
         )
 
 
@@ -103,8 +106,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     for e in g.edges:
         counts[classify_edge(e).value] += 1
     degree = degree_criterion(g)
-    sigma = density_matrix(g)
-    pt_eigenvalues = eigenvalues_sym(partial_transpose(sigma, g.dims))
+    pt_eigenvalues = density_eigenvalues(pt_laplacian_entries(g), g)
     ppt = PPTResult(degree.holds, pt_eigenvalues[0])
     certificates = tuple(_granted_certificates(g, degree))
     v = _decide(degree, certificates)
@@ -120,7 +122,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
         degree=degree,
         certificates=tuple(c.kind for c in certificates),
         verdict=v,
-        spectrum=spectrum(sigma, g.dims, pt_eigenvalues) if include_spectrum else None,
+        spectrum=spectrum(g, pt_eigenvalues) if include_spectrum else None,
     )
 
 

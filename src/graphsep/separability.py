@@ -76,6 +76,22 @@ def _pt_row_sums(g: Graph) -> dict[int, int]:
     return {row: x for row, x in sums.items() if x}
 
 
+def pt_laplacian_entries(g: Graph) -> Counter:
+    """Nonzero entries of the partially transposed Laplacian by 0-based
+    (row, column): the diagonal stays and the entry of each edge
+    {(i,j),(s,t)} moves to ((i,t),(s,j)).  The map is a bijection on
+    positions, so distinct edges land on distinct entries."""
+    q = g.dims.q
+    at = lambda i, j: (i - 1) * q + j - 1  # 0-based linear_index, inlined for speed
+    entries = Counter()
+    for (i, j), (s, t) in g.sorted_edges:
+        u, v, r, c = at(i, j), at(s, t), at(i, t), at(s, j)
+        entries[u, u] += 1
+        entries[v, v] += 1
+        entries[r, c] = entries[c, r] = -1
+    return entries
+
+
 def degree_criterion(g: Graph) -> DegreeCriterionResult:
     negative = [(row, x) for row, x in _pt_row_sums(g).items() if x < 0]
     if not negative:

@@ -9,9 +9,16 @@ import pytest
 import graphsep.cli
 import graphsep.report
 from graphsep.cli import main
+from graphsep.report import analyze
 from graphsep.errors import NoConvergenceError
 from graphsep.graphfile import parse_graph_file
-from graphsep.graphs import Dims, complete_graph, pe_matching_graph, star_graph
+from graphsep.graphs import (
+    Dims,
+    complete_graph,
+    pe_matching_graph,
+    single_edge_graph,
+    star_graph,
+)
 from graphsep.graphfile import write_graph_file
 from graphsep.separability import Status, revalidate, verdict
 
@@ -222,12 +229,11 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
 
 
 def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
-    # a 10^10-vertex grid: refused before any dense build is attempted
-    def dense(*args):
-        raise AssertionError("dense matrix built")
+    # a 10^10-vertex grid: refused before its n-long spectrum is started
+    def spectrum(*args):
+        raise AssertionError("spectrum computed")
 
-    monkeypatch.setattr(graphsep.report, "density_matrix", dense)
-    monkeypatch.setattr(graphsep.cli, "density_matrix", dense)
+    monkeypatch.setattr(graphsep.report, "eigenvalues_sym", spectrum)
     path = tmp_path / "huge.graph"
     path.write_text("dims 100000 100000\nedge 1 1 2 2\n")
     for command in ("analyze", "spectrum"):
@@ -235,6 +241,33 @@ def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(graphsep.report.MAX_DENSE_VERTICES) in err
+
+
+def test_reports_build_no_dense_matrix(tmp_path, monkeypatch, capsys):
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphsep":
+            for attr in ("density_matrix", "laplacian", "partial_transpose"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, dense)
+    lone = single_edge_graph(Dims(32, 32), {(3, 7), (30, 2)})
+    star = star_graph(Dims(8, 8))
+    for g, min_eigenvalue in ((lone, -0.5), (star, None)):
+        assert analyze(g).ppt.min_eigenvalue_estimate < 0
+        r = analyze(g, include_spectrum=True)
+        assert r.verdict.status == Status.ENTANGLED
+        pt = r.spectrum["partial_transpose"]
+        assert len(pt) == len(r.spectrum["density"]) == g.n
+        assert pt[0] == r.ppt.min_eigenvalue_estimate
+        if min_eigenvalue is not None:
+            assert pt[0] == pytest.approx(min_eigenvalue, abs=1e-12)
+        path = tmp_path / "g.graph"
+        write_graph_file(path, g)
+        assert main(["analyze", str(path), "--spectrum"]) == 0
+        assert main(["spectrum", str(path), "--format", "json"]) == 0
+        capsys.readouterr()
 
 
 def test_module_entry_point():

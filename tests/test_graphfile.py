@@ -42,6 +42,9 @@ def test_out_of_range_carries_line_number():
     with pytest.raises(OutOfRangeError) as exc:
         parse_graph_text("dims 2 2\nedge 1 1 3 1\n")
     assert exc.value.line == 2
+    with pytest.raises(OutOfRangeError) as exc:
+        parse_graph_text("dims 2 2\nedge -1 1 1 2\n")
+    assert exc.value.line == 2
 
 
 def test_missing_dims():
@@ -80,13 +83,25 @@ def test_bad_field_counts():
 
 
 def test_bad_integer():
-    with pytest.raises(GraphFileError, match="bad integer"):
-        parse_graph_text("dims 2 x\n")
+    # only decimal digits: int() alone would read 1_0, +3 and 0x1
+    for text in (
+        "dims 2 x\n",
+        "dims 2_0 3\nedge 1 1 1 2\n",
+        "dims 2 +3\nedge 1 1 1 2\n",
+        "dims 0x1 2\nedge 1 1 1 2\n",
+        "dims 20 3\nedge 1_0 1 1 2\n",
+        "dims 2 3\nedge 1 +1 1 2\n",
+        "dims 2 3\nedge 1 1 1 0x2\n",
+    ):
+        with pytest.raises(GraphFileError, match="bad integer"):
+            parse_graph_text(text)
 
 
 def test_nonpositive_dims():
     with pytest.raises(GraphFileError, match="positive"):
         parse_graph_text("dims 0 2\nedge 1 1 1 2\n")
+    with pytest.raises(GraphFileError, match="positive"):
+        parse_graph_text("dims 2 -3\nedge 1 1 1 2\n")
 
 
 def test_unknown_keyword():

@@ -77,7 +77,6 @@ def test_basic_accessors():
     assert m.trace() == 4
     assert m.diagonal() == (2, 2)
     assert m.scaled(Fraction(1, 2)).rows[0] == (1, Fraction(-1, 2))
-    assert m.to_floats() == [[2.0, -1.0], [-1.0, 2.0]]
 
 
 def test_add_checks_order():
@@ -148,7 +147,7 @@ def test_psd_handles_fractions():
 @settings(max_examples=80)
 @given(sym_ints(4))
 def test_psd_agrees_with_float_eigenvalues(m):
-    eigs = np.linalg.eigvalsh(np.array(m.to_floats()))
+    eigs = np.linalg.eigvalsh(np.array(m.rows, dtype=float))
     if eigs.min() > 1e-8:
         assert is_psd_exact(m)
     elif eigs.min() < -1e-8:
@@ -156,27 +155,62 @@ def test_psd_agrees_with_float_eigenvalues(m):
 
 
 def test_eigenvalues_small_cases():
-    assert eigenvalues_sym(SymMatrix(())) == []
-    assert eigenvalues_sym(SymMatrix(((5,),))) == [5.0]
-    got = eigenvalues_sym(SymMatrix(((3, 0), (0, -2))))
-    assert got == [-2.0, 3.0]
+    assert eigenvalues_sym({}, 0) == []
+    assert eigenvalues_sym({(0, 0): 5}, 1) == [5.0]
+    assert eigenvalues_sym({(0, 0): 3, (1, 1): -2}, 2) == [-2.0, 3.0]
     half = Fraction(1, 2)
-    got = eigenvalues_sym(SymMatrix.from_rows([[half, -half], [-half, half]]))
+    got = eigenvalues_sym({(0, 0): half, (0, 1): -half, (1, 0): -half, (1, 1): half}, 2)
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     assert got[1] == pytest.approx(1.0, abs=1e-12)
+    # empty rows contribute exact zeros; the projector sits on rows 0 and 3
+    got = eigenvalues_sym({(0, 0): 1, (0, 3): -1, (3, 0): -1, (3, 3): 1}, 5)
+    assert got[1:4] == [0.0, 0.0, 0.0]
+    assert got[4] == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(NotSymmetricError):
+        eigenvalues_sym({(0, 1): 1, (1, 0): 2}, 2)
+    with pytest.raises(DimMismatchError):
+        eigenvalues_sym({(0, 2): 1, (2, 0): 1}, 2)
 
 
-@settings(max_examples=60)
-@given(sym_ints(5))
-def test_eigenvalues_match_numpy(m):
-    got = eigenvalues_sym(m)
-    want = sorted(np.linalg.eigvalsh(np.array(m.to_floats())))
-    assert got == pytest.approx(want, abs=1e-9)
+@st.composite
+def sparse_block_sym(draw):
+    """Sparse symmetric int/Fraction entries of a direct sum of random blocks
+    (1-by-1 and empty rows included), relabelled by a random permutation."""
+    value = st.one_of(
+        st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    )
+    sizes = draw(st.lists(st.integers(1, 5), max_size=5))
+    empty = draw(st.integers(0, 3))
+    n = sum(sizes) + empty
+    perm = draw(st.permutations(range(n)))
+    entries = {}
+    start = 0
+    for k in sizes:
+        for r in range(start, start + k):
+            for c in range(r, start + k):
+                x = draw(value)
+                if x or draw(st.booleans()):
+                    entries[perm[r], perm[c]] = entries[perm[c], perm[r]] = x
+        start += k
+    return entries, n
+
+
+@settings(max_examples=120)
+@given(sparse_block_sym())
+def test_eigenvalues_match_numpy(case):
+    entries, n = case
+    dense = np.zeros((n, n))
+    for (r, c), x in entries.items():
+        dense[r, c] = float(x)
+    got = eigenvalues_sym(entries, n)
+    assert len(got) == n
+    assert got == sorted(got)
+    assert got == pytest.approx(sorted(np.linalg.eigvalsh(dense)), abs=1e-9)
 
 
 @settings(max_examples=40)
 @given(sym_ints(2), sym_ints(3))
 def test_kron_matches_numpy(a, b):
-    got = np.array(kron(a, b).to_floats())
-    want = np.kron(np.array(a.to_floats()), np.array(b.to_floats()))
+    got = np.array(kron(a, b).rows)
+    want = np.kron(np.array(a.rows), np.array(b.rows))
     assert np.array_equal(got, want)

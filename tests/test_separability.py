@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from graphsep.separability import (
     entangled_edge_witness,
     pe_matching_certificate,
     ppt_test,
+    pt_laplacian_entries,
     quadratic_witness,
     reconstruct,
     revalidate,
@@ -45,7 +47,7 @@ from graphsep.separability import (
     witness_value,
 )
 from graphsep.matrix import is_psd_exact, partial_transpose
-from graphsep.report import analyze
+from graphsep.report import analyze, spectrum
 
 STAR_GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3)]
 
@@ -428,6 +430,9 @@ def test_degree_preservation_equals_exact_ppt(g, data):
     # edge-based checks against dense references
     lap = laplacian(g)
     pt = partial_transpose(lap, g.dims)
+    assert pt_laplacian_entries(g) == {
+        (r, c): x for r, row in enumerate(pt.rows) for c, x in enumerate(row) if x
+    }
     degree = degree_criterion(g)
     assert degree.holds == is_psd_exact(pt)
     assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
@@ -449,6 +454,10 @@ def test_degree_preservation_equals_exact_ppt(g, data):
 def test_sparse_purity_and_product_revalidation_match_dense(g):
     sigma = density_matrix(g)
     assert analyze(g).purity == sum(x * x for row in sigma.rows for x in row)
+    spec = spectrum(g)
+    for key, dense in (("density", sigma), ("partial_transpose", partial_transpose(sigma, g.dims))):
+        want = np.linalg.eigvalsh(np.array(dense.rows, dtype=float))
+        assert spec[key] == pytest.approx(sorted(want), abs=1e-9)
     cert = all_separable_certificate(g)
     if cert is None:
         return
