@@ -128,9 +128,10 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
 def laplacian_entries(g: Graph) -> Counter:
     """Nonzero Laplacian entries keyed by 0-based (row, column); loops
     contribute nothing."""
+    q = g.dims.q
     entries = Counter()
-    for u, v in g.sorted_edges:
-        r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
+    for (i, j), (s, t) in g.sorted_edges:
+        r, c = (i - 1) * q + j - 1, (s - 1) * q + t - 1  # 0-based linear_index
         entries[r, r] += 1
         entries[c, c] += 1
         entries[r, c] = entries[c, r] = -1

@@ -61,17 +61,17 @@ def density_eigenvalues(entries: dict, g: Graph) -> list[float]:
     return eigenvalues_sym({k: x / ds for k, x in entries.items()}, g.n)
 
 
-def spectrum(g: Graph, pt_eigenvalues: list[float] | None = None) -> dict[str, list[float]]:
+def spectrum(g: Graph) -> dict[str, list[float]]:
     """Float eigenvalues of a graph's density matrix and of its partial
     transpose.
 
-    pt_eigenvalues, when given, is the partial transpose's spectrum already
-    computed by the caller.
+    When the two have equal entries (complete graphs, graphs with only
+    same-row or same-column edges) Jacobi runs once and both lists are equal.
     """
-    if pt_eigenvalues is None:
-        pt_eigenvalues = density_eigenvalues(pt_laplacian_entries(g), g)
+    lap, pt = laplacian_entries(g), pt_laplacian_entries(g)
+    pt_eigenvalues = density_eigenvalues(pt, g)
     return {
-        "density": density_eigenvalues(laplacian_entries(g), g),
+        "density": list(pt_eigenvalues) if pt == lap else density_eigenvalues(lap, g),
         "partial_transpose": pt_eigenvalues,
     }
 
@@ -106,8 +106,14 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     for e in g.edges:
         counts[classify_edge(e).value] += 1
     degree = degree_criterion(g)
-    pt_eigenvalues = density_eigenvalues(pt_laplacian_entries(g), g)
-    ppt = PPTResult(degree.holds, pt_eigenvalues[0])
+    spec = spectrum(g) if include_spectrum else None
+    if degree.holds:  # the partial transpose is a graph Laplacian: least eigenvalue 0
+        least = 0.0
+    elif spec is None:
+        least = density_eigenvalues(pt_laplacian_entries(g), g)[0]
+    else:
+        least = spec["partial_transpose"][0]
+    ppt = PPTResult(degree.holds, least)
     certificates = tuple(_granted_certificates(g, degree))
     v = _decide(degree, certificates)
     if not revalidate(g, v):
@@ -122,7 +128,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
         degree=degree,
         certificates=tuple(c.kind for c in certificates),
         verdict=v,
-        spectrum=spectrum(g, pt_eigenvalues) if include_spectrum else None,
+        spectrum=spec,
     )
 
 

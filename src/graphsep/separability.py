@@ -69,10 +69,14 @@ class DegreeCriterionResult:
 
 def _pt_row_sums(g: Graph) -> dict[int, int]:
     """Nonzero row sums of the partially transposed Laplacian by 1-based row."""
+    q = g.dims.q
     sums = Counter()
     for (i, j), (s, t) in g.sorted_edges:
-        for v, d in (((i, j), 1), ((s, t), 1), ((i, t), -1), ((s, j), -1)):
-            sums[linear_index(v, g.dims)] += d
+        a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
+        sums[a + j] += 1
+        sums[b + t] += 1
+        sums[a + t] -= 1
+        sums[b + j] -= 1
     return {row: x for row, x in sums.items() if x}
 
 

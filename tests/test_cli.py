@@ -222,10 +222,16 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
         v = verdict(g)
         assert v.status == status
         assert revalidate(g, v)
-    path = tmp_path / "k.graph"
-    write_graph_file(path, complete_graph(Dims(2, 2)))
-    assert main(["analyze", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("internal error: jacobi stopped")
+    # analyze runs Jacobi on a degree-violating graph, and on any graph
+    # when the spectrum is asked for
+    for g, extra in (
+        (star_graph(Dims(2, 2)), []),
+        (complete_graph(Dims(2, 2)), ["--spectrum"]),
+    ):
+        path = tmp_path / "k.graph"
+        write_graph_file(path, g)
+        assert main(["analyze", str(path), *extra]) == 2
+        assert capsys.readouterr().err.startswith("internal error: jacobi stopped")
 
 
 def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):

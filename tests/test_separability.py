@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsep.graphs
+import graphsep.report
 import graphsep.separability
 from graphsep.errors import NotEntangledEdgeError, WrongDimsError
 from graphsep.graphs import (
@@ -16,6 +17,7 @@ from graphsep.graphs import (
     entangled_edge_pool,
     entangled_pool_size,
     laplacian,
+    laplacian_entries,
     pe_matching_graph,
     random_graph,
     separable_edge_pool,
@@ -46,8 +48,14 @@ from graphsep.separability import (
     verdict_to_json_dict,
     witness_value,
 )
-from graphsep.matrix import is_psd_exact, partial_transpose
-from graphsep.report import analyze, spectrum
+from graphsep.matrix import eigenvalues_sym, is_psd_exact, partial_transpose
+from graphsep.report import (
+    analyze,
+    density_eigenvalues,
+    render_text,
+    report_json_dict,
+    spectrum,
+)
 
 STAR_GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3)]
 
@@ -404,6 +412,15 @@ def pt_paired_graphs(draw):
     return build_graph(dims, [frozenset(e) for e in edges])
 
 
+@st.composite
+def random_grid_graphs(draw):
+    """random_graph on grids up to 4x4, from one edge up to every edge."""
+    dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    ns = draw(st.integers(0, separable_pool_size(dims)))
+    ne = draw(st.integers(0 if ns else 1, entangled_pool_size(dims)))
+    return random_graph(dims, ns, ne, draw(st.integers(0, 2**31)))
+
+
 def dense_degree_criterion(pt):
     """(holds, violating row, its sum) from the rows of a dense matrix."""
     sums = [sum(row) for row in pt.rows]
@@ -505,3 +522,64 @@ def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
     assert v.status == Status.SEPARABLE
     assert isinstance(v.certificate, BlockLineSumSymmetric)
     assert revalidate(paired, v)
+
+
+def test_degree_preserving_reports_run_no_jacobi(monkeypatch):
+    def jacobi(*args):
+        raise AssertionError("Jacobi ran")
+
+    monkeypatch.setattr(graphsep.report, "eigenvalues_sym", jacobi)
+    graphs = [
+        complete_graph(Dims(8, 8)),
+        pe_matching_graph(Dims(2, 6), (2, 3, 4, 5, 6, 1)),
+        build_graph(Dims(3, 3), [{(1, 1), (2, 3)}, {(1, 3), (2, 1)}, {(3, 1), (3, 2)}]),
+        build_graph(Dims(3, 4), [{(1, 1), (1, 4)}, {(2, 2), (3, 2)}]),
+    ]
+    for g in graphs:
+        r = analyze(g)
+        assert r.degree.holds and r.verdict.status == Status.SEPARABLE
+        assert r.ppt.min_eigenvalue_estimate == 0.0
+        assert report_json_dict(r)["ppt"]["min_eigenvalue_estimate"] == 0.0
+        assert "(min eigenvalue about 0)" in render_text(r)
+
+
+def test_spectrum_runs_jacobi_once_per_distinct_matrix(monkeypatch):
+    calls = []
+
+    def counting(entries, n):
+        calls.append(n)
+        return eigenvalues_sym(entries, n)
+
+    monkeypatch.setattr(graphsep.report, "eigenvalues_sym", counting)
+    for g, want in ((complete_graph(Dims(4, 4)), 1), (star_graph(Dims(4, 4)), 2)):
+        calls.clear()
+        spec = spectrum(g)
+        assert len(calls) == want
+        assert spec["density"] == density_eigenvalues(laplacian_entries(g), g)
+        assert spec["partial_transpose"] == density_eigenvalues(pt_laplacian_entries(g), g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_grid_graphs(), pt_paired_graphs()))
+def test_min_eigenvalue_estimate_matches_numpy(g):
+    pt = partial_transpose(density_matrix(g), g.dims)
+    least = np.linalg.eigvalsh(np.array(pt.rows, dtype=float))[0]
+    r = analyze(g)
+    assert (r.ppt.min_eigenvalue_estimate == 0.0) == r.degree.holds
+    if r.degree.holds:
+        assert least >= -1e-9
+    else:
+        assert r.ppt.min_eigenvalue_estimate == pytest.approx(least, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_grid_graphs(), pt_paired_graphs()))
+def test_separable_verdicts_pass_realignment(g):
+    # CCNR, the realignment criterion (Rudolph, quant-ph/0202121): a state
+    # whose realigned matrix has trace norm above 1 is entangled
+    if verdict(g).status != Status.SEPARABLE:
+        return
+    p, q = g.dims
+    rho = np.array(density_matrix(g).rows, dtype=float)
+    realigned = rho.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+    assert np.linalg.svd(realigned, compute_uv=False).sum() <= 1 + 1e-9
