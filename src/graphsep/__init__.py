@@ -58,6 +58,7 @@ from .harness import (
     trial_seed,
 )
 from .matrix import (
+    SparseSymMatrix,
     SymMatrix,
     eigenvalues_sym,
     exact_str,

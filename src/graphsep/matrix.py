@@ -8,10 +8,10 @@ appears only in eigenvalue estimation, which is reporting, never deciding.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -66,6 +66,11 @@ class SymMatrix:
     def order(self) -> int:
         return len(self.rows)
 
+    @property
+    def entries(self) -> dict[tuple[int, int], Entry]:
+        """Nonzero entries by 0-based (row, column)."""
+        return {(r, c): x for r, row in enumerate(self.rows) for c, x in enumerate(row) if x}
+
     def trace(self) -> Entry:
         return sum(self.rows[i][i] for i in range(self.order))
 
@@ -75,6 +80,28 @@ class SymMatrix:
     def scaled(self, factor: Entry) -> "SymMatrix":
         f = Fraction(factor)
         return SymMatrix(tuple(tuple(f * x for x in row) for row in self.rows))
+
+
+@dataclass(frozen=True)
+class SparseSymMatrix:
+    """Immutable symmetric matrix of the given order with exact entries,
+    stored by 0-based (row, column); an absent entry is zero."""
+
+    order: int
+    entries: Mapping[tuple[int, int], Entry] = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        for x in self.entries.values():
+            _as_exact(x)
+        _check_entries(self.entries, self.order)
+
+    def trace(self) -> Entry:
+        return sum(x for (r, c), x in self.entries.items() if r == c)
+
+    def dense(self) -> SymMatrix:
+        n, get = self.order, self.entries.get
+        return SymMatrix(tuple(tuple(get((r, c), 0) for c in range(n)) for r in range(n)))
 
 
 def identity(n: int) -> SymMatrix:
@@ -121,24 +148,48 @@ def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
     return SymMatrix(rows)
 
 
-def is_psd_exact(mat: SymMatrix) -> bool:
-    """Exact positive semidefiniteness by fraction-free symmetric elimination.
+def _check_entries(entries: Mapping[tuple[int, int], Entry], n: int) -> None:
+    """Raise unless every entry lies in the n-by-n matrix and equals its mirror."""
+    for (r, c), x in entries.items():
+        if not (0 <= r < n and 0 <= c < n):
+            raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
+        if entries.get((c, r), 0) != x:
+            raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
 
-    Rational entries are cleared first with the positive lcm of denominators,
-    which cannot change definiteness.  Pivoting runs in document order: a
-    negative pivot refutes PSD, a zero pivot with a nonzero residual row
-    refutes PSD, and a zero row is dropped.  Updates use the Bareiss rule
-    (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay integers.
-    """
-    n = mat.order
-    if n == 0:
-        return True
-    scale = 1
-    for row in mat.rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = math.lcm(scale, x.denominator)
-    a = [[int(x * scale) for x in row] for row in mat.rows]
+
+def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[list[list]]:
+    """The square block, rows ascending, of each connected component of the
+    nonzero pattern of a checked symmetric matrix, filled in one pass over
+    its entries with zero elsewhere; a row with no nonzero entry is in none."""
+    root = {}
+
+    def find(v: int) -> int:
+        while (up := root.setdefault(v, v)) != v:
+            root[v] = v = root[up]  # path halving: v's grandparent, then step there
+        return v
+
+    for (r, c), x in entries.items():
+        if x and r <= c:  # the mirror (c, r) adds nothing
+            a, b = find(r), find(c)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    comps = {}
+    for v in sorted(root):
+        comps.setdefault(find(v), []).append(v)
+    where = {v: (k, i) for k, rows in enumerate(comps.values()) for i, v in enumerate(rows)}
+    blocks = [[[zero] * len(rows) for _ in rows] for rows in comps.values()]
+    for (r, c), x in entries.items():
+        if x:
+            k, i = where[r]
+            blocks[k][i][where[c][1]] = x
+    return blocks
+
+
+def _bareiss_psd(a: list[list[Entry]]) -> bool:
+    """Exact positive semidefiniteness of one dense block of integral entries."""
+    n = len(a)
     prev = 1
     for k in range(n):
         d = a[k][k]
@@ -156,6 +207,27 @@ def is_psd_exact(mat: SymMatrix) -> bool:
                 row_i[j] = (d * row_i[j] - aik * row_k[j]) // prev
         prev = d
     return True
+
+
+def is_psd_exact(mat: SymMatrix | SparseSymMatrix) -> bool:
+    """Exact positive semidefiniteness by fraction-free symmetric elimination.
+
+    Rational entries are cleared first with the positive lcm of their
+    denominators, which cannot change definiteness.  The matrix is then the
+    direct sum of its blocks on the connected components of its nonzero
+    pattern, so each block is tested on its own: a 1-by-1 block by its
+    sign, a larger one by elimination.  Pivoting runs in row order: a
+    negative pivot refutes PSD, a zero pivot with a nonzero residual row
+    refutes PSD, and a zero row is dropped.  Updates use the Bareiss rule
+    (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay integers.
+    """
+    entries = mat.entries
+    scale = math.lcm(*(x.denominator for x in entries.values()))
+    if scale > 1:
+        entries = {k: int(x * scale) for k, x in entries.items()}
+    return all(
+        a[0][0] > 0 if len(a) == 1 else _bareiss_psd(a) for a in _dense_blocks(entries, 0)
+    )
 
 
 def _max_offdiag(a: list[list[float]]) -> float:
@@ -223,30 +295,7 @@ def eigenvalues_sym(
     of its nonzero pattern, so Jacobi runs on each block's floats on its
     own and an empty row contributes exactly 0.0.
     """
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for (r, c), x in entries.items():
-        if not (0 <= r < n and 0 <= c < n):
-            raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
-        if entries.get((c, r), 0) != x:
-            raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
-        if r != c and x:
-            a, b = find(r), find(c)
-            root[max(a, b)] = min(a, b)
-    comp = [find(v) for v in range(n)]
-    pos = [0] * n
-    size = Counter()
-    for v, c in enumerate(comp):
-        pos[v] = size[c]
-        size[c] += 1
-    blocks = {c: [[0.0] * k for _ in range(k)] for c, k in size.items()}
-    for (r, c), x in entries.items():
-        if x:
-            blocks[comp[r]][pos[r]][pos[c]] = float(x)
-    return sorted(x for a in blocks.values() for x in _jacobi(a, tol, max_sweeps))
+    _check_entries(entries, n)
+    blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
+    zeros = [0.0] * (n - sum(map(len, blocks)))
+    return sorted(zeros + [x for a in blocks for x in _jacobi(a, tol, max_sweeps)])

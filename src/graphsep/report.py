@@ -8,6 +8,7 @@ is built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,11 +119,14 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     v = _decide(degree, certificates)
     if not revalidate(g, v):
         raise RuntimeError("verdict evidence failed revalidation")
+    # the Laplacian's squared entries: each degree squared, and a 1 for each
+    # of the degree_sum off-diagonal -1s
+    degrees = Counter(u for e in g.sorted_edges for u in e)
     return AnalysisReport(
         graph=g,
         edge_classes=counts,
         purity=Fraction(
-            sum(x * x for x in laplacian_entries(g).values()), g.degree_sum**2
+            sum(d * d for d in degrees.values()) + g.degree_sum, g.degree_sum**2
         ),
         ppt=ppt,
         degree=degree,

@@ -33,6 +33,7 @@ from .graphs import (
     linear_index,
 )
 from .matrix import (
+    SparseSymMatrix,
     SymMatrix,
     add,
     exact_str,
@@ -143,11 +144,12 @@ class ProductDecomposition:
     """Convex mixture of product states that reproduces the density matrix.
 
     Each term is (weight, row_factor, column_factor) with the factors acting
-    on the p-dim and q-dim subsystems respectively.
+    on the p-dim and q-dim subsystems respectively.  A factor keeps only its
+    nonzero entries: a point mass has one, a difference projector four.
     """
 
     kind: ClassVar[str] = "all-edges-separable"
-    terms: tuple[tuple[Fraction, SymMatrix, SymMatrix], ...]
+    terms: tuple[tuple[Fraction, SparseSymMatrix, SparseSymMatrix], ...]
 
 
 @dataclass(frozen=True)
@@ -179,21 +181,15 @@ class LowDimPPT:
     kind: ClassVar[str] = "low-dim-ppt"
 
 
-def _point_mass(n: int, i: int) -> SymMatrix:
-    return SymMatrix(
-        tuple(
-            tuple(1 if r == c == i - 1 else 0 for c in range(n)) for r in range(n)
-        )
-    )
+def _point_mass(n: int, i: int) -> SparseSymMatrix:
+    return SparseSymMatrix(n, {(i - 1, i - 1): 1})
 
 
-def _difference_projector(n: int, a: int, b: int) -> SymMatrix:
+def _difference_projector(n: int, a: int, b: int) -> SparseSymMatrix:
     """Unit-trace projector onto the normalized difference of two basis axes."""
     half = Fraction(1, 2)
-    rows = [[0] * n for _ in range(n)]
-    rows[a - 1][a - 1] = rows[b - 1][b - 1] = half
-    rows[a - 1][b - 1] = rows[b - 1][a - 1] = -half
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    a, b = a - 1, b - 1
+    return SparseSymMatrix(n, {(a, a): half, (b, b): half, (a, b): -half, (b, a): -half})
 
 
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
@@ -219,7 +215,7 @@ def reconstruct(cert: ProductDecomposition) -> SymMatrix:
     dense reference for the sparse comparison in revalidate."""
     total = None
     for weight, row_factor, col_factor in cert.terms:
-        piece = kron(row_factor, col_factor).scaled(weight)
+        piece = kron(row_factor.dense(), col_factor.dense()).scaled(weight)
         total = piece if total is None else add(total, piece)
     return total
 
@@ -383,12 +379,8 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
                     return False
             # row-factor entry (a, b) times column-factor entry (c, d) lands at
             # (a q + c, b q + d); an all-separable term has at most 4 of them
-            rows, cols = (
-                [(a, b, x) for a, row in enumerate(f.rows) for b, x in enumerate(row) if x]
-                for f in (row_factor, col_factor)
-            )
-            for a, b, x in rows:
-                for c, d, y in cols:
+            for (a, b), x in row_factor.entries.items():
+                for (c, d), y in col_factor.entries.items():
                     mixture[a * q + c, b * q + d] += g.degree_sum * weight * x * y
         return total_weight == 1 and mixture == laplacian_entries(g)
     if isinstance(cert, BlockLineSumSymmetric):
@@ -432,8 +424,9 @@ def revalidate(g: Graph, v: Verdict) -> bool:
     return v.certificate is None and v.witness is None and degree_criterion(g).holds
 
 
-def _matrix_strings(mat: SymMatrix) -> list[list[str]]:
-    return [[exact_str(x) for x in row] for row in mat.rows]
+def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
+    n = mat.order
+    return [[exact_str(mat.entries.get((r, c), 0)) for c in range(n)] for r in range(n)]
 
 
 def verdict_to_json_dict(v: Verdict) -> dict:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from graphsep.errors import (
     NotSymmetricError,
 )
 from graphsep.matrix import (
+    SparseSymMatrix,
     SymMatrix,
     add,
     eigenvalues_sym,
@@ -142,6 +144,135 @@ def test_psd_handles_fractions():
     assert not is_psd_exact(
         SymMatrix.from_rows([[Fraction(1, 3), 1], [1, Fraction(1, 3)]])
     )
+
+
+def test_sparse_matrix_validates_entries():
+    half = Fraction(1, 2)
+    m = SparseSymMatrix(3, {(0, 0): half, (0, 2): -half, (2, 0): -half, (2, 2): half})
+    assert m.trace() == 1
+    assert m.dense().rows == ((half, 0, -half), (0, 0, 0), (-half, 0, half))
+    assert m.entries == SymMatrix(m.dense().rows).entries
+    twin = SparseSymMatrix(3, dict(m.entries))
+    assert m == twin and hash(m) == hash(twin)
+    with pytest.raises(DimMismatchError):
+        SparseSymMatrix(2, {(-1, -1): 1})
+    with pytest.raises(NotSymmetricError):
+        SparseSymMatrix(2, {(0, 1): 1, (1, 0): 2})
+    with pytest.raises(TypeError):
+        SparseSymMatrix(1, {(0, 0): 0.5})
+    source = {(0, 0): 1}
+    m = SparseSymMatrix(2, source)
+    source[5, 5] = 1
+    assert m.entries == {(0, 0): 1}
+
+
+def fraction_psd(rows) -> bool:
+    """Reference: symmetric Gaussian elimination over Fraction, in row order."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    for k in range(n):
+        d = a[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(a[k][j] for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def whole_matrix_bareiss_psd(rows) -> bool:
+    """Reference: fraction-free elimination over the whole matrix at once, as
+    is_psd_exact ran before it split the matrix into blocks."""
+    n = len(rows)
+    scale = 1
+    for row in rows:
+        for x in row:
+            if isinstance(x, Fraction):
+                scale = math.lcm(scale, x.denominator)
+    a = [[int(x * scale) for x in row] for row in rows]
+    prev = 1
+    for k in range(n):
+        d = a[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(a[k][j] != 0 for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (d * a[i][j] - aik * a[k][j]) // prev
+        prev = d
+    return True
+
+
+@st.composite
+def psd_test_matrices(draw):
+    """Dense rows of a direct sum of int and Fraction blocks, relabelled by a
+    random permutation, with empty rows.  A block is a Gram matrix (PSD,
+    often singular) or arbitrary, and may get a zero row or a zero diagonal
+    entry that keeps its coupling, the pivots elimination must skip or
+    refute."""
+    value = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    )
+    sizes = draw(st.lists(st.integers(1, 5), max_size=4))
+    empty = draw(st.integers(0, 2))
+    n = sum(sizes) + empty
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for k in range(len(sizes)):
+        size = sizes[k]
+        if draw(st.booleans()):
+            rank = draw(st.integers(0, size))
+            b = [[draw(value) for _ in range(rank)] for _ in range(size)]
+            blk = [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
+        else:
+            blk = [[0] * size for _ in range(size)]
+            for r in range(size):
+                for c in range(r, size):
+                    blk[r][c] = blk[c][r] = draw(value)
+        pivot = draw(st.integers(0, size - 1))
+        forced = draw(st.sampled_from(["none", "zero-row", "zero-diagonal"]))
+        if forced == "zero-row":
+            for c in range(size):
+                blk[pivot][c] = blk[c][pivot] = 0
+        elif forced == "zero-diagonal":
+            blk[pivot][pivot] = 0
+        for r in range(size):
+            for c in range(size):
+                rows[perm[start + r]][perm[start + c]] = blk[r][c]
+        start += size
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_test_matrices())
+def test_psd_matches_exact_references(rows):
+    want = fraction_psd(rows)
+    assert whole_matrix_bareiss_psd(rows) == want
+    dense = SymMatrix(tuple(tuple(row) for row in rows))
+    assert is_psd_exact(dense) == want
+    assert is_psd_exact(SparseSymMatrix(dense.order, dense.entries)) == want
+
+
+def test_psd_sparse_known_cases():
+    assert is_psd_exact(SparseSymMatrix(0, {}))
+    assert is_psd_exact(SparseSymMatrix(5, {}))
+    assert not is_psd_exact(SparseSymMatrix(4, {(2, 2): -1}))
+    assert not is_psd_exact(SparseSymMatrix(3, {(0, 2): 1, (2, 0): 1, (2, 2): 5}))
+    assert not is_psd_exact(
+        SparseSymMatrix(2, {(0, 0): Fraction(3, 2), (1, 1): Fraction(-1, 2)})
+    )
+    # explicit zeros are entries like any other absent one
+    assert is_psd_exact(SparseSymMatrix(3, {(0, 1): 0, (1, 0): 0, (2, 2): 1}))
 
 
 @settings(max_examples=80)

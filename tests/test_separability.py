@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 import graphsep.graphs
 import graphsep.report
 import graphsep.separability
-from graphsep.errors import NotEntangledEdgeError, WrongDimsError
+from graphsep.errors import (
+    DimMismatchError,
+    NotEntangledEdgeError,
+    NotSymmetricError,
+    WrongDimsError,
+)
 from graphsep.graphs import (
     Dims,
     build_graph,
@@ -48,7 +53,13 @@ from graphsep.separability import (
     verdict_to_json_dict,
     witness_value,
 )
-from graphsep.matrix import eigenvalues_sym, is_psd_exact, partial_transpose
+from graphsep.matrix import (
+    SparseSymMatrix,
+    SymMatrix,
+    eigenvalues_sym,
+    is_psd_exact,
+    partial_transpose,
+)
 from graphsep.report import (
     analyze,
     density_eigenvalues,
@@ -150,8 +161,9 @@ def test_product_decomposition_two_edges():
     assert all(w == Fraction(1, 2) for w, _, _ in cert.terms)
     assert reconstruct(cert) == density_matrix(g)
     half = Fraction(1, 2)
-    row_term = next(t for t in cert.terms if t[1].rows == ((1, 0), (0, 0)))
-    assert row_term[2].rows == ((half, -half), (-half, half))
+    row_term = next(t for t in cert.terms if t[1].entries == {(0, 0): 1})
+    assert row_term[2].entries == {(0, 0): half, (0, 1): -half, (1, 0): -half, (1, 1): half}
+    assert row_term[2].dense().rows == ((half, -half), (-half, half))
 
 
 def test_product_decomposition_denied_with_entangled_edge():
@@ -325,6 +337,27 @@ def test_revalidate_rejects_tampered_evidence():
     assert revalidate(g, Verdict(Status.SEPARABLE, certificate=honest))
     bare = PerfectEntangledMatching((2, 3, 1), (), 0)
     assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=bare))
+    # product factors that keep the weights, traces and mixture but are not
+    # states: diag(3/2, -1/2) and diag(-1/2, 3/2) sum to the two point masses
+    rows = build_graph(Dims(2, 2), [{(1, 1), (1, 2)}, {(2, 1), (2, 2)}])
+    honest = all_separable_certificate(rows)
+    assert revalidate(rows, Verdict(Status.SEPARABLE, certificate=honest))
+    (w0, r0, c0), (w1, r1, c1) = honest.terms
+    big, small = Fraction(3, 2), Fraction(-1, 2)
+    unphysical = ProductDecomposition((
+        (w0, SparseSymMatrix(2, {(0, 0): big, (1, 1): small}), c0),
+        (w1, SparseSymMatrix(2, {(0, 0): small, (1, 1): big}), c1),
+    ))
+    assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=unphysical))
+    # a row factor of order 3 on a 2-row grid, with the same nonzero entries
+    wide = ProductDecomposition(((w0, SparseSymMatrix(3, r0.entries), c0), (w1, r1, c1)))
+    assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=wide))
+    # factors with entries outside their order or without a matching mirror
+    # are refused when built
+    with pytest.raises(DimMismatchError):
+        SparseSymMatrix(2, {(2, 2): 1})
+    with pytest.raises(NotSymmetricError):
+        SparseSymMatrix(2, {(0, 0): 1, (0, 1): Fraction(1, 2)})
 
 
 def test_verdict_json_shapes():
@@ -489,9 +522,12 @@ def test_sparse_purity_and_product_revalidation_match_dense(g):
 
 
 def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
-    # 10^4- and 10^6-vertex grids: any n-by-n build would take far too long
+    # 10^4- and 10^6-vertex grids: any n-by-n build would take far too long,
+    # and certificate factors keep only their nonzero entries
     def dense(*args):
         raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(SymMatrix, "__post_init__", dense)
 
     for name in ("laplacian", "density_matrix"):
         monkeypatch.setattr(graphsep.graphs, name, dense)
@@ -541,6 +577,23 @@ def test_degree_preserving_reports_run_no_jacobi(monkeypatch):
         assert r.ppt.min_eigenvalue_estimate == 0.0
         assert report_json_dict(r)["ppt"]["min_eigenvalue_estimate"] == 0.0
         assert "(min eigenvalue about 0)" in render_text(r)
+
+
+def test_analyze_builds_laplacian_entries_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return laplacian_entries(g)
+
+    monkeypatch.setattr(graphsep.report, "laplacian_entries", counting)
+    for g in (complete_graph(Dims(4, 4)), star_graph(Dims(3, 4))):
+        for include_spectrum, want in ((False, 0), (True, 1)):
+            calls.clear()
+            r = analyze(g, include_spectrum=include_spectrum)
+            assert len(calls) == want
+            squares = sum(x * x for x in laplacian_entries(g).values())
+            assert r.purity == Fraction(squares, g.degree_sum**2)
 
 
 def test_spectrum_runs_jacobi_once_per_distinct_matrix(monkeypatch):
