@@ -8,6 +8,7 @@ appears only in eigenvalue estimation, which is reporting, never deciding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
@@ -22,8 +23,8 @@ from .errors import (
 
 Entry = int | Fraction
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+QL_MAX_ITERATIONS = 30  # per eigenvalue; QL converges cubically, so a few suffice
+_EPS = math.ulp(1.0)  # machine epsilon
 
 
 def exact_str(value: Entry) -> str:
@@ -230,72 +231,87 @@ def is_psd_exact(mat: SymMatrix | SparseSymMatrix) -> bool:
     )
 
 
-def _max_offdiag(a: list[list[float]]) -> float:
-    n = len(a)
-    return max(abs(a[r][c]) for r in range(n - 1) for c in range(r + 1, n))
+def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Diagonal d and off-diagonal e (e[i] joins d[i] and d[i+1]) of a
+    tridiagonal matrix similar to the symmetric a, by Householder
+    reflections that clear a's rows from the last up; no vectors are kept.
+
+    Each row is read only in its first len(a) columns, so the column left
+    stale when a row is dropped is never copied away.
+    """
+    d, e = [], []
+    while len(a) > 1:
+        last = a.pop()
+        x = last[: len(a)]
+        d.append(last[len(a)])
+        sigma = sum(map(operator.mul, x, x))
+        if sigma == x[-1] * x[-1]:  # x is along its last axis already: no reflection
+            e.append(x[-1])
+            continue
+        alpha = -math.copysign(math.sqrt(sigma), x[-1])
+        h = sigma - alpha * x[-1]  # half of |v|^2, v = x minus alpha on the last axis
+        x[-1] -= alpha
+        p = [sum(map(operator.mul, row, x)) / h for row in a]
+        k = sum(map(operator.mul, x, p)) / (2.0 * h)
+        w = [pi - k * vi for pi, vi in zip(p, x)]
+        a = [
+            [t - vi * wj - wi * vj for t, vj, wj in zip(row, x, w)]
+            for row, vi, wi in zip(a, x, w)
+        ]
+        e.append(alpha)
+    d.append(a[0][0])
+    return d, e
 
 
-def _rotate(a: list[list[float]], p: int, q: int) -> None:
-    n = len(a)
-    apq = a[p][q]
-    diff = a[q][q] - a[p][p]
-    if abs(apq) * 1e36 < abs(diff):
-        t = apq / diff
-    else:
-        theta = diff / (2.0 * apq)
-        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    tau = s / (1.0 + c)
-    a[p][p] -= t * apq
-    a[q][q] += t * apq
-    a[p][q] = a[q][p] = 0.0
-    for k in range(n):
-        if k != p and k != q:
-            akp, akq = a[k][p], a[k][q]
-            a[k][p] = a[p][k] = akp - s * (akq + tau * akp)
-            a[k][q] = a[q][k] = akq + s * (akp - tau * akq)
-
-
-def _jacobi(a: list[list[float]], tol: float, max_sweeps: int) -> list[float]:
-    """Diagonal of a after cyclic Jacobi sweeps, which stop once every
-    off-diagonal magnitude is below tol; past the sweep cap they raise
+def _ql(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by QL with implicit
+    Wilkinson shifts; past QL_MAX_ITERATIONS on one eigenvalue it raises
     NoConvergenceError."""
-    n = len(a)
-    if n == 1:
-        return [a[0][0]]
-    for _ in range(max_sweeps):
-        if _max_offdiag(a) < tol:
-            break
-        for r in range(n - 1):
-            for c in range(r + 1, n):
-                if a[r][c] != 0.0:
-                    _rotate(a, r, c)
-    else:
-        off = _max_offdiag(a)
-        if off >= tol:
-            raise NoConvergenceError(
-                f"jacobi stopped after {max_sweeps} sweeps, off-diagonal {off:.3e}"
-            )
-    return [a[i][i] for i in range(n)]
+    n = len(d)
+    e.append(0.0)
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if iterations == QL_MAX_ITERATIONS:
+                raise NoConvergenceError(f"QL stopped after {iterations} iterations")
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:  # deflated mid-sweep: undo the shift and look again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
 
-def eigenvalues_sym(
-    entries: Mapping[tuple[int, int], Real],
-    n: int,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> list[float]:
+def eigenvalues_sym(entries: Mapping[tuple[int, int], Real], n: int) -> list[float]:
     """All n eigenvalues, ascending, of the symmetric n-by-n matrix whose
     nonzero entries are given by 0-based (row, column).
 
     The matrix is the direct sum of its blocks on the connected components
-    of its nonzero pattern, so Jacobi runs on each block's floats on its
-    own and an empty row contributes exactly 0.0.
+    of its nonzero pattern, so Householder reduction and QL run on each
+    block's floats on its own and an empty row contributes exactly 0.0.
     """
     _check_entries(entries, n)
     blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
     zeros = [0.0] * (n - sum(map(len, blocks)))
-    return sorted(zeros + [x for a in blocks for x in _jacobi(a, tol, max_sweeps)])
+    return sorted(zeros + [x for a in blocks for x in _ql(*_tridiagonal(a))])

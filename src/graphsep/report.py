@@ -28,7 +28,7 @@ from .separability import (
 )
 
 # Most vertices a report lists a spectrum for, and so the largest block
-# Jacobi runs on.
+# Householder reduction and QL run on.
 MAX_DENSE_VERTICES = 1024
 
 
@@ -67,7 +67,7 @@ def spectrum(g: Graph) -> dict[str, list[float]]:
     transpose.
 
     When the two have equal entries (complete graphs, graphs with only
-    same-row or same-column edges) Jacobi runs once and both lists are equal.
+    same-row or same-column edges) one eigenvalue run serves both lists.
     """
     lap, pt = laplacian_entries(g), pt_laplacian_entries(g)
     pt_eigenvalues = density_eigenvalues(pt, g)

@@ -71,13 +71,14 @@ class DegreeCriterionResult:
 def _pt_row_sums(g: Graph) -> dict[int, int]:
     """Nonzero row sums of the partially transposed Laplacian by 1-based row."""
     q = g.dims.q
-    sums = Counter()
+    sums = {}  # a plain dict: Counter calls __missing__ for every new row
+    get = sums.get
     for (i, j), (s, t) in g.sorted_edges:
         a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
-        sums[a + j] += 1
-        sums[b + t] += 1
-        sums[a + t] -= 1
-        sums[b + j] -= 1
+        sums[a + j] = get(a + j, 0) + 1
+        sums[b + t] = get(b + t, 0) + 1
+        sums[a + t] = get(a + t, 0) - 1
+        sums[b + j] = get(b + j, 0) - 1
     return {row: x for row, x in sums.items() if x}
 
 

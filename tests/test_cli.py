@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import graphsep.cli
+import graphsep.matrix
 import graphsep.report
 from graphsep.cli import main
 from graphsep.report import analyze
@@ -206,9 +207,9 @@ def test_help_exits_0():
 
 def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
-        raise NoConvergenceError("jacobi stopped")
+        raise NoConvergenceError("eigenvalues stopped")
 
-    # every binding, so a Jacobi call anywhere on the verdict path would raise
+    # every binding, so an eigenvalue call anywhere on the verdict path would raise
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "graphsep" and hasattr(module, "eigenvalues_sym"):
             monkeypatch.setattr(module, "eigenvalues_sym", no_convergence)
@@ -222,7 +223,7 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
         v = verdict(g)
         assert v.status == status
         assert revalidate(g, v)
-    # analyze runs Jacobi on a degree-violating graph, and on any graph
+    # analyze computes eigenvalues on a degree-violating graph, and on any graph
     # when the spectrum is asked for
     for g, extra in (
         (star_graph(Dims(2, 2)), []),
@@ -231,7 +232,16 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
         path = tmp_path / "k.graph"
         write_graph_file(path, g)
         assert main(["analyze", str(path), *extra]) == 2
-        assert capsys.readouterr().err.startswith("internal error: jacobi stopped")
+        assert capsys.readouterr().err.startswith("internal error: eigenvalues stopped")
+
+
+def test_ql_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
+    # the real kernel, not a stand-in, gives up once its iteration cap is spent
+    monkeypatch.setattr(graphsep.matrix, "QL_MAX_ITERATIONS", 0)
+    path = tmp_path / "star.graph"
+    write_graph_file(path, star_graph(Dims(2, 2)))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("internal error: QL stopped")
 
 
 def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsep.matrix
 from graphsep.errors import (
     DimMismatchError,
+    NoConvergenceError,
     NotSymmetricError,
 )
+from graphsep.graphs import Dims, complete_graph, laplacian_entries, star_graph
 from graphsep.matrix import (
     SparseSymMatrix,
     SymMatrix,
@@ -295,7 +298,8 @@ def test_eigenvalues_small_cases():
     assert got[1] == pytest.approx(1.0, abs=1e-12)
     # empty rows contribute exact zeros; the projector sits on rows 0 and 3
     got = eigenvalues_sym({(0, 0): 1, (0, 3): -1, (3, 0): -1, (3, 3): 1}, 5)
-    assert got[1:4] == [0.0, 0.0, 0.0]
+    block = eigenvalues_sym({(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}, 2)
+    assert got == sorted(block + [0.0] * 3)
     assert got[4] == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(NotSymmetricError):
         eigenvalues_sym({(0, 1): 1, (1, 0): 2}, 2)
@@ -306,27 +310,44 @@ def test_eigenvalues_small_cases():
 @st.composite
 def sparse_block_sym(draw):
     """Sparse symmetric int/Fraction entries of a direct sum of random blocks
-    (1-by-1 and empty rows included), relabelled by a random permutation."""
+    (1-by-1 and empty rows included), relabelled by a random permutation.
+    A block is arbitrary, a scaled identity, rank one, or a scaled identity
+    plus rank one; the last three have highly degenerate spectra."""
     value = st.one_of(
         st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
     )
-    sizes = draw(st.lists(st.integers(1, 5), max_size=5))
+    sizes = draw(st.lists(st.integers(1, 20), max_size=4))
     empty = draw(st.integers(0, 3))
     n = sum(sizes) + empty
     perm = draw(st.permutations(range(n)))
     entries = {}
     start = 0
     for k in sizes:
-        for r in range(start, start + k):
-            for c in range(r, start + k):
-                x = draw(value)
-                if x or draw(st.booleans()):
-                    entries[perm[r], perm[c]] = entries[perm[c], perm[r]] = x
+        kind = draw(st.sampled_from(["arbitrary", "identity", "rank-one", "both"]))
+        if kind == "arbitrary":
+            block = {}
+            for r in range(k):
+                for c in range(r, k):
+                    x = draw(value)
+                    if x or draw(st.booleans()):
+                        block[r, c] = x
+        else:
+            shift = draw(value) if kind != "rank-one" else 0
+            u = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            scale = draw(value) if kind != "identity" else 0
+            block = {
+                (r, c): shift * (r == c) + scale * u[r] * u[c]
+                for r in range(k)
+                for c in range(r, k)
+            }
+        for (r, c), x in block.items():
+            entries[perm[start + r], perm[start + c]] = x
+            entries[perm[start + c], perm[start + r]] = x
         start += k
     return entries, n
 
 
-@settings(max_examples=120)
+@settings(max_examples=120, deadline=None)
 @given(sparse_block_sym())
 def test_eigenvalues_match_numpy(case):
     entries, n = case
@@ -337,6 +358,33 @@ def test_eigenvalues_match_numpy(case):
     assert len(got) == n
     assert got == sorted(got)
     assert got == pytest.approx(sorted(np.linalg.eigvalsh(dense)), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "graph, spectrum",
+    [
+        # K_64: 0 once, 64 with multiplicity 63
+        (complete_graph(Dims(8, 8)), [0] + [64] * 63),
+        # the star K_(1,15): 0, 1 with multiplicity 14, and 16
+        (star_graph(Dims(4, 4)), [0] + [1] * 14 + [16]),
+        (star_graph(Dims(2, 16)), [0] + [1] * 30 + [32]),
+    ],
+    ids=["complete-8x8", "star-4x4", "star-2x16"],
+)
+def test_eigenvalues_known_laplacian_spectra(graph, spectrum):
+    got = eigenvalues_sym(laplacian_entries(graph), graph.n)
+    assert got == pytest.approx(spectrum, abs=1e-9)
+
+
+def test_ql_iteration_cap_raises(monkeypatch):
+    entries = {(0, 0): 2, (0, 1): -1, (1, 0): -1, (1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 2}
+    root2 = math.sqrt(2)
+    assert eigenvalues_sym(entries, 3) == pytest.approx([2 - root2, 2, 2 + root2])
+    monkeypatch.setattr(graphsep.matrix, "QL_MAX_ITERATIONS", 0)
+    # a diagonal matrix needs no iteration, so the cap is never reached
+    assert eigenvalues_sym({(0, 0): 3, (1, 1): -2}, 3) == [-2.0, 0.0, 3.0]
+    with pytest.raises(NoConvergenceError, match="QL stopped after 0 iterations"):
+        eigenvalues_sym(entries, 3)
 
 
 @settings(max_examples=40)
