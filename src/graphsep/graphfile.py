@@ -46,13 +46,17 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFileError("edge line before dims header", line=lineno)
             if len(fields) != 5:
                 raise GraphFileError("edge needs exactly four fields", line=lineno)
-            i, j, s, t = (_parse_int(f, lineno) for f in fields[1:])
-            for (a, b) in ((i, j), (s, t)):
-                if not (1 <= a <= dims.p and 1 <= b <= dims.q):
-                    raise OutOfRangeError(
-                        f"vertex ({a},{b}) outside {dims.p}x{dims.q} grid",
-                        line=lineno,
-                    )
+            if "".join(fields[1:]).isdigit():  # all unsigned, as none is empty
+                i, j, s, t = map(int, fields[1:])
+            else:  # raises at the first bad field or leaves a negative one
+                i, j, s, t = (_parse_int(f, lineno) for f in fields[1:])
+            p, q = dims
+            if not (0 < i <= p and 0 < s <= p and 0 < j <= q and 0 < t <= q):
+                for (a, b) in ((i, j), (s, t)):
+                    if not (1 <= a <= p and 1 <= b <= q):
+                        raise OutOfRangeError(
+                            f"vertex ({a},{b}) outside {p}x{q} grid", line=lineno
+                        )
             edges.append(frozenset({(i, j), (s, t)}))
         else:
             raise GraphFileError(f"unknown keyword {keyword!r}", line=lineno)

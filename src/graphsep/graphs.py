@@ -61,7 +61,7 @@ def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
                 raise OutOfRangeError(f"vertex ({i},{j}) outside {dims.p}x{dims.q} grid")
     if len(edge) == 1:
         return EdgeClass.LOOP
-    (i, j), (s, t) = sorted(edge)
+    (i, j), (s, t) = edge  # both tests are symmetric in the endpoints
     if i == s:
         return EdgeClass.SAME_ROW
     if j == t:
@@ -82,7 +82,8 @@ class Graph:
     def sorted_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """Non-loop edges as sorted pairs, sorted.  Tuple order on vertices is
         their row-major linear order, since 1 <= j <= q."""
-        return tuple(sorted(tuple(sorted(e)) for e in self.edges if len(e) == 2))
+        pairs = (e for e in self.edges if len(e) == 2)
+        return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
     @property
     def loops(self) -> tuple[Vertex, ...]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BadDimsError
-from .graphs import EdgeClass, Graph, classify_edge, laplacian_entries
+from .graphs import EdgeClass, Graph, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12
 from .separability import (
     DegreeCriterionResult,
@@ -103,9 +104,18 @@ def check_dense_size(g: Graph) -> None:
 def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     """Run every check once on one graph and revalidate the verdict."""
     check_dense_size(g)
-    counts = {cls.value: 0 for cls in EdgeClass}
-    for e in g.edges:
-        counts[classify_edge(e).value] += 1
+    same_row = same_column = 0
+    for (i, j), (s, t) in g.sorted_edges:
+        if i == s:
+            same_row += 1
+        elif j == t:
+            same_column += 1
+    counts = {
+        EdgeClass.SAME_ROW.value: same_row,
+        EdgeClass.SAME_COLUMN.value: same_column,
+        EdgeClass.ENTANGLED.value: len(g.sorted_edges) - same_row - same_column,
+        EdgeClass.LOOP.value: len(g.loops),
+    }
     degree = degree_criterion(g)
     spec = spectrum(g) if include_spectrum else None
     if degree.holds:  # the partial transpose is a graph Laplacian: least eigenvalue 0
@@ -121,7 +131,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
         raise RuntimeError("verdict evidence failed revalidation")
     # the Laplacian's squared entries: each degree squared, and a 1 for each
     # of the degree_sum off-diagonal -1s
-    degrees = Counter(u for e in g.sorted_edges for u in e)
+    degrees = Counter(chain.from_iterable(g.sorted_edges))
     return AnalysisReport(
         graph=g,
         edge_classes=counts,

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DimMismatchError, NotEntangledEdgeError, WrongDimsError
@@ -74,6 +75,8 @@ def _pt_row_sums(g: Graph) -> dict[int, int]:
     sums = {}  # a plain dict: Counter calls __missing__ for every new row
     get = sums.get
     for (i, j), (s, t) in g.sorted_edges:
+        if i == s or j == t:  # same row or column: the four updates cancel
+            continue
         a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
         sums[a + j] = get(a + j, 0) + 1
         sums[b + t] = get(b + t, 0) + 1
@@ -128,11 +131,16 @@ def witness_value(g: Graph, x: Sequence) -> Fraction:
     """Exact quadratic form of x against the partially transposed Laplacian."""
     if len(x) != g.n:
         raise DimMismatchError(f"vector length {len(x)} != order {g.n}")
-    at = lambda i, j: Fraction(x[linear_index((i, j), g.dims) - 1])
-    total = Fraction(0)
+    # quadratic: summed over the integers den * x, then divided by den ** 2
+    exact = [Fraction(v) for v in x]
+    den = lcm(*(v.denominator for v in exact))
+    y = [v.numerator * (den // v.denominator) for v in exact]
+    q = g.dims.q
+    total = 0
     for (i, j), (s, t) in g.sorted_edges:
-        total += at(i, j) ** 2 + at(s, t) ** 2 - 2 * at(i, t) * at(s, j)
-    return total
+        a, b = (i - 1) * q - 1, (s - 1) * q - 1  # 0-based linear_index is a + j
+        total += y[a + j] ** 2 + y[b + t] ** 2 - 2 * y[a + t] * y[b + j]
+    return Fraction(total, den**2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +204,13 @@ def _difference_projector(n: int, a: int, b: int) -> SparseSymMatrix:
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
     """Explicit product mixture when no edge spans both coordinates."""
     pairs = g.sorted_edges
-    classes = [classify_edge(pr) for pr in pairs]
-    if any(c == EdgeClass.ENTANGLED for c in classes):
+    if any(i != s and j != t for (i, j), (s, t) in pairs):
         return None
     p, q = g.dims
     weight = Fraction(1, len(pairs))
     terms = []
-    for pr, cls in zip(pairs, classes):
-        (i, j), (s, t) = pr
-        if cls == EdgeClass.SAME_ROW:
+    for (i, j), (s, t) in pairs:
+        if i == s:
             terms.append((weight, _point_mass(p, i), _difference_projector(q, j, t)))
         else:
             terms.append((weight, _difference_projector(p, i, s), _point_mass(q, j)))
@@ -225,11 +231,12 @@ def block_lss_certificate(g: Graph) -> BlockLineSumSymmetric | None:
     """Certificate when every q-by-q Laplacian block has equal row and column
     sums.  Diagonal blocks always do; an edge {(i,j),(s,t)} with i < s adds
     to row j and column t of block (i, s), whose transpose is block (s, i)."""
-    excess = Counter()
+    excess = {}  # a plain dict: Counter calls __missing__ for every new key
+    get = excess.get
     for (i, j), (s, t) in g.sorted_edges:
-        if i < s:
-            excess[i, s, j] += 1
-            excess[i, s, t] -= 1
+        if i < s and j != t:  # a same-column edge's two updates cancel
+            excess[i, s, j] = get((i, s, j), 0) + 1
+            excess[i, s, t] = get((i, s, t), 0) - 1
     if any(excess.values()):
         return None
     return BlockLineSumSymmetric()
@@ -427,7 +434,8 @@ def revalidate(g: Graph, v: Verdict) -> bool:
 
 def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
     n = mat.order
-    return [[exact_str(mat.entries.get((r, c), 0)) for c in range(n)] for r in range(n)]
+    strs = {k: exact_str(x) for k, x in mat.entries.items()}
+    return [[strs.get((r, c), "0") for c in range(n)] for r in range(n)]
 
 
 def verdict_to_json_dict(v: Verdict) -> dict:

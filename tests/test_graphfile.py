@@ -39,12 +39,18 @@ def test_parse_loop_edge():
 
 
 def test_out_of_range_carries_line_number():
-    with pytest.raises(OutOfRangeError) as exc:
-        parse_graph_text("dims 2 2\nedge 1 1 3 1\n")
-    assert exc.value.line == 2
-    with pytest.raises(OutOfRangeError) as exc:
-        parse_graph_text("dims 2 2\nedge -1 1 1 2\n")
-    assert exc.value.line == 2
+    # the error names the offending endpoint, the second one included, and a
+    # negative field is a valid integer that fails the range test
+    for text, vertex, line in (
+        ("dims 2 2\nedge 1 1 3 1\n", r"\(3,1\)", 2),
+        ("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 3\n", r"\(1,3\)", 3),
+        ("dims 2 2\nedge 3 3 4 4\n", r"\(3,3\)", 2),
+        ("dims 2 2\nedge -1 1 1 2\n", r"\(-1,1\)", 2),
+        ("dims 2 3\n# comment\nedge 1 -1 1 2\n", r"\(1,-1\)", 3),
+    ):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {vertex} outside") as exc:
+            parse_graph_text(text)
+        assert exc.value.line == line
 
 
 def test_missing_dims():
@@ -95,6 +101,10 @@ def test_bad_integer():
     ):
         with pytest.raises(GraphFileError, match="bad integer"):
             parse_graph_text(text)
+    # with two bad fields on one line, the first is reported
+    with pytest.raises(GraphFileError, match=r"bad integer '\+1'") as exc:
+        parse_graph_text("dims 2 3\nedge +1 1 1 0x2\n")
+    assert exc.value.line == 2
 
 
 def test_nonpositive_dims():

@@ -16,7 +16,9 @@ from graphsep.errors import (
 )
 from graphsep.graphs import (
     Dims,
+    EdgeClass,
     build_graph,
+    classify_edge,
     complete_graph,
     density_matrix,
     entangled_edge_pool,
@@ -497,6 +499,41 @@ def test_degree_preservation_equals_exact_ppt(g, data):
     )
     dense = sum(x[r] * e * x[c] for r, row in enumerate(pt.rows) for c, e in enumerate(row))
     assert witness_value(g, x) == dense
+
+
+@st.composite
+def random_grid_graphs_with_loops(draw):
+    """random_grid_graphs plus up to three loops: all three edge classes and
+    loops mixed, and mostly degree-violating."""
+    g = draw(random_grid_graphs())
+    p, q = g.dims
+    vertex = st.tuples(st.integers(1, p), st.integers(1, q))
+    loops = draw(st.lists(vertex, max_size=3))
+    return build_graph(g.dims, list(g.edges) + [frozenset({v}) for v in loops])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_grid_graphs_with_loops())
+def test_edge_shortcuts_match_dense_references(g):
+    # the degree and block checks skip the edges whose updates cancel, and the
+    # edge checks classify by coordinates; each is held against a reference
+    # that visits every edge
+    lap = laplacian(g)
+    pt = partial_transpose(lap, g.dims)
+    degree = degree_criterion(g)
+    assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
+    blocks = block_lss_certificate(g) is not None
+    assert blocks == dense_blocks_line_sum_symmetric(lap, g.dims)
+    classes = [classify_edge(e) for e in g.edges]
+    entangled = EdgeClass.ENTANGLED in classes
+    assert (all_separable_certificate(g) is None) == entangled
+    want = {cls.value: 0 for cls in EdgeClass}
+    for cls in classes:
+        want[cls.value] += 1
+    assert list(analyze(g).edge_classes.items()) == list(want.items())
+    assert g.sorted_edges == tuple(
+        sorted(tuple(sorted(e)) for e in g.edges if len(e) == 2)
+    )
 
 
 @settings(max_examples=150, deadline=None)
