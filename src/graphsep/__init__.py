@@ -77,8 +77,6 @@ from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionResult,
     DegreeCriterionWitness,
-    LOW_PPT_DIMS,
-    LowDimPPT,
     PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,

@@ -85,7 +85,7 @@ class Graph:
         pairs = (e for e in self.edges if len(e) == 2)
         return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
-    @property
+    @cached_property
     def loops(self) -> tuple[Vertex, ...]:
         return tuple(sorted(next(iter(e)) for e in self.edges if len(e) == 1))
 

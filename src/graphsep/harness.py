@@ -51,7 +51,6 @@ from .separability import (
     quadratic_witness,
     revalidate,
     verdict,
-    LOW_PPT_DIMS,
 )
 
 MASK64 = (1 << 64) - 1
@@ -285,17 +284,13 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     min_eigenvalue = density_eigenvalues(pt_laplacian_entries(g), g)[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
         return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
-    if not ppt:
-        certs = [all_separable_certificate(g), block_lss_certificate(g)]
-        if g.dims.p == 2:
-            certs.append(pe_matching_certificate(g))
-        if any(c is not None for c in certs):
-            return "certificate-granted-despite-negative-partial-transpose", None, g, False
+    if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):
+        return "certificate-granted-despite-negative-partial-transpose", None, g, False
     if ppt != degree_criterion(g).holds:
         return "degree-and-positivity-tests-disagree", None, g, False
     v = verdict(g)
     unknown = v.status == Status.UNKNOWN
-    if unknown and tuple(g.dims) in LOW_PPT_DIMS:
+    if unknown and min(g.dims) <= 2:
         return "small-grid-verdict-unknown", None, g, unknown
     if not revalidate(g, v):
         return "revalidation-failed", None, g, unknown

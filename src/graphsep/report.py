@@ -125,7 +125,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     else:
         least = spec["partial_transpose"][0]
     ppt = PPTResult(degree.holds, least)
-    certificates = tuple(_granted_certificates(g, degree))
+    certificates = tuple(_granted_certificates(g))
     v = _decide(degree, certificates)
     if not revalidate(g, v):
         raise RuntimeError("verdict evidence failed revalidation")
@@ -195,7 +195,8 @@ def render_text(r: AnalysisReport) -> str:
     g = r.graph
     v = r.verdict
     if v.status == Status.SEPARABLE:
-        lines = [f"verdict: separable ({v.certificate.kind})"]
+        swapped = ", subsystems swapped" if getattr(v.certificate, "swapped", False) else ""
+        lines = [f"verdict: separable ({v.certificate.kind}{swapped})"]
     elif v.status == Status.ENTANGLED:
         lines = ["verdict: entangled"]
         wline = _witness_line(v)

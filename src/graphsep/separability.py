@@ -43,11 +43,6 @@ from .matrix import (
     partial_transpose,
 )
 
-# Grid shapes where a nonnegative partial transpose already settles
-# separability, with no extra certificate needed.
-LOW_PPT_DIMS = frozenset({(2, 2), (2, 3), (3, 2)})
-
-
 def ppt_test(g: Graph) -> bool:
     """Exact positivity of the dense partially transposed Laplacian; the
     reference that suites and tests hold the edge-based checks against."""
@@ -164,9 +159,11 @@ class ProductDecomposition:
 @dataclass(frozen=True)
 class BlockLineSumSymmetric:
     """Every block of the block-partitioned combinatorial matrix has matching
-    row and column sums, which forces separability."""
+    row and column sums, which forces separability.  swapped: the blocks are
+    those of the same state on the q-by-p grid, (i, j) read as (j, i)."""
 
     kind: ClassVar[str] = "block-line-sum-symmetric"
+    swapped: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,13 +178,6 @@ class PerfectEntangledMatching:
     permutation: tuple[int, ...]
     entangled_edges: tuple[tuple[Vertex, Vertex], ...]
     separable_edge_count: int
-
-
-@dataclass(frozen=True)
-class LowDimPPT:
-    """Nonnegative partial transpose on a grid small enough to be decisive."""
-
-    kind: ClassVar[str] = "low-dim-ppt"
 
 
 def _point_mass(n: int, i: int) -> SparseSymMatrix:
@@ -227,23 +217,39 @@ def reconstruct(cert: ProductDecomposition) -> SymMatrix:
     return total
 
 
-def block_lss_certificate(g: Graph) -> BlockLineSumSymmetric | None:
-    """Certificate when every q-by-q Laplacian block has equal row and column
-    sums.  Diagonal blocks always do; an edge {(i,j),(s,t)} with i < s adds
-    to row j and column t of block (i, s), whose transpose is block (s, i)."""
+def _block_line_sums_match(g: Graph, swapped: bool) -> bool:
+    """Whether every q-by-q Laplacian block has equal row and column sums,
+    with each edge read as {(j,i),(t,s)} when swapped.  Diagonal blocks
+    always do; an entangled edge {(i,j),(s,t)} with i < s adds to row j and
+    column t of block (i, s), whose transpose is block (s, i).  Any other
+    edge lies in a diagonal block or its two updates cancel."""
     excess = {}  # a plain dict: Counter calls __missing__ for every new key
     get = excess.get
     for (i, j), (s, t) in g.sorted_edges:
-        if i < s and j != t:  # a same-column edge's two updates cancel
-            excess[i, s, j] = get((i, s, j), 0) + 1
-            excess[i, s, t] = get((i, s, t), 0) - 1
-    if any(excess.values()):
-        return None
-    return BlockLineSumSymmetric()
+        if i == s or j == t:
+            continue
+        if swapped:  # the smaller swapped row comes first
+            i, j, s, t = (j, i, t, s) if j < t else (t, s, j, i)
+        excess[i, s, j] = get((i, s, j), 0) + 1
+        excess[i, s, t] = get((i, s, t), 0) - 1
+    return not any(excess.values())
+
+
+def block_lss_certificate(g: Graph) -> BlockLineSumSymmetric | None:
+    """Certificate when the Laplacian's blocks are line-sum symmetric in
+    either subsystem order, tried as given first."""
+    for swapped in (False, True):
+        if _block_line_sums_match(g, swapped):
+            return BlockLineSumSymmetric(swapped)
+    return None
 
 
 def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
     """Certificate when entangled edges perfectly match the two rows.
+
+    Not part of verdict: a perfect matching gives every column one
+    entangled edge in and one out, so block_lss_certificate always fires
+    first.  Suite 7 uses it as its own check of the matching family.
 
     Requires every first-row column and every second-row column to be used
     exactly once; partial matchings get no certificate even when they avoid
@@ -315,27 +321,16 @@ class Verdict:
     witness: object | None = None
 
 
-def _granted_certificates(g: Graph, degree: DegreeCriterionResult) -> Iterator:
-    """Every certificate of separability the graph earns, in verdict order.
-
-    Order: the all-separable product construction, block line-sum
-    symmetry, the two-row matching certificate, and last the small-grid
-    positivity rule.  Each check runs only when the next certificate is
-    asked for.  degree is degree_criterion(g), whose preserved degrees are
-    the positive partial transpose the last rule needs.
-    """
+def _granted_certificates(g: Graph) -> Iterator:
+    """Every certificate of separability the graph earns, in verdict order:
+    the all-separable product construction, then block line-sum symmetry.
+    Each check runs only when the next certificate is asked for."""
     cert = all_separable_certificate(g)
     if cert is not None:
         yield cert
     cert = block_lss_certificate(g)
     if cert is not None:
         yield cert
-    if g.dims.p == 2:
-        cert = pe_matching_certificate(g)
-        if cert is not None:
-            yield cert
-    if tuple(g.dims) in LOW_PPT_DIMS and degree.holds:
-        yield LowDimPPT()
 
 
 def _decide(degree: DegreeCriterionResult, certificates: Iterable) -> Verdict:
@@ -366,7 +361,7 @@ def verdict(g: Graph) -> Verdict:
     reported unknown.
     """
     degree = degree_criterion(g)
-    return _decide(degree, _granted_certificates(g, degree))
+    return _decide(degree, _granted_certificates(g))
 
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
@@ -392,7 +387,7 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
                     mixture[a * q + c, b * q + d] += g.degree_sum * weight * x * y
         return total_weight == 1 and mixture == laplacian_entries(g)
     if isinstance(cert, BlockLineSumSymmetric):
-        return block_lss_certificate(g) is not None
+        return _block_line_sums_match(g, cert.swapped)
     if isinstance(cert, PerfectEntangledMatching):
         if g.dims.p != 2:
             return False
@@ -407,8 +402,6 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
         if claimed != set(actual) or sorted(cert.entangled_edges) != actual:
             return False
         return cert.separable_edge_count == len(g.sorted_edges) - q
-    if isinstance(cert, LowDimPPT):
-        return tuple(g.dims) in LOW_PPT_DIMS and degree_criterion(g).holds
     return False
 
 
@@ -429,7 +422,9 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         return v.witness is None and _revalidate_certificate(g, v.certificate)
     if v.status == Status.ENTANGLED:
         return v.certificate is None and _revalidate_witness(g, v.witness)
-    return v.certificate is None and v.witness is None and degree_criterion(g).holds
+    if v.certificate is not None or v.witness is not None:
+        return False
+    return degree_criterion(g).holds and next(_granted_certificates(g), None) is None
 
 
 def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
@@ -464,7 +459,7 @@ def verdict_to_json_dict(v: Verdict) -> dict:
                 "separable_edge_count": c.separable_edge_count,
             }
         else:
-            cert = {"kind": c.kind}
+            cert = {"kind": c.kind, "swapped": c.swapped}
     wit = None
     if v.witness is not None:
         w = v.witness

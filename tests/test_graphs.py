@@ -100,6 +100,7 @@ def test_loops_do_not_touch_matrices():
     )
     assert laplacian(base) == laplacian(with_loop)
     assert with_loop.loops == ((2, 1),)
+    assert with_loop.loops is with_loop.loops  # computed once, like sorted_edges
     assert with_loop.degree_sum == base.degree_sum
     assert len(with_loop.sorted_edges) == 1
 

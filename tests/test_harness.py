@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
 from graphsep.graphs import Dims, star_graph
 from graphsep.harness import (
@@ -13,6 +14,7 @@ from graphsep.harness import (
     suite_instance,
     trial_seed,
 )
+from graphsep.separability import BlockLineSumSymmetric, _block_line_sums_match
 
 
 def test_trial_seed_frozen_values():
@@ -184,3 +186,23 @@ def test_unknown_count_tracked_but_not_serialized():
     report = run_suite(0, (3, 3), 30, 2)
     assert report.unknown_count >= 0
     assert "unknown_count" not in report.to_json_dict()
+
+
+@pytest.mark.parametrize("dims", [(4, 2), (5, 2)])
+def test_suite0_decides_every_two_column_grid(dims):
+    # suite 0 fails any UNKNOWN verdict on a grid with a side of 2
+    report = run_suite(0, dims, 300, 1)
+    assert report.ok
+    assert report.unknown_count == 0
+
+
+def test_suite0_fails_unknown_on_two_column_grid(monkeypatch):
+    # with the block check held to the subsystem order as given, some 4x2
+    # graphs go unknown, and suite 0 reports each of them
+    def as_given(g):
+        return BlockLineSumSymmetric() if _block_line_sums_match(g, False) else None
+
+    monkeypatch.setattr(graphsep.separability, "block_lss_certificate", as_given)
+    report = run_suite(0, (4, 2), 300, 1)
+    assert report.unknown_count == 3
+    assert [f.reason for f in report.failures] == ["small-grid-verdict-unknown"] * 3

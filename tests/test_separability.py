@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphsep.graphs
@@ -17,6 +18,7 @@ from graphsep.errors import (
 from graphsep.graphs import (
     Dims,
     EdgeClass,
+    Graph,
     build_graph,
     classify_edge,
     complete_graph,
@@ -35,7 +37,6 @@ from graphsep.graphs import (
 from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
-    LowDimPPT,
     PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,
@@ -173,10 +174,23 @@ def test_product_decomposition_denied_with_entangled_edge():
     assert all_separable_certificate(g) is None
 
 
+def swap_subsystems(g):
+    """The same state with its subsystems exchanged: (i, j) becomes (j, i)."""
+    p, q = g.dims
+    return build_graph(Dims(q, p), [frozenset((j, i) for i, j in e) for e in g.edges])
+
+
+MATCHING_2X4 = pe_matching_graph(Dims(2, 4), (2, 3, 4, 1))
+
+
 def test_block_certificate():
-    assert block_lss_certificate(complete_graph(Dims(2, 2))) is not None
-    assert block_lss_certificate(complete_graph(Dims(3, 3))) is not None
+    assert block_lss_certificate(complete_graph(Dims(2, 2))) == BlockLineSumSymmetric(False)
+    assert block_lss_certificate(complete_graph(Dims(3, 3))) == BlockLineSumSymmetric(False)
     assert block_lss_certificate(star_graph(Dims(2, 2))) is None
+    # the 2x4 matching is certified as given, its 4x2 swap only in swapped order
+    assert block_lss_certificate(MATCHING_2X4) == BlockLineSumSymmetric(False)
+    swapped = swap_subsystems(MATCHING_2X4)
+    assert block_lss_certificate(swapped) == BlockLineSumSymmetric(True)
 
 
 def test_pe_certificate_full_matching():
@@ -261,20 +275,23 @@ LOW_DIM_CYCLE = [
 
 
 def test_verdict_low_dim_ppt_rule():
-    # degree-preserving entangled cycle on 3x2: no other certificate applies
+    # degree-preserving entangled cycle on 3x2: its blocks are line-sum
+    # symmetric only with the subsystems swapped, on the 2x3 grid
     g = build_graph(Dims(3, 2), LOW_DIM_CYCLE)
     assert ppt_test(g)
-    assert block_lss_certificate(g) is None
     v = verdict(g)
     assert v.status == Status.SEPARABLE
-    assert isinstance(v.certificate, LowDimPPT)
+    assert v.certificate == BlockLineSumSymmetric(swapped=True)
     assert revalidate(g, v)
+    assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric()))
 
 
+# degree-preserving, but line-sum symmetric in neither subsystem order
 UNKNOWN_EDGES = [
     frozenset({(1, 1), (2, 2)}),
-    frozenset({(1, 2), (3, 1)}),
-    frozenset({(2, 1), (3, 2)}),
+    frozenset({(1, 2), (2, 3)}),
+    frozenset({(1, 3), (3, 1)}),
+    frozenset({(2, 1), (3, 3)}),
 ]
 
 
@@ -328,8 +345,14 @@ def test_revalidate_rejects_tampered_evidence():
     # quadratic witness whose density scale uses the wrong degree sum
     rescaled = QuadraticWitness(w.vector, w.value, 999)
     assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=rescaled))
-    # unknown claim for a decided graph
+    # unknown claim for a decided graph, entangled or separable
     assert not revalidate(star, Verdict(Status.UNKNOWN))
+    assert not revalidate(complete_graph(Dims(3, 3)), Verdict(Status.UNKNOWN))
+    # block certificate claiming the subsystem order that does not hold
+    claim = Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric(swapped=True))
+    assert not revalidate(MATCHING_2X4, claim)
+    claim = Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric(swapped=False))
+    assert not revalidate(swap_subsystems(MATCHING_2X4), claim)
     # matching permutation that does not cover the edges
     g = pe_matching_graph(Dims(2, 3), (2, 3, 1))
     wrong = PerfectEntangledMatching((3, 1, 2), (), 0)
@@ -373,7 +396,7 @@ def test_verdict_json_shapes():
     d = verdict_to_json_dict(verdict(complete_graph(Dims(2, 2))))
     assert d == {
         "verdict": "separable",
-        "certificate": {"kind": "block-line-sum-symmetric"},
+        "certificate": {"kind": "block-line-sum-symmetric", "swapped": False},
         "witness": None,
     }
 
@@ -386,6 +409,14 @@ def test_verdict_json_shapes():
         ["1/2", "-1/2"],
         ["-1/2", "1/2"],
     ]
+
+    # the subsystem order is a JSON key; text names it only when swapped
+    for g, swapped, suffix in ((MATCHING_2X4, False, ""),
+                               (swap_subsystems(MATCHING_2X4), True, ", subsystems swapped")):
+        d = verdict_to_json_dict(verdict(g))
+        assert d["certificate"] == {"kind": "block-line-sum-symmetric", "swapped": swapped}
+        head = render_text(analyze(g)).splitlines()[0]
+        assert head == f"verdict: separable (block-line-sum-symmetric{suffix})"
 
     d = verdict_to_json_dict(verdict(build_graph(Dims(3, 3), UNKNOWN_EDGES)))
     assert d == {"verdict": "unknown", "certificate": None, "witness": None}
@@ -475,6 +506,19 @@ def dense_blocks_line_sum_symmetric(lap, dims):
     return True
 
 
+def assert_block_certificate_matches_dense(g):
+    """block_lss_certificate against the dense block sums of g and of its
+    subsystem swap: the order as given wins when both hold."""
+    direct = dense_blocks_line_sum_symmetric(laplacian(g), g.dims)
+    sw = swap_subsystems(g)
+    swapped = dense_blocks_line_sum_symmetric(laplacian(sw), sw.dims)
+    cert = block_lss_certificate(g)
+    if direct or swapped:
+        assert cert == BlockLineSumSymmetric(swapped=not direct)
+    else:
+        assert cert is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(pt_paired_graphs(), st.data())
 def test_degree_preservation_equals_exact_ppt(g, data):
@@ -488,8 +532,7 @@ def test_degree_preservation_equals_exact_ppt(g, data):
     degree = degree_criterion(g)
     assert degree.holds == is_psd_exact(pt)
     assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
-    blocks = block_lss_certificate(g) is not None
-    assert blocks == dense_blocks_line_sum_symmetric(lap, g.dims)
+    assert_block_certificate_matches_dense(g)
     x = data.draw(
         st.lists(
             st.fractions(min_value=-3, max_value=3, max_denominator=7),
@@ -522,8 +565,7 @@ def test_edge_shortcuts_match_dense_references(g):
     pt = partial_transpose(lap, g.dims)
     degree = degree_criterion(g)
     assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
-    blocks = block_lss_certificate(g) is not None
-    assert blocks == dense_blocks_line_sum_symmetric(lap, g.dims)
+    assert_block_certificate_matches_dense(g)
     classes = [classify_edge(e) for e in g.edges]
     entangled = EdgeClass.ENTANGLED in classes
     assert (all_separable_certificate(g) is None) == entangled
@@ -673,3 +715,60 @@ def test_separable_verdicts_pass_realignment(g):
     rho = np.array(density_matrix(g).rows, dtype=float)
     realigned = rho.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
     assert np.linalg.svd(realigned, compute_uv=False).sum() <= 1 + 1e-9
+
+
+def test_no_small_grid_verdict_is_unknown():
+    # every edge set on 2x2, 2x3 and 3x2: on a 2xQ grid line-sum symmetry of
+    # the one off-diagonal block is degree preservation, and a Px2 grid is
+    # a 2xP grid with its subsystems swapped
+    for dims in (Dims(2, 2), Dims(2, 3), Dims(3, 2)):
+        pool = complete_graph(dims).sorted_edges
+        for mask in range(1, 1 << len(pool)):
+            edges = frozenset(frozenset(e) for k, e in enumerate(pool) if mask >> k & 1)
+            assert verdict(Graph(dims, edges)).status != Status.UNKNOWN, (dims, edges)
+
+
+METAMORPHIC_GRIDS = [Dims(2, 4), Dims(4, 2), Dims(3, 3), Dims(3, 4), Dims(4, 3), Dims(4, 4)]
+
+
+@st.composite
+def frontier_graphs(draw):
+    """Graphs on METAMORPHIC_GRIDS, three in four of them degree-preserving.
+
+    Those are rejection-sampled: 2-6 entangled edges are drawn until the
+    degrees hold, so they reach past the certificates to UNKNOWN.  Up to
+    three separable edges are added, which change neither the degrees nor
+    the block sums.  The rest are random_graph draws, mostly entangled.
+    """
+    dims = draw(st.sampled_from(METAMORPHIC_GRIDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if not draw(st.integers(0, 3)):
+        ns = rng.randint(0, separable_pool_size(dims))
+        ne = rng.randint(0 if ns else 1, entangled_pool_size(dims))
+        return random_graph(dims, ns, ne, rng.randrange(2**31))
+    entangled = entangled_edge_pool(dims)
+    separable = rng.sample(separable_edge_pool(dims), rng.randint(0, 3))
+    while True:
+        edges = rng.sample(entangled, rng.randint(2, 6)) + separable
+        g = build_graph(dims, [frozenset(e) for e in edges])
+        if degree_criterion(g).holds:
+            return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_graphs(), st.integers(0, 2**32 - 1))
+@example(MATCHING_2X4, 0)
+def test_verdict_invariant_under_relabelling(g, seed):
+    # separability survives relabelling the rows, the columns, or swapping
+    # the two subsystems, so the verdict must too
+    p, q = g.dims
+    rng = random.Random(seed)
+    rows, cols = rng.sample(range(1, p + 1), p), rng.sample(range(1, q + 1), q)
+
+    def relabelled(f):
+        return build_graph(g.dims, [frozenset(map(f, e)) for e in g.edges])
+
+    status = verdict(g).status
+    assert verdict(relabelled(lambda v: (rows[v[0] - 1], v[1]))).status == status
+    assert verdict(relabelled(lambda v: (v[0], cols[v[1] - 1]))).status == status
+    assert verdict(swap_subsystems(g)).status == status
