@@ -65,6 +65,7 @@ from .matrix import (
     is_psd_exact,
     kron,
     partial_transpose,
+    partial_transpose_entries,
 )
 from .report import (
     AnalysisReport,

@@ -14,12 +14,12 @@ US-ASCII.
 from __future__ import annotations
 
 from .errors import GraphFileError, OutOfRangeError
-from .graphs import Dims, Graph, build_graph
+from .graphs import Dims, Graph
 
 
 def parse_graph_text(text: str) -> Graph:
     dims: Dims | None = None
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.isascii():
             raise GraphFileError("non-ASCII character", line=lineno)
@@ -57,12 +57,12 @@ def parse_graph_text(text: str) -> Graph:
                         raise OutOfRangeError(
                             f"vertex ({a},{b}) outside {p}x{q} grid", line=lineno
                         )
-            edges.append(frozenset({(i, j), (s, t)}))
+            edges.add(frozenset({(i, j), (s, t)}))
         else:
             raise GraphFileError(f"unknown keyword {keyword!r}", line=lineno)
     if dims is None:
         raise GraphFileError("missing dims header")
-    return build_graph(dims, edges)
+    return Graph(dims, frozenset(edges))
 
 
 def _parse_int(field: str, lineno: int) -> int:

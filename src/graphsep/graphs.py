@@ -74,6 +74,13 @@ class Graph:
     dims: Dims
     edges: frozenset[Edge]
 
+    def __post_init__(self):
+        """Require a non-loop edge; the callers check each edge's vertices."""
+        if not self.edges:
+            raise EmptyEdgeSetError("graph needs at least one edge")
+        if all(len(e) == 1 for e in self.edges):
+            raise OnlyLoopsError("graph has loops only; no matrix is defined")
+
     @property
     def n(self) -> int:
         return self.dims.n
@@ -110,10 +117,6 @@ def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
                     f"vertex ({i},{j}) outside {dims.p}x{dims.q} grid"
                 )
         edge_set.add(e)
-    if not edge_set:
-        raise EmptyEdgeSetError("graph needs at least one edge")
-    if all(len(e) == 1 for e in edge_set):
-        raise OnlyLoopsError("graph has loops only; no matrix is defined")
     return Graph(dims, frozenset(edge_set))
 
 

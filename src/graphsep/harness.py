@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,20 +24,19 @@ from .graphs import (
     build_graph,
     classify_edge,
     complete_graph,
-    density_matrix,
     entangled_edge_pool,
-    laplacian,
+    laplacian_entries,
     linear_index,
     separable_edge_pool,
     star_graph,
     tensor_product,
 )
 from .matrix import (
-    SymMatrix,
+    SparseSymMatrix,
     exact_str,
     float12,
     is_psd_exact,
-    partial_transpose,
+    partial_transpose_entries,
 )
 from .report import density_eigenvalues
 from .separability import (
@@ -192,18 +192,17 @@ def _first_entangled_edge(g: Graph):
     return None
 
 
-def _uniform_edge_mixture(g: Graph) -> SymMatrix:
-    n = g.n
-    m = len(g.sorted_edges)
-    w = Fraction(1, 2 * m)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _uniform_edge_mixture(g: Graph) -> Counter:
+    """degree_sum times the uniform mixture of the edges' difference
+    projectors, by 0-based (row, column)."""
+    mixture = Counter()
     for u, v in g.sorted_edges:
         r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
-        rows[r][r] += w
-        rows[c][c] += w
-        rows[r][c] -= w
-        rows[c][r] -= w
-    return SymMatrix(tuple(tuple(row) for row in rows))
+        mixture[r, r] += 1
+        mixture[c, c] += 1
+        mixture[r, c] -= 1
+        mixture[c, r] -= 1
+    return mixture
 
 
 def _run_trial(suite: int, dims: Dims, tseed: int):
@@ -242,8 +241,8 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
             v.certificate, BlockLineSumSymmetric
         ):
             return "complete-not-separable-by-blocks", None, g, False
-        lap = laplacian(g)
-        if partial_transpose(lap, g.dims) != lap:
+        lap = laplacian_entries(g)
+        if partial_transpose_entries(lap, g.dims) != lap:
             return "complete-not-fixed-by-partial-transpose", None, g, False
         star = star_graph(dims)
         vs = verdict(star)
@@ -266,22 +265,26 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         if not ppt_test(g):
             return "partial-transpose-not-positive", None, g, False
         return None, None, g, False
-    # suite 0: structural invariants and cross-consistency
-    lap = laplacian(g)
-    sigma = density_matrix(g)
-    if sigma != _uniform_edge_mixture(g):
+    # suite 0: structural invariants and cross-consistency, on integer entry
+    # maps: degree_sum times the density matrix is the Laplacian
+    lap = laplacian_entries(g)
+    diagonal = {r: x for (r, c), x in lap.items() if r == c}
+    if _uniform_edge_mixture(g) != lap or sum(diagonal.values()) != g.degree_sum:
         return "density-not-uniform-edge-mixture", None, g, False
-    pt = partial_transpose(lap, g.dims)
-    if partial_transpose(pt, g.dims) != lap:
+    pt = partial_transpose_entries(lap, g.dims)
+    if partial_transpose_entries(pt, g.dims) != lap:
         return "partial-transpose-not-involutive", None, g, False
-    if pt.trace() != lap.trace():
+    pt_diagonal = {r: x for (r, c), x in pt.items() if r == c}
+    if sum(pt_diagonal.values()) != g.degree_sum:
         return "partial-transpose-changed-trace", None, g, False
-    if pt.diagonal() != lap.diagonal():
+    if pt_diagonal != diagonal:
         return "partial-transpose-changed-diagonal", None, g, False
-    if not is_psd_exact(lap):
+    if pt != pt_laplacian_entries(g):
+        return "partial-transpose-disagrees-with-edge-rule", None, g, False
+    if not is_psd_exact(SparseSymMatrix(g.n, lap)):
         return "laplacian-not-psd", None, g, False
-    ppt = is_psd_exact(pt)
-    min_eigenvalue = density_eigenvalues(pt_laplacian_entries(g), g)[0]
+    ppt = is_psd_exact(SparseSymMatrix(g.n, pt))
+    min_eigenvalue = density_eigenvalues(pt, g)[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
         return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):

@@ -129,24 +129,25 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     )
 
 
-def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
-    """Transpose each q-by-q block of an n-by-n matrix, n = p*q.
+def partial_transpose_entries(entries: Mapping[tuple[int, int], Entry], dims) -> dict:
+    """Partial transpose of the entries by 0-based (row, column), vertices
+    row-major on a p-by-q grid: the entry at ((a, b), (x, y)) moves to
+    ((a, y), (x, b)).  An involution that keeps the diagonal."""
+    q = dims[1]
+    out = {}
+    for (r, c), x in entries.items():
+        (a, b), (s, t) = divmod(r, q), divmod(c, q)
+        out[a * q + t, s * q + b] = x
+    return out
 
-    Blocks follow the row-major vertex order, so they align with the first
-    subsystem.  The map is an involution and preserves trace and diagonal.
-    """
+
+def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
+    """Transpose each q-by-q block of an n-by-n matrix, n = p*q."""
     p, q = dims
     n = mat.order
     if p < 1 or q < 1 or p * q != n:
         raise DimMismatchError(f"order {n} does not factor as {p}*{q}")
-    rows = tuple(
-        tuple(
-            mat.rows[(row // q) * q + (col % q)][(col // q) * q + (row % q)]
-            for col in range(n)
-        )
-        for row in range(n)
-    )
-    return SymMatrix(rows)
+    return SparseSymMatrix(n, partial_transpose_entries(mat.entries, dims)).dense()
 
 
 def _check_entries(entries: Mapping[tuple[int, int], Entry], n: int) -> None:

@@ -125,7 +125,8 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     else:
         least = spec["partial_transpose"][0]
     ppt = PPTResult(degree.holds, least)
-    certificates = tuple(_granted_certificates(g))
+    # each certificate makes the state PPT, so it needs preserved degrees
+    certificates = tuple(_granted_certificates(g)) if degree.holds else ()
     v = _decide(degree, certificates)
     if not revalidate(g, v):
         raise RuntimeError("verdict evidence failed revalidation")

@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     Vertex,
     classify_edge,
-    laplacian,
     laplacian_entries,
     linear_index,
 )
@@ -40,13 +39,15 @@ from .matrix import (
     exact_str,
     is_psd_exact,
     kron,
-    partial_transpose,
+    partial_transpose_entries,
 )
 
+
 def ppt_test(g: Graph) -> bool:
-    """Exact positivity of the dense partially transposed Laplacian; the
-    reference that suites and tests hold the edge-based checks against."""
-    return is_psd_exact(partial_transpose(laplacian(g), g.dims))
+    """Exact positivity of the Laplacian's partial transpose by the generic
+    index rule; the reference for the edge-based checks."""
+    pt = partial_transpose_entries(laplacian_entries(g), g.dims)
+    return is_psd_exact(SparseSymMatrix(g.n, pt))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ edge 1 1 1 2
     assert len(g.sorted_edges) == 2
 
 
+def test_parse_collapses_duplicate_edges():
+    g = parse_graph_text("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 1\nedge 1 2 1 2\nedge 1 1 2 2\n")
+    assert g == build_graph(Dims(2, 2), [{(1, 1), (2, 2)}, {(1, 2)}])
+    assert len(g.edges) == 2
+
+
 def test_parse_loop_edge():
     g = parse_graph_text("dims 2 2\nedge 1 1 2 2\nedge 2 1 2 1\n")
     assert g.loops == ((2, 1),)

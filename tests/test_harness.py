@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import graphsep.graphs
+import graphsep.harness
 import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
 from graphsep.graphs import Dims, star_graph
@@ -14,7 +16,12 @@ from graphsep.harness import (
     suite_instance,
     trial_seed,
 )
-from graphsep.separability import BlockLineSumSymmetric, _block_line_sums_match
+from graphsep.matrix import SymMatrix
+from graphsep.separability import (
+    BlockLineSumSymmetric,
+    _block_line_sums_match,
+    pt_laplacian_entries,
+)
 
 
 def test_trial_seed_frozen_values():
@@ -206,3 +213,30 @@ def test_suite0_fails_unknown_on_two_column_grid(monkeypatch):
     report = run_suite(0, (4, 2), 300, 1)
     assert report.unknown_count == 3
     assert [f.reason for f in report.failures] == ["small-grid-verdict-unknown"] * 3
+
+
+def test_suites_build_no_dense_matrix(monkeypatch):
+    # every reference check runs on integer entry maps
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(SymMatrix, "__post_init__", dense)
+    for name in ("laplacian", "density_matrix"):
+        monkeypatch.setattr(graphsep.graphs, name, dense)
+    for suite in SUITE_IDS:
+        dims = (2, 4) if suite == 7 else (3, 3)
+        assert run_suite(suite, dims, 20, 5).ok, suite
+
+
+def test_suite0_holds_the_edge_rule_to_the_index_rule(monkeypatch):
+    # the edge-based partial transpose is checked against the generic one:
+    # losing one off-diagonal entry fails every trial
+    def lossy(g):
+        entries = pt_laplacian_entries(g)
+        del entries[next(k for k in entries if k[0] != k[1])]
+        return entries
+
+    monkeypatch.setattr(graphsep.harness, "pt_laplacian_entries", lossy)
+    report = run_suite(0, (3, 3), 10, 1)
+    reasons = [f.reason for f in report.failures]
+    assert reasons == ["partial-transpose-disagrees-with-edge-rule"] * 10

@@ -24,6 +24,7 @@ from graphsep.matrix import (
     is_psd_exact,
     kron,
     partial_transpose,
+    partial_transpose_entries,
 )
 
 
@@ -125,6 +126,38 @@ def test_partial_transpose_involution_trace_diagonal(dims, data):
     assert partial_transpose(pt, dims) == m
     assert pt.trace() == m.trace()
     assert pt.diagonal() == m.diagonal()
+
+
+@st.composite
+def grid_entry_maps(draw):
+    """A p-by-q grid, p and q in 1..4, and the nonzero entries by 0-based
+    (row, column) of a random symmetric integer matrix on its vertices."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = p * q
+    position = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    drawn = draw(st.dictionaries(position, st.integers(-9, 9).filter(bool), max_size=2 * n))
+    entries = {}
+    for (r, c), x in drawn.items():
+        entries[r, c] = entries[c, r] = x
+    return (p, q), entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_entry_maps())
+def test_partial_transpose_entries_match_numpy(case):
+    # numpy's axis swap is an independent oracle, exact on ints: the entry at
+    # ((a, b), (x, y)) moves to ((a, y), (x, b))
+    (p, q), entries = case
+    n = p * q
+    a = np.zeros((n, n), dtype=np.int64)
+    for (r, c), x in entries.items():
+        a[r, c] = x
+    want = a.reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
+    pt = partial_transpose_entries(entries, (p, q))
+    assert pt == {(int(r), int(c)): int(want[r, c]) for r, c in zip(*np.nonzero(want))}
+    assert partial_transpose_entries(pt, (p, q)) == entries
+    dense = SymMatrix(tuple(tuple(int(x) for x in row) for row in a))
+    assert partial_transpose(dense, (p, q)) == SparseSymMatrix(n, pt).dense()
 
 
 def test_psd_known_cases():

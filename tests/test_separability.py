@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graphsep.graphs
+import graphsep.matrix
 import graphsep.report
 import graphsep.separability
 from graphsep.errors import (
@@ -42,6 +43,7 @@ from graphsep.separability import (
     QuadraticWitness,
     Status,
     Verdict,
+    _block_line_sums_match,
     all_separable_certificate,
     block_lss_certificate,
     degree_criterion,
@@ -579,6 +581,26 @@ def test_edge_shortcuts_match_dense_references(g):
 
 
 @settings(max_examples=150, deadline=None)
+@given(random_grid_graphs_with_loops())
+def test_degree_violating_graphs_earn_no_certificate(g):
+    # why analyze asks for no certificate once degrees change: each one makes
+    # the state separable, so PPT, so degree-preserving
+    assume(not degree_criterion(g).holds)
+    assert all_separable_certificate(g) is None
+    assert not _block_line_sums_match(g, False)
+    assert not _block_line_sums_match(g, True)
+
+
+def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
+    def granted(g):
+        raise AssertionError("certificates asked for")
+
+    monkeypatch.setattr(graphsep.report, "_granted_certificates", granted)
+    r = analyze(star_graph(Dims(3, 3)))
+    assert r.verdict.status == Status.ENTANGLED and r.certificates == ()
+
+
+@settings(max_examples=150, deadline=None)
 @given(pt_paired_graphs())
 def test_sparse_purity_and_product_revalidation_match_dense(g):
     sigma = density_matrix(g)
@@ -610,7 +632,8 @@ def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
 
     for name in ("laplacian", "density_matrix"):
         monkeypatch.setattr(graphsep.graphs, name, dense)
-    for name in ("laplacian", "partial_transpose", "kron", "reconstruct"):
+    monkeypatch.setattr(graphsep.matrix, "partial_transpose", dense)
+    for name in ("kron", "reconstruct"):
         monkeypatch.setattr(graphsep.separability, name, dense)
     grid = Dims(100, 100)
     rows_and_columns = [
