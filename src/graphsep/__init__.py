@@ -69,14 +69,12 @@ from .matrix import (
 )
 from .report import (
     AnalysisReport,
-    PPTResult,
     analyze,
     render_text,
     report_json_dict,
 )
 from .separability import (
     BlockLineSumSymmetric,
-    DegreeCriterionResult,
     DegreeCriterionWitness,
     PerfectEntangledMatching,
     ProductDecomposition,

@@ -146,13 +146,11 @@ def _cmd_generate(args) -> int:
         i, j, s, t = args.edge
         g = single_edge_graph(Dims(args.p, args.q), {(i, j), (s, t)})
     elif args.family == "pe-matching":
-        if args.p != 2:
-            raise BadParamsError(f"matching family needs --p 2, got {args.p}")
         try:
             pi = tuple(int(x) for x in args.pi.split(","))
         except ValueError:
             raise BadParamsError(f"--pi must be comma-separated integers, got {args.pi!r}")
-        g = pe_matching_graph(Dims(2, args.q), pi)
+        g = pe_matching_graph(Dims(args.p, args.q), pi)
     else:
         g = random_graph(
             Dims(args.p, args.q), args.separable, args.entangled, args.seed

@@ -41,6 +41,7 @@ from .matrix import (
 from .report import density_eigenvalues
 from .separability import (
     BlockLineSumSymmetric,
+    DegreeCriterionWitness,
     Status,
     all_separable_certificate,
     block_lss_certificate,
@@ -124,10 +125,9 @@ class SuiteReport:
         return out
 
 
-def _random_separable(rng: random.Random, dims: Dims, at_least_one: bool = False):
+def _random_separable(rng: random.Random, dims: Dims):
     pool = separable_edge_pool(dims)
-    low = 1 if at_least_one else 0
-    count = rng.randint(low, len(pool))
+    count = rng.randint(0, len(pool))
     return [frozenset(e) for e in rng.sample(pool, count)]
 
 
@@ -248,11 +248,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         vs = verdict(star)
         if vs.status != Status.ENTANGLED or vs.witness is None:
             return "star-not-entangled", None, star, False
-        expected_row = (dims.p - 1) * dims.q + 1
-        if (
-            getattr(vs.witness, "row", None) != expected_row
-            or getattr(vs.witness, "row_sum", None) != -(dims.q - 1)
-        ):
+        if vs.witness != DegreeCriterionWitness((dims.p - 1) * dims.q + 1, -(dims.q - 1)):
             return "star-degree-witness-wrong-row", None, star, False
         return None, None, g, False
     if suite == 7:
@@ -289,7 +285,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):
         return "certificate-granted-despite-negative-partial-transpose", None, g, False
-    if ppt != degree_criterion(g).holds:
+    if ppt != (degree_criterion(g) is None):
         return "degree-and-positivity-tests-disagree", None, g, False
     v = verdict(g)
     unknown = v.status == Status.UNKNOWN

@@ -17,7 +17,7 @@ from .errors import BadDimsError
 from .graphs import EdgeClass, Graph, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12
 from .separability import (
-    DegreeCriterionResult,
+    DegreeCriterionWitness,
     Status,
     Verdict,
     _decide,
@@ -34,20 +34,12 @@ MAX_DENSE_VERTICES = 1024
 
 
 @dataclass(frozen=True)
-class PPTResult:
-    """Exact partial-transpose positivity plus a float spectral estimate."""
-
-    holds: bool
-    min_eigenvalue_estimate: float
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     graph: Graph
     edge_classes: dict
     purity: Fraction
-    ppt: PPTResult
-    degree: DegreeCriterionResult
+    min_eigenvalue_estimate: float
+    degree: DegreeCriterionWitness | None  # None: degrees preserved, so PPT
     certificates: tuple[str, ...]
     verdict: Verdict
     spectrum: dict | None
@@ -118,15 +110,14 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     }
     degree = degree_criterion(g)
     spec = spectrum(g) if include_spectrum else None
-    if degree.holds:  # the partial transpose is a graph Laplacian: least eigenvalue 0
+    if degree is None:  # the partial transpose is a graph Laplacian: least eigenvalue 0
         least = 0.0
     elif spec is None:
         least = density_eigenvalues(pt_laplacian_entries(g), g)[0]
     else:
         least = spec["partial_transpose"][0]
-    ppt = PPTResult(degree.holds, least)
     # each certificate makes the state PPT, so it needs preserved degrees
-    certificates = tuple(_granted_certificates(g)) if degree.holds else ()
+    certificates = tuple(_granted_certificates(g)) if degree is None else ()
     v = _decide(degree, certificates)
     if not revalidate(g, v):
         raise RuntimeError("verdict evidence failed revalidation")
@@ -139,7 +130,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
         purity=Fraction(
             sum(d * d for d in degrees.values()) + g.degree_sum, g.degree_sum**2
         ),
-        ppt=ppt,
+        min_eigenvalue_estimate=least,
         degree=degree,
         certificates=tuple(c.kind for c in certificates),
         verdict=v,
@@ -148,7 +139,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
 
 
 def report_json_dict(r: AnalysisReport) -> dict:
-    g = r.graph
+    g, d = r.graph, r.degree
     out = verdict_to_json_dict(r.verdict)
     out.update(
         {
@@ -160,17 +151,13 @@ def report_json_dict(r: AnalysisReport) -> dict:
             "edge_classes": r.edge_classes,
             "purity": exact_str(r.purity),
             "ppt": {
-                "holds": r.ppt.holds,
-                "min_eigenvalue_estimate": float12(r.ppt.min_eigenvalue_estimate),
+                "holds": d is None,
+                "min_eigenvalue_estimate": float12(r.min_eigenvalue_estimate),
             },
             "degree_criterion": {
-                "holds": r.degree.holds,
-                "violating_row": r.degree.violating_row,
-                "row_sum": (
-                    exact_str(r.degree.row_sum)
-                    if r.degree.row_sum is not None
-                    else None
-                ),
+                "holds": d is None,
+                "violating_row": None if d is None else d.row,
+                "row_sum": None if d is None else exact_str(d.row_sum),
             },
             "certificates": list(r.certificates),
         }
@@ -180,29 +167,16 @@ def report_json_dict(r: AnalysisReport) -> dict:
     return out
 
 
-def _witness_line(v: Verdict) -> str | None:
-    w = v.witness
-    if w is None:
-        return None
-    if w.kind == "degree-criterion":
-        return f"witness: degree change at row {w.row}, sum {exact_str(w.row_sum)}"
-    return (
-        f"witness: quadratic form value {exact_str(w.value)}"
-        f" (density scale {exact_str(Fraction(w.value, w.degree_sum))})"
-    )
-
-
 def render_text(r: AnalysisReport) -> str:
-    g = r.graph
-    v = r.verdict
+    g, d, v = r.graph, r.degree, r.verdict
     if v.status == Status.SEPARABLE:
         swapped = ", subsystems swapped" if getattr(v.certificate, "swapped", False) else ""
         lines = [f"verdict: separable ({v.certificate.kind}{swapped})"]
     elif v.status == Status.ENTANGLED:
-        lines = ["verdict: entangled"]
-        wline = _witness_line(v)
-        if wline:
-            lines.append(wline)
+        lines = [
+            "verdict: entangled",
+            f"witness: degree change at row {d.row}, sum {exact_str(d.row_sum)}",
+        ]
     else:
         lines = ["verdict: unknown"]
     lines.append(f"dims: {g.dims.p}x{g.dims.q} ({g.n} vertices)")
@@ -215,16 +189,13 @@ def render_text(r: AnalysisReport) -> str:
     lines.append(f"purity: {exact_str(r.purity)}")
     lines.append(
         "partial transpose positive: "
-        + ("yes" if r.ppt.holds else "no")
-        + f" (min eigenvalue about {r.ppt.min_eigenvalue_estimate:.6g})"
+        + ("yes" if d is None else "no")
+        + f" (min eigenvalue about {r.min_eigenvalue_estimate:.6g})"
     )
-    if r.degree.holds:
+    if d is None:
         lines.append("degrees preserved: yes")
     else:
-        lines.append(
-            "degrees preserved: no"
-            f" (row {r.degree.violating_row} sum {exact_str(r.degree.row_sum)})"
-        )
+        lines.append(f"degrees preserved: no (row {d.row} sum {exact_str(d.row_sum)})")
     lines.append(
         "certificates: " + (", ".join(r.certificates) if r.certificates else "none")
     )

@@ -51,18 +51,14 @@ def ppt_test(g: Graph) -> bool:
 
 
 @dataclass(frozen=True)
-class DegreeCriterionResult:
-    """Whether the partial transpose preserves every vertex degree.
+class DegreeCriterionWitness:
+    """The last 1-based row of the partially transposed Laplacian whose sum
+    went negative.  The sums total zero, so a nonzero sum anywhere
+    guarantees a negative one somewhere."""
 
-    When it does not, violating_row names the last 1-based row of the
-    partially transposed combinatorial matrix whose sum went negative.  The
-    sums total zero, so a nonzero sum anywhere guarantees a negative one
-    somewhere.
-    """
-
-    holds: bool
-    violating_row: int | None = None
-    row_sum: int | None = None
+    kind: ClassVar[str] = "degree-criterion"
+    row: int
+    row_sum: int
 
 
 def _pt_row_sums(g: Graph) -> dict[int, int]:
@@ -97,11 +93,11 @@ def pt_laplacian_entries(g: Graph) -> Counter:
     return entries
 
 
-def degree_criterion(g: Graph) -> DegreeCriterionResult:
+def degree_criterion(g: Graph) -> DegreeCriterionWitness | None:
+    """Witness that the partial transpose changes a vertex degree, or None
+    when every degree is preserved."""
     negative = [(row, x) for row, x in _pt_row_sums(g).items() if x < 0]
-    if not negative:
-        return DegreeCriterionResult(True)
-    return DegreeCriterionResult(False, *max(negative))
+    return DegreeCriterionWitness(*max(negative)) if negative else None
 
 
 def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
@@ -279,13 +275,6 @@ def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
 
 
 @dataclass(frozen=True)
-class DegreeCriterionWitness:
-    kind: ClassVar[str] = "degree-criterion"
-    row: int
-    row_sum: int
-
-
-@dataclass(frozen=True)
 class QuadraticWitness:
     """Vector x with x^T M x < 0 against the partially transposed matrix.
 
@@ -334,17 +323,14 @@ def _granted_certificates(g: Graph) -> Iterator:
         yield cert
 
 
-def _decide(degree: DegreeCriterionResult, certificates: Iterable) -> Verdict:
-    """Verdict from the degree check and the granted certificates.
+def _decide(witness: DegreeCriterionWitness | None, certificates: Iterable) -> Verdict:
+    """Verdict from the degree check's witness and the granted certificates.
 
     Certificates are consulted only when degrees are preserved, and then
     only the first one is taken.
     """
-    if not degree.holds:
-        return Verdict(
-            Status.ENTANGLED,
-            witness=DegreeCriterionWitness(degree.violating_row, degree.row_sum),
-        )
+    if witness is not None:
+        return Verdict(Status.ENTANGLED, witness=witness)
     cert = next(iter(certificates), None)
     if cert is None:
         return Verdict(Status.UNKNOWN)
@@ -361,25 +347,27 @@ def verdict(g: Graph) -> Verdict:
     in _granted_certificates order.  Anything none of them certifies is
     reported unknown.
     """
-    degree = degree_criterion(g)
-    return _decide(degree, _granted_certificates(g))
+    return _decide(degree_criterion(g), _granted_certificates(g))
 
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
     if isinstance(cert, ProductDecomposition):
-        if not cert.terms:
+        if not isinstance(cert.terms, tuple) or not cert.terms:
             return False
         q = g.dims.q
         total_weight = Fraction(0)
         mixture = Counter()  # degree_sum times the mixture, sparse like the Laplacian
-        for weight, row_factor, col_factor in cert.terms:
-            if weight <= 0:
+        for term in cert.terms:
+            if not isinstance(term, tuple) or len(term) != 3:
+                return False
+            weight, row_factor, col_factor = term
+            if not isinstance(weight, (int, Fraction)) or weight <= 0:
                 return False
             total_weight += weight
             for factor, dim in ((row_factor, g.dims.p), (col_factor, q)):
-                if factor.order != dim or factor.trace() != 1:
+                if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
                     return False
-                if not is_psd_exact(factor):
+                if factor.trace() != 1 or not is_psd_exact(factor):
                     return False
             # row-factor entry (a, b) times column-factor entry (c, d) lands at
             # (a q + c, b q + d); an all-separable term has at most 4 of them
@@ -408,10 +396,16 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
 
 def _revalidate_witness(g: Graph, wit) -> bool:
     if isinstance(wit, DegreeCriterionWitness):
+        if not isinstance(wit.row, int) or not isinstance(wit.row_sum, int):
+            return False
         # a row outside the grid has no entry, so its sum reads as zero
         return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
     if isinstance(wit, QuadraticWitness):
-        if len(wit.vector) != g.n or wit.degree_sum != g.degree_sum:
+        if not isinstance(wit.vector, tuple) or len(wit.vector) != g.n:
+            return False
+        if wit.degree_sum != g.degree_sum:
+            return False
+        if not all(isinstance(x, (int, Fraction)) for x in (*wit.vector, wit.value)):
             return False
         return witness_value(g, wit.vector) == wit.value and wit.value < 0
     return False
@@ -425,7 +419,7 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         return v.certificate is None and _revalidate_witness(g, v.witness)
     if v.certificate is not None or v.witness is not None:
         return False
-    return degree_criterion(g).holds and next(_granted_certificates(g), None) is None
+    return degree_criterion(g) is None and next(_granted_certificates(g), None) is None
 
 
 def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:

@@ -271,12 +271,12 @@ def test_reports_build_no_dense_matrix(tmp_path, monkeypatch, capsys):
     lone = single_edge_graph(Dims(32, 32), {(3, 7), (30, 2)})
     star = star_graph(Dims(8, 8))
     for g, min_eigenvalue in ((lone, -0.5), (star, None)):
-        assert analyze(g).ppt.min_eigenvalue_estimate < 0
+        assert analyze(g).min_eigenvalue_estimate < 0
         r = analyze(g, include_spectrum=True)
         assert r.verdict.status == Status.ENTANGLED
         pt = r.spectrum["partial_transpose"]
         assert len(pt) == len(r.spectrum["density"]) == g.n
-        assert pt[0] == r.ppt.min_eigenvalue_estimate
+        assert pt[0] == r.min_eigenvalue_estimate
         if min_eigenvalue is not None:
             assert pt[0] == pytest.approx(min_eigenvalue, abs=1e-12)
         path = tmp_path / "g.graph"

@@ -79,31 +79,27 @@ STAR_GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3
 def test_ppt_single_edge():
     g = single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)})
     assert not ppt_test(g)
-    res = analyze(g).ppt
-    assert not res.holds
+    res = analyze(g)
+    assert res.degree is not None
     assert res.min_eigenvalue_estimate == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_ppt_complete():
     g = complete_graph(Dims(2, 2))
     assert ppt_test(g)
-    res = analyze(g).ppt
-    assert res.holds
+    res = analyze(g)
+    assert res.degree is None
     assert res.min_eigenvalue_estimate == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("dims", STAR_GRIDS)
 def test_degree_criterion_star(dims):
     res = degree_criterion(star_graph(dims))
-    assert not res.holds
-    assert res.violating_row == (dims.p - 1) * dims.q + 1
-    assert res.row_sum == -(dims.q - 1)
+    assert res == DegreeCriterionWitness((dims.p - 1) * dims.q + 1, -(dims.q - 1))
 
 
 def test_degree_criterion_holds_for_complete():
-    res = degree_criterion(complete_graph(Dims(3, 3)))
-    assert res.holds
-    assert res.violating_row is None
+    assert degree_criterion(complete_graph(Dims(3, 3))) is None
 
 
 def test_witness_vector_2x2():
@@ -300,7 +296,7 @@ UNKNOWN_EDGES = [
 def test_verdict_unknown_instance():
     g = build_graph(Dims(3, 3), UNKNOWN_EDGES)
     assert ppt_test(g)
-    assert degree_criterion(g).holds
+    assert degree_criterion(g) is None
     assert block_lss_certificate(g) is None
     v = verdict(g)
     assert v.status == Status.UNKNOWN
@@ -379,6 +375,27 @@ def test_revalidate_rejects_tampered_evidence():
     # a row factor of order 3 on a 2-row grid, with the same nonzero entries
     wide = ProductDecomposition(((w0, SparseSymMatrix(3, r0.entries), c0), (w1, r1, c1)))
     assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=wide))
+    # malformed evidence is refused, not raised on: factors that are not
+    # SparseSymMatrix, a float weight, terms of the wrong shape, and witness
+    # entries that are not int or Fraction
+    for bad in (SymMatrix(((1.0, 0), (0, 0))), "factor"):
+        forged = ProductDecomposition(((w0, bad, c0), (w1, r1, c1)))
+        assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=forged))
+    single = build_graph(Dims(2, 2), [{(1, 1), (1, 2)}])
+    (weight, row_factor, col_factor), = all_separable_certificate(single).terms
+    assert weight == 1
+    floated = ProductDecomposition(((1.0, row_factor, col_factor),))
+    assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=floated))
+    for terms in (((weight, row_factor),), 5, [(weight, row_factor, col_factor)]):
+        forged = ProductDecomposition(terms)
+        assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=forged))
+    for vector in (("a",) * 4, (0.375, 0.5, 0.5, 0.375), None):
+        forged = QuadraticWitness(vector, w.value, w.degree_sum)
+        assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=forged))
+    floated = QuadraticWitness(w.vector, float(w.value), w.degree_sum)
+    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=floated))
+    for forged in (DegreeCriterionWitness(3, -1.0), DegreeCriterionWitness([3], -1)):
+        assert not revalidate(star, Verdict(Status.ENTANGLED, witness=forged))
     # factors with entries outside their order or without a matching mirror
     # are refused when built
     with pytest.raises(DimMismatchError):
@@ -490,12 +507,12 @@ def random_grid_graphs(draw):
 
 
 def dense_degree_criterion(pt):
-    """(holds, violating row, its sum) from the rows of a dense matrix."""
+    """The degree witness, or None, from the rows of a dense matrix."""
     sums = [sum(row) for row in pt.rows]
     negative = [r + 1 for r, x in enumerate(sums) if x < 0]
     if not negative:
-        return True, None, None
-    return False, negative[-1], sums[negative[-1] - 1]
+        return None
+    return DegreeCriterionWitness(negative[-1], sums[negative[-1] - 1])
 
 
 def dense_blocks_line_sum_symmetric(lap, dims):
@@ -532,8 +549,8 @@ def test_degree_preservation_equals_exact_ppt(g, data):
         (r, c): x for r, row in enumerate(pt.rows) for c, x in enumerate(row) if x
     }
     degree = degree_criterion(g)
-    assert degree.holds == is_psd_exact(pt)
-    assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
+    assert (degree is None) == is_psd_exact(pt)
+    assert degree == dense_degree_criterion(pt)
     assert_block_certificate_matches_dense(g)
     x = data.draw(
         st.lists(
@@ -565,8 +582,7 @@ def test_edge_shortcuts_match_dense_references(g):
     # that visits every edge
     lap = laplacian(g)
     pt = partial_transpose(lap, g.dims)
-    degree = degree_criterion(g)
-    assert (degree.holds, degree.violating_row, degree.row_sum) == dense_degree_criterion(pt)
+    assert degree_criterion(g) == dense_degree_criterion(pt)
     assert_block_certificate_matches_dense(g)
     classes = [classify_edge(e) for e in g.edges]
     entangled = EdgeClass.ENTANGLED in classes
@@ -585,10 +601,30 @@ def test_edge_shortcuts_match_dense_references(g):
 def test_degree_violating_graphs_earn_no_certificate(g):
     # why analyze asks for no certificate once degrees change: each one makes
     # the state separable, so PPT, so degree-preserving
-    assume(not degree_criterion(g).holds)
+    assume(degree_criterion(g) is not None)
     assert all_separable_certificate(g) is None
     assert not _block_line_sums_match(g, False)
     assert not _block_line_sums_match(g, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_grid_graphs_with_loops(), pt_paired_graphs()))
+@example(build_graph(Dims(2, 3), [{(1, 1), (1, 3)}, {(1, 2), (2, 2)}]))
+def test_every_check_evidence_revalidates_on_its_own(g):
+    # each check returns its evidence or None, and that evidence stands on
+    # its own even where verdict takes an earlier check's: on an
+    # all-separable graph the block certificate also fires, but second
+    witness = degree_criterion(g)
+    if witness is not None:
+        assert revalidate(g, Verdict(Status.ENTANGLED, witness=witness))
+    for check in (all_separable_certificate, block_lss_certificate):
+        cert = check(g)
+        if cert is not None:
+            assert revalidate(g, Verdict(Status.SEPARABLE, certificate=cert))
+    assert analyze(g).degree == witness
+    v = verdict(g)
+    if v.status == Status.ENTANGLED:
+        assert v.witness == witness
 
 
 def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
@@ -675,8 +711,8 @@ def test_degree_preserving_reports_run_no_jacobi(monkeypatch):
     ]
     for g in graphs:
         r = analyze(g)
-        assert r.degree.holds and r.verdict.status == Status.SEPARABLE
-        assert r.ppt.min_eigenvalue_estimate == 0.0
+        assert r.degree is None and r.verdict.status == Status.SEPARABLE
+        assert r.min_eigenvalue_estimate == 0.0
         assert report_json_dict(r)["ppt"]["min_eigenvalue_estimate"] == 0.0
         assert "(min eigenvalue about 0)" in render_text(r)
 
@@ -720,11 +756,11 @@ def test_min_eigenvalue_estimate_matches_numpy(g):
     pt = partial_transpose(density_matrix(g), g.dims)
     least = np.linalg.eigvalsh(np.array(pt.rows, dtype=float))[0]
     r = analyze(g)
-    assert (r.ppt.min_eigenvalue_estimate == 0.0) == r.degree.holds
-    if r.degree.holds:
+    assert (r.min_eigenvalue_estimate == 0.0) == (r.degree is None)
+    if r.degree is None:
         assert least >= -1e-9
     else:
-        assert r.ppt.min_eigenvalue_estimate == pytest.approx(least, abs=1e-9)
+        assert r.min_eigenvalue_estimate == pytest.approx(least, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -774,7 +810,7 @@ def frontier_graphs(draw):
     while True:
         edges = rng.sample(entangled, rng.randint(2, 6)) + separable
         g = build_graph(dims, [frozenset(e) for e in edges])
-        if degree_criterion(g).holds:
+        if degree_criterion(g) is None:
             return g
 
 
