@@ -205,7 +205,7 @@ def main(argv=None) -> int:
         print(f"error: {location}{exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -93,6 +93,12 @@ class Graph:
         return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
     @cached_property
+    def entangled_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """The sorted_edges whose endpoints differ in both coordinates."""
+        pairs = self.sorted_edges
+        return tuple([e for e in pairs if e[0][0] != e[1][0] and e[0][1] != e[1][1]])
+
+    @cached_property
     def loops(self) -> tuple[Vertex, ...]:
         return tuple(sorted(next(iter(e)) for e in self.edges if len(e) == 1))
 
@@ -202,9 +208,8 @@ def star_graph(dims: Dims) -> Graph:
 def single_edge_graph(dims: Dims, edge: Edge | Iterable[Vertex]) -> Graph:
     """One edge whose endpoints differ in both coordinates."""
     dims = Dims(*dims)
-    e = frozenset(edge)
-    g = build_graph(dims, [e])
-    if classify_edge(e) != EdgeClass.ENTANGLED:
+    g = build_graph(dims, [edge])
+    if not g.entangled_edges:
         raise BadParamsError("single-edge family needs both coordinates to differ")
     return g
 

@@ -19,10 +19,8 @@ from .errors import BadDimsError, BadParamsError, BadTrialCountError
 from .graphfile import format_graph, write_graph_file
 from .graphs import (
     Dims,
-    EdgeClass,
     Graph,
     build_graph,
-    classify_edge,
     complete_graph,
     entangled_edge_pool,
     laplacian_entries,
@@ -185,13 +183,6 @@ def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
     raise BadParamsError(f"unknown suite id {suite}")
 
 
-def _first_entangled_edge(g: Graph):
-    for pr in g.sorted_edges:
-        if classify_edge(pr) == EdgeClass.ENTANGLED:
-            return frozenset(pr)
-    return None
-
-
 def _uniform_edge_mixture(g: Graph) -> Counter:
     """degree_sum times the uniform mixture of the edges' difference
     projectors, by 0-based (row, column)."""
@@ -211,7 +202,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if suite == 1:
         if ppt_test(g):
             return "partial-transpose-stayed-positive", None, g, False
-        wit = quadratic_witness(g, _first_entangled_edge(g))
+        wit = quadratic_witness(g, g.entangled_edges[0])
         if wit.value >= 0:
             return "witness-value-not-negative", wit.value, g, False
         if verdict(g).status != Status.ENTANGLED:
@@ -220,7 +211,7 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if suite == 2:
         if verdict(g).status != Status.ENTANGLED:
             return "verdict-not-entangled", None, g, False
-        wit = quadratic_witness(g, _first_entangled_edge(g))
+        wit = quadratic_witness(g, g.entangled_edges[0])
         if wit.value >= 0:
             return "witness-value-not-negative", wit.value, g, False
         return None, wit.value, g, False

@@ -66,9 +66,7 @@ def _pt_row_sums(g: Graph) -> dict[int, int]:
     q = g.dims.q
     sums = {}  # a plain dict: Counter calls __missing__ for every new row
     get = sums.get
-    for (i, j), (s, t) in g.sorted_edges:
-        if i == s or j == t:  # same row or column: the four updates cancel
-            continue
+    for (i, j), (s, t) in g.entangled_edges:  # other edges' four updates cancel
         a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
         sums[a + j] = get(a + j, 0) + 1
         sums[b + t] = get(b + t, 0) + 1
@@ -108,7 +106,7 @@ def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
     """
     dims = Dims(*dims)
     e = frozenset(edge)
-    if classify_edge(e, dims) != EdgeClass.ENTANGLED:
+    if len(e) != 2 or classify_edge(e, dims) != EdgeClass.ENTANGLED:
         raise NotEntangledEdgeError(
             "witness vector needs an edge whose endpoints differ in both coordinates"
         )
@@ -169,6 +167,7 @@ class PerfectEntangledMatching:
 
     permutation[j - 1] is the second-row column matched to first-row column
     j; entangled edges being fixed-point free makes it a derangement.
+    entangled_edges lists the graph's entangled edges in sorted order.
     """
 
     kind: ClassVar[str] = "pe-matching"
@@ -190,9 +189,9 @@ def _difference_projector(n: int, a: int, b: int) -> SparseSymMatrix:
 
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
     """Explicit product mixture when no edge spans both coordinates."""
-    pairs = g.sorted_edges
-    if any(i != s and j != t for (i, j), (s, t) in pairs):
+    if g.entangled_edges:
         return None
+    pairs = g.sorted_edges
     p, q = g.dims
     weight = Fraction(1, len(pairs))
     terms = []
@@ -218,13 +217,11 @@ def _block_line_sums_match(g: Graph, swapped: bool) -> bool:
     """Whether every q-by-q Laplacian block has equal row and column sums,
     with each edge read as {(j,i),(t,s)} when swapped.  Diagonal blocks
     always do; an entangled edge {(i,j),(s,t)} with i < s adds to row j and
-    column t of block (i, s), whose transpose is block (s, i).  Any other
-    edge lies in a diagonal block or its two updates cancel."""
+    column t of block (i, s), whose transpose is block (s, i).  Other edges
+    lie in a diagonal block or cancel, so only entangled edges are read."""
     excess = {}  # a plain dict: Counter calls __missing__ for every new key
     get = excess.get
-    for (i, j), (s, t) in g.sorted_edges:
-        if i == s or j == t:
-            continue
+    for (i, j), (s, t) in g.entangled_edges:
         if swapped:  # the smaller swapped row comes first
             i, j, s, t = (j, i, t, s) if j < t else (t, s, j, i)
         excess[i, s, j] = get((i, s, j), 0) + 1
@@ -255,7 +252,7 @@ def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
     if g.dims.p != 2:
         raise WrongDimsError(f"matching certificate needs p = 2, got p = {g.dims.p}")
     q = g.dims.q
-    ent = tuple(pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED)
+    ent = g.entangled_edges
     if len(ent) != q:
         return None
     firsts = sorted(u[1] for u, _ in ent)
@@ -382,13 +379,15 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
             return False
         q = g.dims.q
         perm = cert.permutation
+        if not isinstance(perm, tuple) or not all(isinstance(c, int) for c in perm):
+            return False
         if sorted(perm) != list(range(1, q + 1)):
             return False
         if any(perm[j - 1] == j for j in range(1, q + 1)):
             return False
         claimed = {((1, j), (2, perm[j - 1])) for j in range(1, q + 1)}
-        actual = [pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED]
-        if claimed != set(actual) or sorted(cert.entangled_edges) != actual:
+        ent = g.entangled_edges
+        if cert.entangled_edges != ent or set(ent) != claimed:
             return False
         return cert.separable_edge_count == len(g.sorted_edges) - q
     return False

@@ -244,6 +244,16 @@ def test_ql_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: QL stopped")
 
 
+def test_internal_error_without_message_names_its_type(monkeypatch, capsys):
+    # MemoryError() carries no message; the line must still say what went wrong
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(graphsep.cli, "_cmd_verify", out_of_memory)
+    assert main(["verify", "--theorem", "5", "--p", "3", "--q", "3"]) == 2
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
     # a 10^10-vertex grid: refused before its n-long spectrum is started
     def spectrum(*args):

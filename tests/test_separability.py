@@ -115,8 +115,12 @@ def test_witness_vector_2x3_positions():
 
 
 def test_witness_rejects_separable_edge():
-    with pytest.raises(NotEntangledEdgeError):
-        entangled_edge_witness(Dims(2, 2), {(1, 1), (1, 2)})
+    # a same-row edge, and sets that are not an edge: three vertices or none
+    for edge in ({(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, set()):
+        with pytest.raises(NotEntangledEdgeError):
+            entangled_edge_witness(Dims(2, 2), edge)
+        with pytest.raises(NotEntangledEdgeError):
+            quadratic_witness(complete_graph(Dims(2, 2)), edge)
 
 
 def test_witness_values_known():
@@ -360,6 +364,18 @@ def test_revalidate_rejects_tampered_evidence():
     assert revalidate(g, Verdict(Status.SEPARABLE, certificate=honest))
     bare = PerfectEntangledMatching((2, 3, 1), (), 0)
     assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=bare))
+    # malformed matchings are refused, not raised on: a permutation with a
+    # string entry or that is not a sequence, and entangled edges with a
+    # stray entry or missing altogether
+    edges = honest.entangled_edges
+    for perm, ent in (
+        ((2, "3", 1), edges),
+        (5, edges),
+        ((2, 3, 1), (((1, 1), (2, 2)), "x")),
+        ((2, 3, 1), None),
+    ):
+        forged = PerfectEntangledMatching(perm, ent, honest.separable_edge_count)
+        assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=forged))
     # product factors that keep the weights, traces and mixture but are not
     # states: diag(3/2, -1/2) and diag(-1/2, 3/2) sum to the two point masses
     rows = build_graph(Dims(2, 2), [{(1, 1), (1, 2)}, {(2, 1), (2, 2)}])
@@ -577,9 +593,9 @@ def random_grid_graphs_with_loops(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_grid_graphs_with_loops())
 def test_edge_shortcuts_match_dense_references(g):
-    # the degree and block checks skip the edges whose updates cancel, and the
-    # edge checks classify by coordinates; each is held against a reference
-    # that visits every edge
+    # the degree and block checks read only the entangled edges, whose
+    # updates do not cancel, and the edge checks classify by coordinates;
+    # each is held against a reference that visits every edge
     lap = laplacian(g)
     pt = partial_transpose(lap, g.dims)
     assert degree_criterion(g) == dense_degree_criterion(pt)
@@ -593,6 +609,9 @@ def test_edge_shortcuts_match_dense_references(g):
     assert list(analyze(g).edge_classes.items()) == list(want.items())
     assert g.sorted_edges == tuple(
         sorted(tuple(sorted(e)) for e in g.edges if len(e) == 2)
+    )
+    assert g.entangled_edges == tuple(
+        pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED
     )
 
 
