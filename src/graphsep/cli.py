@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import BadParamsError, GraphSepError, NoConvergenceError
-from .graphfile import format_graph, parse_graph_file
+from .graphfile import format_graph, parse_graph_file, write_graph_file
 from .graphs import (
     Dims,
     complete_graph,
@@ -116,12 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_graph(g, out_path) -> None:
-    text = format_graph(g)
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_graph_file(out_path, g)
     else:
-        print(text, end="")
+        print(format_graph(g), end="")
 
 
 def _cmd_analyze(args) -> int:

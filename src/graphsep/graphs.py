@@ -55,6 +55,8 @@ class EdgeClass(Enum):
 
 def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
     """Loop, same-row, same-column, or entangled (both coordinates differ)."""
+    if not 1 <= len(edge) <= 2:
+        raise BadParamsError(f"edge needs one or two vertices, got {len(edge)}")
     if dims is not None:
         for (i, j) in edge:
             if not (1 <= i <= dims.p and 1 <= j <= dims.q):
@@ -75,10 +77,20 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        """Require a non-loop edge; the callers check each edge's vertices."""
-        if not self.edges:
+        """Require positive dims, edges of one or two grid vertices, and a
+        non-loop edge."""
+        p, q = self.dims
+        if p < 1 or q < 1:
+            raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
+        sizes = set(map(len, self.edges))
+        if bad := sizes - {1, 2}:
+            raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
+        for (i, j) in frozenset().union(*self.edges):
+            if not (1 <= i <= p and 1 <= j <= q):
+                raise OutOfRangeError(f"vertex ({i},{j}) outside {p}x{q} grid")
+        if not sizes:
             raise EmptyEdgeSetError("graph needs at least one edge")
-        if all(len(e) == 1 for e in self.edges):
+        if sizes == {1}:
             raise OnlyLoopsError("graph has loops only; no matrix is defined")
 
     @property
@@ -108,22 +120,9 @@ class Graph:
 
 
 def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
-    """Validate vertices, drop duplicates, and require a non-loop edge."""
-    dims = Dims(*dims)
-    if dims.p < 1 or dims.q < 1:
-        raise BadDimsError(f"grid dims must be positive, got {dims.p}x{dims.q}")
-    edge_set = set()
-    for raw in edges:
-        e = frozenset(raw)
-        if not 1 <= len(e) <= 2:
-            raise BadParamsError(f"edge needs one or two vertices, got {len(e)}")
-        for (i, j) in e:
-            if not (1 <= i <= dims.p and 1 <= j <= dims.q):
-                raise OutOfRangeError(
-                    f"vertex ({i},{j}) outside {dims.p}x{dims.q} grid"
-                )
-        edge_set.add(e)
-    return Graph(dims, frozenset(edge_set))
+    """Graph from any dims pair and any iterable of vertex collections;
+    duplicate edges collapse and Graph checks the rest."""
+    return Graph(Dims(*dims), frozenset(frozenset(e) for e in edges))
 
 
 def adjacency_matrix(g: Graph) -> SymMatrix:

@@ -15,7 +15,7 @@ from itertools import chain
 
 from .errors import BadDimsError
 from .graphs import EdgeClass, Graph, laplacian_entries
-from .matrix import eigenvalues_sym, exact_str, float12
+from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
 from .separability import (
     DegreeCriterionWitness,
     Status,
@@ -62,7 +62,8 @@ def spectrum(g: Graph) -> dict[str, list[float]]:
     When the two have equal entries (complete graphs, graphs with only
     same-row or same-column edges) one eigenvalue run serves both lists.
     """
-    lap, pt = laplacian_entries(g), pt_laplacian_entries(g)
+    lap = laplacian_entries(g)
+    pt = partial_transpose_entries(lap, g.dims)
     pt_eigenvalues = density_eigenvalues(pt, g)
     return {
         "density": list(pt_eigenvalues) if pt == lap else density_eigenvalues(lap, g),

@@ -7,9 +7,10 @@ from scratch so callers never have to trust the classifier.
 
 The partial transpose keeps the Laplacian's diagonal and moves the entry of
 an edge {(i,j),(s,t)} to ((i,t),(s,j)), so the degree, block and witness
-checks read it off the edge list in O(m) without building a matrix.  A
-product decomposition is revalidated the same way, against the Laplacian's
-nonzero entries.
+checks read it off the edge list in O(m) without building a matrix; only
+ppt_test, the reports and the suites build the whole map.  A product
+decomposition is revalidated the same way, against the Laplacian's nonzero
+entries.
 """
 
 from __future__ import annotations
@@ -43,11 +44,17 @@ from .matrix import (
 )
 
 
+def pt_laplacian_entries(g: Graph) -> dict:
+    """Nonzero entries of the partially transposed Laplacian by 0-based
+    (row, column), by the generic index rule: the diagonal stays and the
+    entry of each edge {(i,j),(s,t)} moves to ((i,t),(s,j))."""
+    return partial_transpose_entries(laplacian_entries(g), g.dims)
+
+
 def ppt_test(g: Graph) -> bool:
     """Exact positivity of the Laplacian's partial transpose by the generic
     index rule; the reference for the edge-based checks."""
-    pt = partial_transpose_entries(laplacian_entries(g), g.dims)
-    return is_psd_exact(SparseSymMatrix(g.n, pt))
+    return is_psd_exact(SparseSymMatrix(g.n, pt_laplacian_entries(g)))
 
 
 @dataclass(frozen=True)
@@ -73,22 +80,6 @@ def _pt_row_sums(g: Graph) -> dict[int, int]:
         sums[a + t] = get(a + t, 0) - 1
         sums[b + j] = get(b + j, 0) - 1
     return {row: x for row, x in sums.items() if x}
-
-
-def pt_laplacian_entries(g: Graph) -> Counter:
-    """Nonzero entries of the partially transposed Laplacian by 0-based
-    (row, column): the diagonal stays and the entry of each edge
-    {(i,j),(s,t)} moves to ((i,t),(s,j)).  The map is a bijection on
-    positions, so distinct edges land on distinct entries."""
-    q = g.dims.q
-    at = lambda i, j: (i - 1) * q + j - 1  # 0-based linear_index, inlined for speed
-    entries = Counter()
-    for (i, j), (s, t) in g.sorted_edges:
-        u, v, r, c = at(i, j), at(s, t), at(i, t), at(s, j)
-        entries[u, u] += 1
-        entries[v, v] += 1
-        entries[r, c] = entries[c, r] = -1
-    return entries
 
 
 def degree_criterion(g: Graph) -> DegreeCriterionWitness | None:

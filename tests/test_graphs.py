@@ -16,6 +16,7 @@ from graphsep.errors import (
 from graphsep.graphs import (
     Dims,
     EdgeClass,
+    Graph,
     adjacency_matrix,
     build_graph,
     classify_edge,
@@ -53,19 +54,28 @@ def test_classify_edge():
     assert classify_edge(frozenset({(1, 1), (2, 2)})) == EdgeClass.ENTANGLED
     with pytest.raises(OutOfRangeError):
         classify_edge(frozenset({(1, 1), (3, 2)}), Dims(2, 2))
+    for edge in (frozenset(), frozenset({(1, 1), (1, 2), (2, 1)})):
+        with pytest.raises(BadParamsError, match=f"got {len(edge)}"):
+            classify_edge(edge)
+
+
+INVALID_GRAPHS = [
+    (BadDimsError, Dims(0, 2), [frozenset({(1, 1), (1, 2)})]),
+    (EmptyEdgeSetError, Dims(2, 2), []),
+    (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 1)})]),
+    (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 3)})]),
+    (OnlyLoopsError, Dims(2, 2), [frozenset({(1, 1)}), frozenset({(2, 2)})]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (1, 2), (2, 1)})]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, 2)}), frozenset()]),
+]
 
 
 def test_build_graph_validation():
-    with pytest.raises(BadDimsError):
-        build_graph(Dims(0, 2), [frozenset({(1, 1), (1, 2)})])
-    with pytest.raises(EmptyEdgeSetError):
-        build_graph(Dims(2, 2), [])
-    with pytest.raises(OutOfRangeError):
-        build_graph(Dims(2, 2), [frozenset({(1, 1), (3, 1)})])
-    with pytest.raises(OnlyLoopsError):
-        build_graph(Dims(2, 2), [frozenset({(1, 1)}), frozenset({(2, 2)})])
-    with pytest.raises(BadParamsError):
-        build_graph(Dims(2, 2), [frozenset({(1, 1), (1, 2), (2, 1)})])
+    # a Graph built directly is held to the same checks as build_graph's
+    for error, dims, edges in INVALID_GRAPHS:
+        for make in (build_graph, lambda d, e: Graph(d, frozenset(e))):
+            with pytest.raises(error):
+                make(dims, edges)
 
 
 def test_build_graph_dedups():
