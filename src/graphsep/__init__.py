@@ -76,7 +76,6 @@ from .report import (
 from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
-    PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,
     Status,

@@ -77,8 +77,9 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        """Require positive dims, edges of one or two grid vertices, and a
-        non-loop edge."""
+        """Store dims as Dims, then require positive dims, edges of one or
+        two grid vertices, and a non-loop edge."""
+        object.__setattr__(self, "dims", Dims(*self.dims))
         p, q = self.dims
         if p < 1 or q < 1:
             raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
@@ -122,7 +123,7 @@ class Graph:
 def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
     """Graph from any dims pair and any iterable of vertex collections;
     duplicate edges collapse and Graph checks the rest."""
-    return Graph(Dims(*dims), frozenset(frozenset(e) for e in edges))
+    return Graph(dims, frozenset(frozenset(e) for e in edges))
 
 
 def adjacency_matrix(g: Graph) -> SymMatrix:

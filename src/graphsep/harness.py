@@ -246,8 +246,10 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         if cert is None:
             return "matching-certificate-missing", None, g, False
         v = verdict(g)
-        if v.status != Status.SEPARABLE:
-            return "verdict-not-separable", None, g, False
+        if v.status != Status.SEPARABLE or v.certificate != cert:
+            return "verdict-not-separable-by-blocks", None, g, False
+        if not revalidate(g, v):
+            return "revalidation-failed", None, g, False
         if not ppt_test(g):
             return "partial-transpose-not-positive", None, g, False
         return None, None, g, False

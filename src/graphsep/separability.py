@@ -28,7 +28,6 @@ from .graphs import (
     Edge,
     EdgeClass,
     Graph,
-    Vertex,
     classify_edge,
     laplacian_entries,
     linear_index,
@@ -152,21 +151,6 @@ class BlockLineSumSymmetric:
     swapped: bool = False
 
 
-@dataclass(frozen=True)
-class PerfectEntangledMatching:
-    """Two-row graph whose entangled edges form a full column matching.
-
-    permutation[j - 1] is the second-row column matched to first-row column
-    j; entangled edges being fixed-point free makes it a derangement.
-    entangled_edges lists the graph's entangled edges in sorted order.
-    """
-
-    kind: ClassVar[str] = "pe-matching"
-    permutation: tuple[int, ...]
-    entangled_edges: tuple[tuple[Vertex, Vertex], ...]
-    separable_edge_count: int
-
-
 def _point_mass(n: int, i: int) -> SparseSymMatrix:
     return SparseSymMatrix(n, {(i - 1, i - 1): 1})
 
@@ -229,12 +213,15 @@ def block_lss_certificate(g: Graph) -> BlockLineSumSymmetric | None:
     return None
 
 
-def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
-    """Certificate when entangled edges perfectly match the two rows.
+def pe_matching_certificate(g: Graph) -> BlockLineSumSymmetric | None:
+    """Block certificate of a two-row graph whose entangled edges perfectly
+    match the rows, or None for any other graph.
 
-    Not part of verdict: a perfect matching gives every column one
-    entangled edge in and one out, so block_lss_certificate always fires
-    first.  Suite 7 uses it as its own check of the matching family.
+    A perfect matching gives every column one entangled edge in and one out,
+    so its blocks are line-sum symmetric in the given order and the result is
+    BlockLineSumSymmetric(False), the certificate verdict grants.  The
+    function stays under its own name for suite 7 and for tracers that wrap
+    it by name.
 
     Requires every first-row column and every second-row column to be used
     exactly once; partial matchings get no certificate even when they avoid
@@ -242,19 +229,12 @@ def pe_matching_certificate(g: Graph) -> PerfectEntangledMatching | None:
     """
     if g.dims.p != 2:
         raise WrongDimsError(f"matching certificate needs p = 2, got p = {g.dims.p}")
-    q = g.dims.q
+    columns = list(range(1, g.dims.q + 1))
     ent = g.entangled_edges
-    if len(ent) != q:
-        return None
     firsts = sorted(u[1] for u, _ in ent)
-    seconds = sorted(v[1] for _, v in ent)
-    if firsts != list(range(1, q + 1)) or seconds != list(range(1, q + 1)):
+    if firsts != columns or sorted(v[1] for _, v in ent) != columns:
         return None
-    mapping = {u[1]: v[1] for u, v in ent}
-    permutation = tuple(mapping[j] for j in range(1, q + 1))
-    return PerfectEntangledMatching(
-        permutation, ent, len(g.sorted_edges) - q
-    )
+    return block_lss_certificate(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +344,8 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
                     mixture[a * q + c, b * q + d] += g.degree_sum * weight * x * y
         return total_weight == 1 and mixture == laplacian_entries(g)
     if isinstance(cert, BlockLineSumSymmetric):
-        return _block_line_sums_match(g, cert.swapped)
-    if isinstance(cert, PerfectEntangledMatching):
-        if g.dims.p != 2:
-            return False
-        q = g.dims.q
-        perm = cert.permutation
-        if not isinstance(perm, tuple) or not all(isinstance(c, int) for c in perm):
-            return False
-        if sorted(perm) != list(range(1, q + 1)):
-            return False
-        if any(perm[j - 1] == j for j in range(1, q + 1)):
-            return False
-        claimed = {((1, j), (2, perm[j - 1])) for j in range(1, q + 1)}
-        ent = g.entangled_edges
-        if cert.entangled_edges != ent or set(ent) != claimed:
-            return False
-        return cert.separable_edge_count == len(g.sorted_edges) - q
+        swapped = cert.swapped
+        return isinstance(swapped, bool) and _block_line_sums_match(g, swapped)
     return False
 
 
@@ -433,15 +398,6 @@ def verdict_to_json_dict(v: Verdict) -> dict:
                     }
                     for w, rf, cf in c.terms
                 ],
-            }
-        elif isinstance(c, PerfectEntangledMatching):
-            cert = {
-                "kind": c.kind,
-                "permutation": list(c.permutation),
-                "entangled_edges": [
-                    [list(u), list(w)] for u, w in c.entangled_edges
-                ],
-                "separable_edge_count": c.separable_edge_count,
             }
         else:
             cert = {"kind": c.kind, "swapped": c.swapped}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import graphsep.graphs
+import graphsep.harness
 import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
 from graphsep.graphs import Dims, star_graph
@@ -211,6 +212,13 @@ def test_suite0_fails_unknown_on_two_column_grid(monkeypatch):
     report = run_suite(0, (4, 2), 300, 1)
     assert report.unknown_count == 3
     assert [f.reason for f in report.failures] == ["small-grid-verdict-unknown"] * 3
+
+
+def test_suite7_fails_when_revalidation_fails(monkeypatch):
+    # suite 7 re-derives each verdict's block certificate from the graph
+    monkeypatch.setattr(graphsep.harness, "revalidate", lambda g, v: False)
+    report = run_suite(7, (2, 4), 5, 3)
+    assert [f.reason for f in report.failures] == ["revalidation-failed"] * 5
 
 
 def test_suites_build_no_dense_matrix(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,6 @@ from graphsep.graphs import (
 from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
-    PerfectEntangledMatching,
     ProductDecomposition,
     QuadraticWitness,
     Status,
@@ -197,10 +197,7 @@ def test_block_certificate():
 
 def test_pe_certificate_full_matching():
     g = pe_matching_graph(Dims(2, 2), (2, 1))
-    cert = pe_matching_certificate(g)
-    assert isinstance(cert, PerfectEntangledMatching)
-    assert cert.permutation == (2, 1)
-    assert cert.separable_edge_count == 0
+    assert pe_matching_certificate(g) == BlockLineSumSymmetric(False)
 
 
 def test_pe_certificate_survives_separable_edges():
@@ -208,10 +205,7 @@ def test_pe_certificate_survives_separable_edges():
     g = build_graph(
         Dims(2, 3), list(base.edges) + [frozenset({(1, 1), (1, 2)})]
     )
-    cert = pe_matching_certificate(g)
-    assert cert is not None
-    assert cert.permutation == (2, 3, 1)
-    assert cert.separable_edge_count == 1
+    assert pe_matching_certificate(g) == BlockLineSumSymmetric(False)
 
 
 def test_pe_certificate_denied_for_partial_matchings():
@@ -246,6 +240,14 @@ def test_verdict_star_uses_degree_witness():
     assert v.witness.row == 3
     assert v.witness.row_sum == -1
     assert v.certificate is None
+
+
+def test_graph_built_with_plain_tuple_dims():
+    g = Graph((2, 2), frozenset({frozenset({(1, 1), (2, 2)})}))
+    assert isinstance(g.dims, Dims)
+    v = verdict(g)
+    assert v.status == Status.ENTANGLED
+    assert v.witness == DegreeCriterionWitness(3, -1)
 
 
 def test_verdict_all_separable():
@@ -355,27 +357,6 @@ def test_revalidate_rejects_tampered_evidence():
     assert not revalidate(MATCHING_2X4, claim)
     claim = Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric(swapped=False))
     assert not revalidate(swap_subsystems(MATCHING_2X4), claim)
-    # matching permutation that does not cover the edges
-    g = pe_matching_graph(Dims(2, 3), (2, 3, 1))
-    wrong = PerfectEntangledMatching((3, 1, 2), (), 0)
-    assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=wrong))
-    # right permutation, but the listed entangled edges are not the graph's
-    honest = pe_matching_certificate(g)
-    assert revalidate(g, Verdict(Status.SEPARABLE, certificate=honest))
-    bare = PerfectEntangledMatching((2, 3, 1), (), 0)
-    assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=bare))
-    # malformed matchings are refused, not raised on: a permutation with a
-    # string entry or that is not a sequence, and entangled edges with a
-    # stray entry or missing altogether
-    edges = honest.entangled_edges
-    for perm, ent in (
-        ((2, "3", 1), edges),
-        (5, edges),
-        ((2, 3, 1), (((1, 1), (2, 2)), "x")),
-        ((2, 3, 1), None),
-    ):
-        forged = PerfectEntangledMatching(perm, ent, honest.separable_edge_count)
-        assert not revalidate(g, Verdict(Status.SEPARABLE, certificate=forged))
     # product factors that keep the weights, traces and mixture but are not
     # states: diag(3/2, -1/2) and diag(-1/2, 3/2) sum to the two point masses
     rows = build_graph(Dims(2, 2), [{(1, 1), (1, 2)}, {(2, 1), (2, 2)}])
@@ -412,6 +393,10 @@ def test_revalidate_rejects_tampered_evidence():
     assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=floated))
     for forged in (DegreeCriterionWitness(3, -1.0), DegreeCriterionWitness([3], -1)):
         assert not revalidate(star, Verdict(Status.ENTANGLED, witness=forged))
+    # a block certificate whose swapped flag is not a bool
+    for swapped in ("no", 0.0, None, [0]):
+        forged = BlockLineSumSymmetric(swapped=swapped)
+        assert not revalidate(k4, Verdict(Status.SEPARABLE, certificate=forged))
     # factors with entries outside their order or without a matching mirror
     # are refused when built
     with pytest.raises(DimMismatchError):
@@ -466,17 +451,6 @@ def test_verdict_json_shapes():
         "vector": ["3/8", "1/2", "1/2", "3/8"],
         "value": "-7/32",
         "degree_sum": 2,
-    }
-
-
-def test_pe_certificate_json():
-    g = pe_matching_graph(Dims(2, 2), (2, 1))
-    d = verdict_to_json_dict(Verdict(Status.SEPARABLE, certificate=pe_matching_certificate(g)))
-    assert d["certificate"] == {
-        "kind": "pe-matching",
-        "permutation": [2, 1],
-        "entangled_edges": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
-        "separable_edge_count": 0,
     }
 
 
@@ -559,11 +533,20 @@ def assert_block_certificate_matches_dense(g):
 def test_degree_preservation_equals_exact_ppt(g, data):
     # the theorem that lets verdict skip a separate positivity step, and the
     # edge-based checks against dense references
-    lap = laplacian(g)
-    pt = partial_transpose(lap, g.dims)
-    assert pt_laplacian_entries(g) == {
-        (r, c): x for r, row in enumerate(pt.rows) for c, x in enumerate(row) if x
-    }
+    # the expected map from the edge list alone: the degrees on the diagonal,
+    # and -1 at ((i,t),(s,j)) and its mirror for each edge {(i,j),(s,t)}
+    def index(i, j):
+        return (i - 1) * g.dims.q + j - 1
+
+    expected = Counter()
+    for (i, j), (s, t) in g.sorted_edges:
+        a, b = index(i, t), index(s, j)
+        expected[index(i, j), index(i, j)] += 1
+        expected[index(s, t), index(s, t)] += 1
+        expected[a, b] -= 1
+        expected[b, a] -= 1
+    assert pt_laplacian_entries(g) == expected
+    pt = partial_transpose(laplacian(g), g.dims)
     degree = degree_criterion(g)
     assert (degree is None) == is_psd_exact(pt)
     assert degree == dense_degree_criterion(pt)
