@@ -77,7 +77,6 @@ from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
     ProductDecomposition,
-    QuadraticWitness,
     Status,
     Verdict,
     all_separable_certificate,
@@ -87,7 +86,6 @@ from .separability import (
     pe_matching_certificate,
     ppt_test,
     pt_laplacian_entries,
-    quadratic_witness,
     reconstruct,
     revalidate,
     verdict,

@@ -44,11 +44,12 @@ from .separability import (
     all_separable_certificate,
     block_lss_certificate,
     degree_criterion,
+    entangled_edge_witness,
     pe_matching_certificate,
     ppt_test,
-    quadratic_witness,
     revalidate,
     verdict,
+    witness_value,
 )
 
 MASK64 = (1 << 64) - 1
@@ -201,19 +202,19 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
     if suite == 1:
         if ppt_test(g):
             return "partial-transpose-stayed-positive", None, g, False
-        wit = quadratic_witness(g, g.entangled_edges[0])
-        if wit.value >= 0:
-            return "witness-value-not-negative", wit.value, g, False
+        value = witness_value(g, entangled_edge_witness(g.dims, g.entangled_edges[0]))
+        if value >= 0:
+            return "witness-value-not-negative", value, g, False
         if verdict(g).status != Status.ENTANGLED:
-            return "verdict-not-entangled", wit.value, g, False
-        return None, wit.value, g, False
+            return "verdict-not-entangled", value, g, False
+        return None, value, g, False
     if suite == 2:
         if verdict(g).status != Status.ENTANGLED:
             return "verdict-not-entangled", None, g, False
-        wit = quadratic_witness(g, g.entangled_edges[0])
-        if wit.value >= 0:
-            return "witness-value-not-negative", wit.value, g, False
-        return None, wit.value, g, False
+        value = witness_value(g, entangled_edge_witness(g.dims, g.entangled_edges[0]))
+        if value >= 0:
+            return "witness-value-not-negative", value, g, False
+        return None, value, g, False
     if suite == 4:
         if block_lss_certificate(g) is None:
             return "block-certificate-missing", None, g, False

@@ -17,7 +17,6 @@ from .errors import BadDimsError
 from .graphs import EdgeClass, Graph, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
 from .separability import (
-    DegreeCriterionWitness,
     Status,
     Verdict,
     _decide,
@@ -39,7 +38,6 @@ class AnalysisReport:
     edge_classes: dict
     purity: Fraction
     min_eigenvalue_estimate: float
-    degree: DegreeCriterionWitness | None  # None: degrees preserved, so PPT
     certificates: tuple[str, ...]
     verdict: Verdict
     spectrum: dict | None
@@ -132,7 +130,6 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
             sum(d * d for d in degrees.values()) + g.degree_sum, g.degree_sum**2
         ),
         min_eigenvalue_estimate=least,
-        degree=degree,
         certificates=tuple(c.kind for c in certificates),
         verdict=v,
         spectrum=spec,
@@ -140,7 +137,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
 
 
 def report_json_dict(r: AnalysisReport) -> dict:
-    g, d = r.graph, r.degree
+    g, d = r.graph, r.verdict.witness
     out = verdict_to_json_dict(r.verdict)
     out.update(
         {
@@ -169,7 +166,7 @@ def report_json_dict(r: AnalysisReport) -> dict:
 
 
 def render_text(r: AnalysisReport) -> str:
-    g, d, v = r.graph, r.degree, r.verdict
+    g, v, d = r.graph, r.verdict, r.verdict.witness
     if v.status == Status.SEPARABLE:
         swapped = ", subsystems swapped" if getattr(v.certificate, "swapped", False) else ""
         lines = [f"verdict: separable ({v.certificate.kind}{swapped})"]

@@ -2,7 +2,7 @@
 
 Everything that decides a verdict runs in exact arithmetic.  A verdict is
 always backed by evidence: a certificate object for separable states, a
-witness object for entangled ones.  revalidate() re-derives that evidence
+degree witness for entangled ones.  revalidate() re-derives that evidence
 from scratch so callers never have to trust the classifier.
 
 The partial transpose keeps the Laplacian's diagonal and moves the entry of
@@ -89,8 +89,12 @@ def degree_criterion(g: Graph) -> DegreeCriterionWitness | None:
 
 
 def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
-    """Test vector that goes negative against any graph containing the edge.
+    """Test vector whose witness_value is negative when the edge is the
+    graph's only entangled edge, whatever its separable edges (suite 1), or
+    when the graph's entangled edges all pass through one vertex (suite 2).
 
+    It is not negative against every graph containing the edge: against
+    complete_graph(Dims(2, 2)) the value for {(1,1),(2,2)} is +1/16.
     Entries are 1/2 everywhere except the edge's two endpoints, which get
     (p + q - 1) / (2 (p + q)).
     """
@@ -238,30 +242,6 @@ def pe_matching_certificate(g: Graph) -> BlockLineSumSymmetric | None:
 
 
 # ---------------------------------------------------------------------------
-# Witnesses of entanglement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticWitness:
-    """Vector x with x^T M x < 0 against the partially transposed matrix.
-
-    value is exact for the combinatorial matrix; divide by degree_sum for
-    the density-matrix scale.
-    """
-
-    kind: ClassVar[str] = "quadratic-form"
-    vector: tuple[Fraction, ...]
-    value: Fraction
-    degree_sum: int
-
-
-def quadratic_witness(g: Graph, edge: Edge) -> QuadraticWitness:
-    vec = entangled_edge_witness(g.dims, edge)
-    return QuadraticWitness(vec, witness_value(g, vec), g.degree_sum)
-
-
-# ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
 
@@ -276,7 +256,7 @@ class Status(Enum):
 class Verdict:
     status: Status
     certificate: object | None = None
-    witness: object | None = None
+    witness: DegreeCriterionWitness | None = None
 
 
 def _granted_certificates(g: Graph) -> Iterator:
@@ -349,29 +329,19 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
     return False
 
 
-def _revalidate_witness(g: Graph, wit) -> bool:
-    if isinstance(wit, DegreeCriterionWitness):
-        if not isinstance(wit.row, int) or not isinstance(wit.row_sum, int):
-            return False
-        # a row outside the grid has no entry, so its sum reads as zero
-        return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
-    if isinstance(wit, QuadraticWitness):
-        if not isinstance(wit.vector, tuple) or len(wit.vector) != g.n:
-            return False
-        if wit.degree_sum != g.degree_sum:
-            return False
-        if not all(isinstance(x, (int, Fraction)) for x in (*wit.vector, wit.value)):
-            return False
-        return witness_value(g, wit.vector) == wit.value and wit.value < 0
-    return False
-
-
 def revalidate(g: Graph, v: Verdict) -> bool:
     """Re-derive the verdict's evidence from the graph alone."""
     if v.status == Status.SEPARABLE:
         return v.witness is None and _revalidate_certificate(g, v.certificate)
     if v.status == Status.ENTANGLED:
-        return v.certificate is None and _revalidate_witness(g, v.witness)
+        wit = v.witness
+        if v.certificate is not None or not isinstance(wit, DegreeCriterionWitness):
+            return False
+        # a bool is an int, so it is refused by type; a row outside the grid
+        # has no entry, so its sum reads as zero
+        if type(wit.row) is not int or type(wit.row_sum) is not int:
+            return False
+        return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
     if v.certificate is not None or v.witness is not None:
         return False
     return degree_criterion(g) is None and next(_granted_certificates(g), None) is None
@@ -404,13 +374,5 @@ def verdict_to_json_dict(v: Verdict) -> dict:
     wit = None
     if v.witness is not None:
         w = v.witness
-        if isinstance(w, DegreeCriterionWitness):
-            wit = {"kind": w.kind, "row": w.row, "row_sum": exact_str(w.row_sum)}
-        else:
-            wit = {
-                "kind": w.kind,
-                "vector": [exact_str(x) for x in w.vector],
-                "value": exact_str(w.value),
-                "degree_sum": w.degree_sum,
-            }
+        wit = {"kind": w.kind, "row": w.row, "row_sum": exact_str(w.row_sum)}
     return {"verdict": v.status.value, "certificate": cert, "witness": wit}

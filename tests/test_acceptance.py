@@ -25,9 +25,10 @@ from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
     Status,
-    quadratic_witness,
+    entangled_edge_witness,
     revalidate,
     verdict,
+    witness_value,
 )
 
 FACTORIZATIONS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3)]
@@ -76,11 +77,12 @@ def test_criterion_2_star_graphs():
 @criterion(3, "suite 1: a lone entangled edge is always caught, witness negative")
 def test_criterion_3_single_entangled_edge_suite():
     e = frozenset({(1, 1), (2, 2)})
+    vec = entangled_edge_witness(Dims(2, 2), e)
     lone = single_edge_graph(Dims(2, 2), e)
-    assert quadratic_witness(lone, e).value == Fraction(-7, 32)
+    assert witness_value(lone, vec) == Fraction(-7, 32)
     sep = [frozenset(pr) for pr in separable_edge_pool(Dims(2, 2))]
     full = build_graph(Dims(2, 2), sep + [e])
-    assert quadratic_witness(full, e).value == Fraction(-5, 32)
+    assert witness_value(full, vec) == Fraction(-5, 32)
     for dims in [(2, 2), (2, 3), (3, 3)]:
         report = run_suite(1, dims, 100, 0)
         assert report.ok, (dims, report.failures[:3])

@@ -40,7 +40,6 @@ from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
     ProductDecomposition,
-    QuadraticWitness,
     Status,
     Verdict,
     _block_line_sums_match,
@@ -51,7 +50,6 @@ from graphsep.separability import (
     pe_matching_certificate,
     ppt_test,
     pt_laplacian_entries,
-    quadratic_witness,
     reconstruct,
     revalidate,
     verdict,
@@ -80,7 +78,7 @@ def test_ppt_single_edge():
     g = single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)})
     assert not ppt_test(g)
     res = analyze(g)
-    assert res.degree is not None
+    assert res.verdict.witness is not None
     assert res.min_eigenvalue_estimate == pytest.approx(-0.5, abs=1e-10)
 
 
@@ -88,7 +86,7 @@ def test_ppt_complete():
     g = complete_graph(Dims(2, 2))
     assert ppt_test(g)
     res = analyze(g)
-    assert res.degree is None
+    assert res.verdict.witness is None
     assert res.min_eigenvalue_estimate == pytest.approx(0.0, abs=1e-10)
 
 
@@ -119,20 +117,23 @@ def test_witness_rejects_separable_edge():
     for edge in ({(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, set()):
         with pytest.raises(NotEntangledEdgeError):
             entangled_edge_witness(Dims(2, 2), edge)
-        with pytest.raises(NotEntangledEdgeError):
-            quadratic_witness(complete_graph(Dims(2, 2)), edge)
 
 
 def test_witness_values_known():
     e = frozenset({(1, 1), (2, 2)})
+    vec = entangled_edge_witness(Dims(2, 2), e)
     lone = single_edge_graph(Dims(2, 2), e)
-    assert quadratic_witness(lone, e).value == Fraction(-7, 32)
+    assert witness_value(lone, vec) == Fraction(-7, 32)
 
     sep = [frozenset(pr) for pr in separable_edge_pool(Dims(2, 2))]
     full = build_graph(Dims(2, 2), sep + [e])
-    w = quadratic_witness(full, e)
-    assert w.value == Fraction(-5, 32)
-    assert w.degree_sum == 10
+    assert witness_value(full, vec) == Fraction(-5, 32)
+    assert full.degree_sum == 10
+
+    # the guarantee needs e to be the only entangled edge, or every
+    # entangled edge to share a vertex: the complete graph adds
+    # {(1,2),(2,1)}, disjoint from e, and the value turns positive
+    assert witness_value(complete_graph(Dims(2, 2)), vec) == Fraction(1, 16)
 
     # separable edge away from the marked endpoints contributes nothing
     g = build_graph(Dims(2, 3), [frozenset({(1, 2), (1, 3)})])
@@ -153,7 +154,7 @@ def test_one_entangled_edge_always_entangled(dims, ns, seed):
     assert v.status == Status.ENTANGLED
     assert revalidate(g, v)
     e = next(e for e in g.edges if len({x[0] for x in e}) == 2 and len({x[1] for x in e}) == 2)
-    assert quadratic_witness(g, e).value < 0
+    assert witness_value(g, entangled_edge_witness(dims, e)) < 0
 
 
 def test_product_decomposition_two_edges():
@@ -336,19 +337,13 @@ def test_revalidate_rejects_tampered_evidence():
     assert not revalidate(
         star, Verdict(Status.ENTANGLED, witness=DegreeCriterionWitness(4, -1))
     )
-    # quadratic witness with a doctored value
+    # the paper's test vector is not verdict evidence, even where it is
+    # negative: an entangled verdict carries a degree witness
     e = frozenset({(1, 1), (2, 2)})
     lone = single_edge_graph(Dims(2, 2), e)
-    w = quadratic_witness(lone, e)
-    assert revalidate(lone, Verdict(Status.ENTANGLED, witness=w))
-    fake = QuadraticWitness(w.vector, Fraction(-1, 3), w.degree_sum)
-    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=fake))
-    # quadratic witness whose vector does not fit the grid
-    short = QuadraticWitness(w.vector[:-1], w.value, w.degree_sum)
-    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=short))
-    # quadratic witness whose density scale uses the wrong degree sum
-    rescaled = QuadraticWitness(w.vector, w.value, 999)
-    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=rescaled))
+    vec = entangled_edge_witness(Dims(2, 2), e)
+    assert witness_value(lone, vec) < 0
+    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=vec))
     # unknown claim for a decided graph, entangled or separable
     assert not revalidate(star, Verdict(Status.UNKNOWN))
     assert not revalidate(complete_graph(Dims(3, 3)), Verdict(Status.UNKNOWN))
@@ -373,8 +368,8 @@ def test_revalidate_rejects_tampered_evidence():
     wide = ProductDecomposition(((w0, SparseSymMatrix(3, r0.entries), c0), (w1, r1, c1)))
     assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=wide))
     # malformed evidence is refused, not raised on: factors that are not
-    # SparseSymMatrix, a float weight, terms of the wrong shape, and witness
-    # entries that are not int or Fraction
+    # SparseSymMatrix, a float weight, terms of the wrong shape, and degree
+    # witness entries that are not int
     for bad in (SymMatrix(((1.0, 0), (0, 0))), "factor"):
         forged = ProductDecomposition(((w0, bad, c0), (w1, r1, c1)))
         assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=forged))
@@ -386,13 +381,15 @@ def test_revalidate_rejects_tampered_evidence():
     for terms in (((weight, row_factor),), 5, [(weight, row_factor, col_factor)]):
         forged = ProductDecomposition(terms)
         assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=forged))
-    for vector in (("a",) * 4, (0.375, 0.5, 0.5, 0.375), None):
-        forged = QuadraticWitness(vector, w.value, w.degree_sum)
-        assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=forged))
-    floated = QuadraticWitness(w.vector, float(w.value), w.degree_sum)
-    assert not revalidate(lone, Verdict(Status.ENTANGLED, witness=floated))
     for forged in (DegreeCriterionWitness(3, -1.0), DegreeCriterionWitness([3], -1)):
         assert not revalidate(star, Verdict(Status.ENTANGLED, witness=forged))
+    # a bool is an int, but not a row or a row sum: on the crossed 2x2 edge
+    # row 1 sums to -1 and row 2 to +1, so True would pass for the 1 in each
+    crossed = single_edge_graph(Dims(2, 2), {(1, 2), (2, 1)})
+    for honest in (DegreeCriterionWitness(1, -1), DegreeCriterionWitness(2, 1)):
+        assert revalidate(crossed, Verdict(Status.ENTANGLED, witness=honest))
+    for forged in (DegreeCriterionWitness(True, -1), DegreeCriterionWitness(2, True)):
+        assert not revalidate(crossed, Verdict(Status.ENTANGLED, witness=forged))
     # a block certificate whose swapped flag is not a bool
     for swapped in ("no", 0.0, None, [0]):
         forged = BlockLineSumSymmetric(swapped=swapped)
@@ -440,18 +437,6 @@ def test_verdict_json_shapes():
 
     d = verdict_to_json_dict(verdict(build_graph(Dims(3, 3), UNKNOWN_EDGES)))
     assert d == {"verdict": "unknown", "certificate": None, "witness": None}
-
-    e = frozenset({(1, 1), (2, 2)})
-    lone = single_edge_graph(Dims(2, 2), e)
-    wd = verdict_to_json_dict(
-        Verdict(Status.ENTANGLED, witness=quadratic_witness(lone, e))
-    )["witness"]
-    assert wd == {
-        "kind": "quadratic-form",
-        "vector": ["3/8", "1/2", "1/2", "3/8"],
-        "value": "-7/32",
-        "degree_sum": 2,
-    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -623,7 +608,7 @@ def test_every_check_evidence_revalidates_on_its_own(g):
         cert = check(g)
         if cert is not None:
             assert revalidate(g, Verdict(Status.SEPARABLE, certificate=cert))
-    assert analyze(g).degree == witness
+    assert analyze(g).verdict.witness == witness
     v = verdict(g)
     if v.status == Status.ENTANGLED:
         assert v.witness == witness
@@ -713,7 +698,7 @@ def test_degree_preserving_reports_run_no_jacobi(monkeypatch):
     ]
     for g in graphs:
         r = analyze(g)
-        assert r.degree is None and r.verdict.status == Status.SEPARABLE
+        assert r.verdict.witness is None and r.verdict.status == Status.SEPARABLE
         assert r.min_eigenvalue_estimate == 0.0
         assert report_json_dict(r)["ppt"]["min_eigenvalue_estimate"] == 0.0
         assert "(min eigenvalue about 0)" in render_text(r)
@@ -758,8 +743,8 @@ def test_min_eigenvalue_estimate_matches_numpy(g):
     pt = partial_transpose(density_matrix(g), g.dims)
     least = np.linalg.eigvalsh(np.array(pt.rows, dtype=float))[0]
     r = analyze(g)
-    assert (r.min_eigenvalue_estimate == 0.0) == (r.degree is None)
-    if r.degree is None:
+    assert (r.min_eigenvalue_estimate == 0.0) == (r.verdict.witness is None)
+    if r.verdict.witness is None:
         assert least >= -1e-9
     else:
         assert r.min_eigenvalue_estimate == pytest.approx(least, abs=1e-9)
