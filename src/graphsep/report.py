@@ -17,13 +17,13 @@ from .errors import BadDimsError
 from .graphs import EdgeClass, Graph, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
 from .separability import (
+    BlockLineSumSymmetric,
+    ProductDecomposition,
     Status,
     Verdict,
-    _decide,
-    _granted_certificates,
-    degree_criterion,
     pt_laplacian_entries,
     revalidate,
+    verdict,
     verdict_to_json_dict,
 )
 
@@ -93,33 +93,32 @@ def check_dense_size(g: Graph) -> None:
 
 
 def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
-    """Run every check once on one graph and revalidate the verdict."""
+    """Classify one graph with verdict, revalidate the verdict, and add the
+    report's counts and float estimates."""
     check_dense_size(g)
-    same_row = same_column = 0
-    for (i, j), (s, t) in g.sorted_edges:
-        if i == s:
-            same_row += 1
-        elif j == t:
-            same_column += 1
+    entangled = len(g.entangled_edges)
+    same_row = sum(u[0] == v[0] for u, v in g.sorted_edges)
     counts = {
         EdgeClass.SAME_ROW.value: same_row,
-        EdgeClass.SAME_COLUMN.value: same_column,
-        EdgeClass.ENTANGLED.value: len(g.sorted_edges) - same_row - same_column,
+        EdgeClass.SAME_COLUMN.value: len(g.sorted_edges) - entangled - same_row,
+        EdgeClass.ENTANGLED.value: entangled,
         EdgeClass.LOOP.value: len(g.loops),
     }
-    degree = degree_criterion(g)
+    v = verdict(g)
+    if not revalidate(g, v):
+        raise RuntimeError("verdict evidence failed revalidation")
     spec = spectrum(g) if include_spectrum else None
-    if degree is None:  # the partial transpose is a graph Laplacian: least eigenvalue 0
+    if v.witness is None:  # the partial transpose is a graph Laplacian: least eigenvalue 0
         least = 0.0
     elif spec is None:
         least = density_eigenvalues(pt_laplacian_entries(g), g)[0]
     else:
         least = spec["partial_transpose"][0]
-    # each certificate makes the state PPT, so it needs preserved degrees
-    certificates = tuple(_granted_certificates(g)) if degree is None else ()
-    v = _decide(degree, certificates)
-    if not revalidate(g, v):
-        raise RuntimeError("verdict evidence failed revalidation")
+    cert = v.certificate
+    certificates = () if cert is None else (cert.kind,)
+    if isinstance(cert, ProductDecomposition):
+        # no entangled edges, so the block check, which reads only those, passes too
+        certificates += (BlockLineSumSymmetric.kind,)
     # the Laplacian's squared entries: each degree squared, and a 1 for each
     # of the degree_sum off-diagonal -1s
     degrees = Counter(chain.from_iterable(g.sorted_edges))
@@ -130,7 +129,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
             sum(d * d for d in degrees.values()) + g.degree_sum, g.degree_sum**2
         ),
         min_eigenvalue_estimate=least,
-        certificates=tuple(c.kind for c in certificates),
+        certificates=certificates,
         verdict=v,
         spectrum=spec,
     )

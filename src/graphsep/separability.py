@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Sequence
 
 from .errors import DimMismatchError, NotEntangledEdgeError, WrongDimsError
 from .graphs import (
@@ -255,47 +255,28 @@ class Status(Enum):
 @dataclass(frozen=True)
 class Verdict:
     status: Status
-    certificate: object | None = None
+    certificate: ProductDecomposition | BlockLineSumSymmetric | None = None
     witness: DegreeCriterionWitness | None = None
 
 
-def _granted_certificates(g: Graph) -> Iterator:
-    """Every certificate of separability the graph earns, in verdict order:
-    the all-separable product construction, then block line-sum symmetry.
-    Each check runs only when the next certificate is asked for."""
-    cert = all_separable_certificate(g)
-    if cert is not None:
-        yield cert
-    cert = block_lss_certificate(g)
-    if cert is not None:
-        yield cert
-
-
-def _decide(witness: DegreeCriterionWitness | None, certificates: Iterable) -> Verdict:
-    """Verdict from the degree check's witness and the granted certificates.
-
-    Certificates are consulted only when degrees are preserved, and then
-    only the first one is taken.
-    """
-    if witness is not None:
-        return Verdict(Status.ENTANGLED, witness=witness)
-    cert = next(iter(certificates), None)
-    if cert is None:
-        return Verdict(Status.UNKNOWN)
-    return Verdict(Status.SEPARABLE, certificate=cert)
-
-
 def verdict(g: Graph) -> Verdict:
-    """Classify a graph state: the degree check, then the certificates.
+    """Classify a graph state: the degree check, then the all-separable
+    product construction, then block line-sum symmetry.  Each check runs
+    only when the one before it decided nothing.
 
     A changed degree is an entanglement witness.  Preserved degrees already
     make the partial transpose positive, since it is then the Laplacian of
     another graph (Braunstein, Ghosh and Severini, PRA 73, 2006; Hildebrand,
-    Mancini and Severini, MSCS 18, 2008), so the certificates are tried next
-    in _granted_certificates order.  Anything none of them certifies is
-    reported unknown.
+    Mancini and Severini, MSCS 18, 2008), so only then are the certificates
+    tried.  Anything neither of them certifies is reported unknown.
     """
-    return _decide(degree_criterion(g), _granted_certificates(g))
+    witness = degree_criterion(g)
+    if witness is not None:
+        return Verdict(Status.ENTANGLED, witness=witness)
+    cert = all_separable_certificate(g) or block_lss_certificate(g)
+    if cert is None:
+        return Verdict(Status.UNKNOWN)
+    return Verdict(Status.SEPARABLE, certificate=cert)
 
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
@@ -342,9 +323,7 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         if type(wit.row) is not int or type(wit.row_sum) is not int:
             return False
         return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
-    if v.certificate is not None or v.witness is not None:
-        return False
-    return degree_criterion(g) is None and next(_granted_certificates(g), None) is None
+    return v == Verdict(Status.UNKNOWN) and verdict(g) == v
 
 
 def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:

@@ -59,6 +59,17 @@ def test_out_of_range_carries_line_number():
         assert exc.value.line == line
 
 
+def test_first_error_in_file_order_wins_across_kinds():
+    # each edge line is range-checked as it is read, so an out-of-range vertex
+    # and an unknown keyword are reported in file order, whichever comes first
+    with pytest.raises(OutOfRangeError) as exc:
+        parse_graph_text("dims 2 2\nedge 1 1 3 3\nvertex 1 1\n")
+    assert exc.value.line == 2
+    with pytest.raises(GraphFileError, match="unknown keyword") as exc:
+        parse_graph_text("dims 2 2\nvertex 1 1\nedge 1 1 3 3\n")
+    assert exc.value.line == 2
+
+
 def test_missing_dims():
     with pytest.raises(GraphFileError, match="missing dims"):
         parse_graph_text("# nothing here\n")

@@ -309,6 +309,8 @@ def test_verdict_unknown_instance():
     assert v.status == Status.UNKNOWN
     assert v.certificate is None and v.witness is None
     assert revalidate(g, v)
+    # the claim must be this verdict itself, not a look-alike status
+    assert not revalidate(g, Verdict("unknown"))
 
 
 def test_revalidate_accepts_genuine_verdicts():
@@ -608,17 +610,28 @@ def test_every_check_evidence_revalidates_on_its_own(g):
         cert = check(g)
         if cert is not None:
             assert revalidate(g, Verdict(Status.SEPARABLE, certificate=cert))
-    assert analyze(g).verdict.witness == witness
+    r = analyze(g)
+    assert r.verdict.witness == witness
     v = verdict(g)
+    assert r.verdict == v
     if v.status == Status.ENTANGLED:
         assert v.witness == witness
+    # with degrees preserved the report lists every certificate check that
+    # returns evidence, the ones verdict never ran included; otherwise none
+    granted = tuple(
+        cert.kind
+        for cert in (all_separable_certificate(g), block_lss_certificate(g))
+        if cert is not None
+    )
+    assert r.certificates == (granted if witness is None else ())
 
 
 def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
     def granted(g):
         raise AssertionError("certificates asked for")
 
-    monkeypatch.setattr(graphsep.report, "_granted_certificates", granted)
+    for name in ("all_separable_certificate", "block_lss_certificate"):
+        monkeypatch.setattr(graphsep.separability, name, granted)
     r = analyze(star_graph(Dims(3, 3)))
     assert r.verdict.status == Status.ENTANGLED and r.certificates == ()
 
