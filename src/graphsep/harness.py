@@ -36,7 +36,7 @@ from .matrix import (
     is_psd_exact,
     partial_transpose_entries,
 )
-from .report import density_eigenvalues
+from .report import MAX_DENSE_VERTICES, density_eigenvalues
 from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
@@ -288,7 +288,14 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
 
 
 def _check_suite_dims(suite: int, dims: Dims) -> None:
+    """Refuse dims a suite cannot run on, before any pool or instance is
+    built; suite 0 runs the float spectrum on the whole partial transpose,
+    so every suite stops at the reports' vertex bound."""
     p, q = dims
+    if dims.n > MAX_DENSE_VERTICES:
+        raise BadDimsError(
+            f"{p}x{q} grid has {dims.n} vertices; suites stop at {MAX_DENSE_VERTICES}"
+        )
     if suite == 0:
         if p * q < 2:
             raise BadDimsError("cross-consistency needs at least two vertices")
@@ -318,10 +325,11 @@ def run_suite(
         raise BadParamsError(
             f"unknown suite id {suite}; valid ids are {', '.join(map(str, SUITE_IDS))}"
         )
-    if not isinstance(trials, int) or trials < 1:
+    # a bool is an int, but neither a trial count nor a seed
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise BadTrialCountError(f"trial count must be a positive integer, got {trials}")
-    if seed < 0:
-        raise BadParamsError("seed must be nonnegative")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise BadParamsError(f"seed must be a nonnegative integer, got {seed}")
     dims = Dims(*dims)
     _check_suite_dims(suite, dims)
     start = time.perf_counter()

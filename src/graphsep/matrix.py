@@ -226,7 +226,7 @@ def is_psd_exact(mat: SymMatrix | SparseSymMatrix) -> bool:
     entries = mat.entries
     scale = math.lcm(*(x.denominator for x in entries.values()))
     if scale > 1:
-        entries = {k: int(x * scale) for k, x in entries.items()}
+        entries = {k: x.numerator * (scale // x.denominator) for k, x in entries.items()}
     return all(
         a[0][0] > 0 if len(a) == 1 else _bareiss_psd(a) for a in _dense_blocks(entries, 0)
     )

@@ -9,13 +9,12 @@ The partial transpose keeps the Laplacian's diagonal and moves the entry of
 an edge {(i,j),(s,t)} to ((i,t),(s,j)), so the degree, block and witness
 checks read it off the edge list in O(m) without building a matrix; only
 ppt_test, the reports and the suites build the whole map.  A product
-decomposition is revalidated the same way, against the Laplacian's nonzero
-entries.
+decomposition is revalidated the same way, in integers over one common
+denominator, against the Laplacian's nonzero entries.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,6 +78,18 @@ def _pt_row_sums(g: Graph) -> dict[int, int]:
         sums[a + t] = get(a + t, 0) - 1
         sums[b + j] = get(b + j, 0) - 1
     return {row: x for row, x in sums.items() if x}
+
+
+def _pt_row_sum(g: Graph, row: int) -> int:
+    """Sum of one 1-based row of the partially transposed Laplacian, over the
+    entangled edges alone, as in _pt_row_sums; a row outside the grid sums
+    to zero."""
+    q = g.dims.q
+    total = 0
+    for (i, j), (s, t) in g.entangled_edges:
+        a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
+        total += (a + j == row) + (b + t == row) - (a + t == row) - (b + j == row)
+    return total
 
 
 def degree_criterion(g: Graph) -> DegreeCriterionWitness | None:
@@ -281,29 +292,53 @@ def verdict(g: Graph) -> Verdict:
 
 def _revalidate_certificate(g: Graph, cert) -> bool:
     if isinstance(cert, ProductDecomposition):
-        if not isinstance(cert.terms, tuple) or not cert.terms:
+        terms = cert.terms
+        if not isinstance(terms, tuple) or not terms:
             return False
-        q = g.dims.q
-        total_weight = Fraction(0)
-        mixture = Counter()  # degree_sum times the mixture, sparse like the Laplacian
-        for term in cert.terms:
+        p, q = g.dims
+        for term in terms:
             if not isinstance(term, tuple) or len(term) != 3:
                 return False
             weight, row_factor, col_factor = term
-            if not isinstance(weight, (int, Fraction)) or weight <= 0:
+            # a bool is an int, but not a weight
+            if type(weight) is bool or not isinstance(weight, (int, Fraction)) or weight <= 0:
                 return False
-            total_weight += weight
-            for factor, dim in ((row_factor, g.dims.p), (col_factor, q)):
+            for factor, dim in ((row_factor, p), (col_factor, q)):
                 if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
                     return False
                 if factor.trace() != 1 or not is_psd_exact(factor):
                     return False
+        # every weight and factor entry as an integer over one common
+        # denominator den, so the mixture is summed in ints and is den**3
+        # times the real one
+        den = lcm(*(
+            x.denominator
+            for w, rf, cf in terms
+            for x in (w, *rf.entries.values(), *cf.entries.values())
+        ))
+
+        def scaled(x):  # den * x, exactly, without a Fraction multiply
+            return x.numerator * (den // x.denominator)
+
+        weights = [scaled(w) for w, _, _ in terms]
+        if sum(weights) != den:
+            return False
+        mixture = {}  # degree_sum * den**3 times the mixture, sparse like the Laplacian
+        get = mixture.get
+        for w, (_, row_factor, col_factor) in zip(weights, terms):
+            w *= g.degree_sum
+            cols = [(c, d, scaled(y)) for (c, d), y in col_factor.entries.items()]
             # row-factor entry (a, b) times column-factor entry (c, d) lands at
             # (a q + c, b q + d); an all-separable term has at most 4 of them
             for (a, b), x in row_factor.entries.items():
-                for (c, d), y in col_factor.entries.items():
-                    mixture[a * q + c, b * q + d] += g.degree_sum * weight * x * y
-        return total_weight == 1 and mixture == laplacian_entries(g)
+                wx, a, b = w * scaled(x), a * q, b * q
+                for c, d, y in cols:
+                    key = a + c, b + d
+                    mixture[key] = get(key, 0) + wx * y
+        cube = den**3
+        return {k: x for k, x in mixture.items() if x} == {
+            k: cube * x for k, x in laplacian_entries(g).items()
+        }
     if isinstance(cert, BlockLineSumSymmetric):
         swapped = cert.swapped
         return isinstance(swapped, bool) and _block_line_sums_match(g, swapped)
@@ -322,7 +357,7 @@ def revalidate(g: Graph, v: Verdict) -> bool:
         # has no entry, so its sum reads as zero
         if type(wit.row) is not int or type(wit.row_sum) is not int:
             return False
-        return wit.row_sum != 0 and _pt_row_sums(g).get(wit.row, 0) == wit.row_sum
+        return wit.row_sum != 0 and _pt_row_sum(g, wit.row) == wit.row_sum
     return v == Verdict(Status.UNKNOWN) and verdict(g) == v
 
 

@@ -8,9 +8,11 @@ import graphsep.harness
 import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
 from graphsep.graphs import Dims, star_graph
+from graphsep.report import MAX_DENSE_VERTICES
 from graphsep.harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
+    _check_suite_dims,
     _dump_failure,
     run_suite,
     suite_instance,
@@ -51,6 +53,14 @@ def test_run_suite_validation():
         run_suite(1, (2, 2), -5, 0)
     with pytest.raises(BadParamsError):
         run_suite(1, (2, 2), 10, -1)
+    # a bool is an int, but neither a trial count nor a seed
+    with pytest.raises(BadTrialCountError):
+        run_suite(1, (2, 2), True, 0)
+    with pytest.raises(BadParamsError):
+        run_suite(1, (2, 2), 2, True)
+    for seed in (1.5, "3"):
+        with pytest.raises(BadParamsError):
+            run_suite(1, (2, 2), 2, seed)
     with pytest.raises(BadDimsError):
         run_suite(1, (1, 4), 10, 0)
     with pytest.raises(BadDimsError):
@@ -232,3 +242,22 @@ def test_suites_build_no_dense_matrix(monkeypatch):
     for suite in SUITE_IDS:
         dims = (2, 4) if suite == 7 else (3, 3)
         assert run_suite(suite, dims, 20, 5).ok, suite
+
+
+def test_suite_dims_stop_at_the_report_bound(monkeypatch):
+    # refused before any pool or instance is built: a 1000x1000 suite 0
+    # would otherwise sample from about 10^9 separable edges
+    def build(*args):
+        raise AssertionError("suite instance built")
+
+    for name in ("separable_edge_pool", "entangled_edge_pool", "complete_graph"):
+        monkeypatch.setattr(graphsep.harness, name, build)
+    assert 33 * 32 > MAX_DENSE_VERTICES == 32 * 32
+    for suite in SUITE_IDS:
+        with pytest.raises(BadDimsError, match=str(MAX_DENSE_VERTICES)):
+            run_suite(suite, (33, 32), 1, 0)
+    for suite in (0, 1, 2, 4, 5):
+        _check_suite_dims(suite, Dims(32, 32))
+    _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2))
+    with pytest.raises(BadDimsError):
+        _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2 + 1))

@@ -43,6 +43,8 @@ from graphsep.separability import (
     Status,
     Verdict,
     _block_line_sums_match,
+    _pt_row_sum,
+    _pt_row_sums,
     all_separable_certificate,
     block_lss_certificate,
     degree_criterion,
@@ -380,6 +382,9 @@ def test_revalidate_rejects_tampered_evidence():
     assert weight == 1
     floated = ProductDecomposition(((1.0, row_factor, col_factor),))
     assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=floated))
+    # a bool is an int, but not a weight: True would pass for the 1
+    booled = ProductDecomposition(((True, row_factor, col_factor),))
+    assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=booled))
     for terms in (((weight, row_factor),), 5, [(weight, row_factor, col_factor)]):
         forged = ProductDecomposition(terms)
         assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=forged))
@@ -656,6 +661,85 @@ def test_sparse_purity_and_product_revalidation_match_dense(g):
         claim = Verdict(Status.SEPARABLE, certificate=c)
         assert revalidate(g, claim) == (reconstruct(c) == sigma)
     assert revalidate(g, Verdict(Status.SEPARABLE, certificate=cert))
+
+
+def dense_product_rule(g, cert):
+    """The product rule with dense arithmetic over Fraction: positive
+    weights, factors of the grid's orders with unit trace that are PSD, and
+    a reconstructed mixture equal to the density matrix."""
+    for weight, row_factor, col_factor in cert.terms:
+        if weight <= 0:
+            return False
+        for factor, dim in ((row_factor, g.dims.p), (col_factor, g.dims.q)):
+            if factor.order != dim or factor.trace() != 1:
+                return False
+            if not is_psd_exact(factor.dense()):
+                return False
+    return reconstruct(cert) == density_matrix(g)
+
+
+@st.composite
+def all_separable_graphs(draw):
+    """random_graph with only same-row and same-column edges, grids up to 4x4."""
+    dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    ns = draw(st.integers(1, min(6, separable_pool_size(dims))))
+    return random_graph(dims, ns, 0, draw(st.integers(0, 2**31)))
+
+
+def _scaled(factor, by):
+    return SparseSymMatrix(factor.order, {k: x * by for k, x in factor.entries.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_separable_graphs(), st.data())
+def test_product_revalidation_over_a_common_denominator(g, data):
+    # revalidate sums the mixture in ints over the lcm of every weight's and
+    # entry's denominator; forged mixtures with mixed denominators must get
+    # the verdict the dense Fraction rule gives
+    terms = list(all_separable_certificate(g).terms)
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    ops = ("split", "move", "scale", "zero", "negate")
+    for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):
+        i = data.draw(st.integers(0, len(terms) - 1))
+        j = data.draw(st.integers(0, len(terms) - 1))
+        w, rf, cf = terms[i]
+        if op == "split":  # the same mixture: accepted when nothing else changed
+            part = data.draw(st.sampled_from([third, seventh, 2 * seventh]))
+            terms[i : i + 1] = [(w * part, rf, cf), (w * (1 - part), rf, cf)]
+        elif op == "move":
+            delta = data.draw(st.sampled_from([third, seventh]))
+            terms[i] = (w - delta, rf, cf)
+            wj, rj, cj = terms[j]
+            terms[j] = (wj + delta, rj, cj)
+        elif op == "scale":
+            terms[i] = (w, _scaled(rf, Fraction(3, 2)), cf)
+            wj, rj, cj = terms[j]
+            terms[j] = (wj, rj, _scaled(cj, Fraction(2, 3)))
+        elif op == "zero":
+            terms[i] = (0, rf, cf)
+        else:
+            terms[i] = (-w, rf, cf)
+    cert = ProductDecomposition(tuple(terms))
+    claim = Verdict(Status.SEPARABLE, certificate=cert)
+    assert revalidate(g, claim) == dense_product_rule(g, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_grid_graphs_with_loops(), pt_paired_graphs()))
+def test_degree_witness_row_sum_matches_every_row_sum(g):
+    # revalidate sums the witness's own row; degree_criterion reads every
+    # row's sum from _pt_row_sums, so each checks the other at every row
+    sums = _pt_row_sums(g)
+    assert 0 not in sums and g.n + 1 not in sums
+    for row in range(g.n + 2):
+        x = sums.get(row, 0)
+        assert _pt_row_sum(g, row) == x
+        if x:
+            claim = Verdict(Status.ENTANGLED, witness=DegreeCriterionWitness(row, x))
+            assert revalidate(g, claim)
+        for off in (x - 1, x + 1) if x else (-1, 1):
+            claim = Verdict(Status.ENTANGLED, witness=DegreeCriterionWitness(row, off))
+            assert not revalidate(g, claim)
 
 
 def test_sparse_verdicts_build_no_dense_matrix(monkeypatch):
