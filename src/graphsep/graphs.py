@@ -10,7 +10,6 @@ on the graph so callers can still see them.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +37,18 @@ class Dims(NamedTuple):
     @property
     def n(self) -> int:
         return self.p * self.q
+
+
+def checked_dims(dims) -> Dims:
+    """dims as Dims when it is a pair of ints; BadDimsError otherwise.  A
+    bool is an int, but not a dim."""
+    try:
+        p, q = dims
+    except (TypeError, ValueError):
+        raise BadDimsError(f"grid dims must be a pair, got {dims!r}") from None
+    if any(type(d) is bool or not isinstance(d, int) for d in (p, q)):
+        raise BadDimsError(f"grid dims must be integers, got {p!r} and {q!r}")
+    return Dims(p, q)
 
 
 def linear_index(v: Vertex, dims: Dims) -> int:
@@ -77,9 +88,9 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        """Store dims as Dims, then require positive dims, edges of one or
-        two grid vertices, and a non-loop edge."""
-        object.__setattr__(self, "dims", Dims(*self.dims))
+        """Store dims as Dims, then require a pair of positive ints, edges of
+        one or two grid vertices, and a non-loop edge."""
+        object.__setattr__(self, "dims", checked_dims(self.dims))
         p, q = self.dims
         if p < 1 or q < 1:
             raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
@@ -135,15 +146,16 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     return SymMatrix(tuple(tuple(row) for row in a))
 
 
-def laplacian_entries(g: Graph) -> Counter:
+def laplacian_entries(g: Graph) -> dict:
     """Nonzero Laplacian entries keyed by 0-based (row, column); loops
     contribute nothing."""
     q = g.dims.q
-    entries = Counter()
+    entries = {}  # a plain dict: Counter calls __missing__ for every new key
+    get = entries.get
     for (i, j), (s, t) in g.sorted_edges:
         r, c = (i - 1) * q + j - 1, (s - 1) * q + t - 1  # 0-based linear_index
-        entries[r, r] += 1
-        entries[c, c] += 1
+        entries[r, r] = get((r, r), 0) + 1
+        entries[c, c] = get((c, c), 0) + 1
         entries[r, c] = entries[c, r] = -1
     return entries
 
@@ -182,7 +194,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
 
 def complete_graph(dims: Dims) -> Graph:
     """Every pair of distinct grid vertices joined."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     verts = [(i, j) for i in range(1, dims.p + 1) for j in range(1, dims.q + 1)]
     edges = [
         frozenset({verts[a], verts[b]})
@@ -194,7 +206,7 @@ def complete_graph(dims: Dims) -> Graph:
 
 def star_graph(dims: Dims) -> Graph:
     """Vertex (1, 1) joined to every other grid vertex."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     hub = (1, 1)
     edges = [
         frozenset({hub, (i, j)})
@@ -207,7 +219,7 @@ def star_graph(dims: Dims) -> Graph:
 
 def single_edge_graph(dims: Dims, edge: Edge | Iterable[Vertex]) -> Graph:
     """One edge whose endpoints differ in both coordinates."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     g = build_graph(dims, [edge])
     if not g.entangled_edges:
         raise BadParamsError("single-edge family needs both coordinates to differ")
@@ -216,7 +228,7 @@ def single_edge_graph(dims: Dims, edge: Edge | Iterable[Vertex]) -> Graph:
 
 def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
     """Two-row graph matching (1, j) to (2, pi_j) for a fixed-point-free pi."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     if dims.p != 2:
         raise BadParamsError(f"matching family needs p = 2, got p = {dims.p}")
     perm = tuple(pi)
@@ -230,7 +242,7 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
 
 def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     """All same-row and same-column edges as sorted pairs, sorted."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     pool = []
     for i in range(1, dims.p + 1):
         for j in range(1, dims.q + 1):
@@ -246,7 +258,7 @@ def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
 def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     """All edges whose endpoints differ in both coordinates, as sorted pairs,
     sorted."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     pool = []
     for i in range(1, dims.p + 1):
         for s in range(i + 1, dims.p + 1):
@@ -258,12 +270,12 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
 
 
 def separable_pool_size(dims: Dims) -> int:
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     return dims.p * comb(dims.q, 2) + dims.q * comb(dims.p, 2)
 
 
 def entangled_pool_size(dims: Dims) -> int:
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     return comb(dims.p, 2) * dims.q * (dims.q - 1)
 
 
@@ -271,7 +283,7 @@ def random_graph(
     dims: Dims, num_separable: int, num_entangled: int, seed: int
 ) -> Graph:
     """Uniform sample without replacement from the two edge pools."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     if num_separable < 0 or num_entangled < 0:
         raise BadParamsError("edge counts must be nonnegative")
     sep_pool = separable_edge_pool(dims)

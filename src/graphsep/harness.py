@@ -21,6 +21,7 @@ from .graphs import (
     Dims,
     Graph,
     build_graph,
+    checked_dims,
     complete_graph,
     entangled_edge_pool,
     laplacian_entries,
@@ -131,7 +132,7 @@ def _random_separable(rng: random.Random, dims: Dims):
 
 def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
     """Deterministic instance for one trial."""
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     rng = random.Random(tseed)
     if suite == 1:
         sep = _random_separable(rng, dims)
@@ -330,7 +331,7 @@ def run_suite(
         raise BadTrialCountError(f"trial count must be a positive integer, got {trials}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise BadParamsError(f"seed must be a nonnegative integer, got {seed}")
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     _check_suite_dims(suite, dims)
     start = time.perf_counter()
     tseeds = [trial_seed(seed, i) for i in range(trials)]

@@ -161,31 +161,35 @@ def _check_entries(entries: Mapping[tuple[int, int], Entry], n: int) -> None:
 
 def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[list[list]]:
     """The square block, rows ascending, of each connected component of the
-    nonzero pattern of a checked symmetric matrix, filled in one pass over
-    its entries with zero elsewhere; a row with no nonzero entry is in none."""
-    root = {}
-
-    def find(v: int) -> int:
-        while (up := root.setdefault(v, v)) != v:
-            root[v] = v = root[up]  # path halving: v's grandparent, then step there
-        return v
-
-    for (r, c), x in entries.items():
-        if x and r <= c:  # the mirror (c, r) adds nothing
-            a, b = find(r), find(c)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
-    comps = {}
-    for v in sorted(root):
-        comps.setdefault(find(v), []).append(v)
-    where = {v: (k, i) for k, rows in enumerate(comps.values()) for i, v in enumerate(rows)}
-    blocks = [[[zero] * len(rows) for _ in rows] for rows in comps.values()]
+    nonzero pattern of a checked symmetric matrix, in order of least row,
+    filled from each row's nonzero entries with zero elsewhere; a row with
+    no nonzero entry is in none."""
+    adjacent = {}  # row -> {column: nonzero entry}
     for (r, c), x in entries.items():
         if x:
-            k, i = where[r]
-            blocks[k][i][where[c][1]] = x
+            adjacent.setdefault(r, {})[c] = x
+    blocks = []
+    where = {}  # row -> its index in its block; every row the walks reached
+    for start in sorted(adjacent):  # the least row of a component not yet walked
+        if start in where:
+            continue
+        where[start] = 0
+        rows = [start]
+        for r in rows:  # rows grows as the walk reaches new neighbours
+            for c in adjacent[r]:
+                if c not in where:
+                    where[c] = 0
+                    rows.append(c)
+        rows.sort()
+        for i, r in enumerate(rows):
+            where[r] = i
+        block = []
+        for r in rows:
+            row = [zero] * len(rows)
+            for c, x in adjacent[r].items():
+                row[where[c]] = x
+            block.append(row)
+        blocks.append(block)
     return blocks
 
 
@@ -212,21 +216,29 @@ def _bareiss_psd(a: list[list[Entry]]) -> bool:
 
 
 def is_psd_exact(mat: SymMatrix | SparseSymMatrix) -> bool:
-    """Exact positive semidefiniteness by fraction-free symmetric elimination.
-
-    Rational entries are cleared first with the positive lcm of their
-    denominators, which cannot change definiteness.  The matrix is then the
-    direct sum of its blocks on the connected components of its nonzero
-    pattern, so each block is tested on its own: a 1-by-1 block by its
-    sign, a larger one by elimination.  Pivoting runs in row order: a
-    negative pivot refutes PSD, a zero pivot with a nonzero residual row
-    refutes PSD, and a zero row is dropped.  Updates use the Bareiss rule
-    (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay integers.
-    """
+    """Exact positive semidefiniteness of a matrix with int or Fraction
+    entries: they are cleared with the positive lcm of their denominators,
+    which cannot change definiteness, and tested by is_psd_integral."""
     entries = mat.entries
     scale = math.lcm(*(x.denominator for x in entries.values()))
     if scale > 1:
         entries = {k: x.numerator * (scale // x.denominator) for k, x in entries.items()}
+    return is_psd_integral(entries)
+
+
+def is_psd_integral(entries: Mapping[tuple[int, int], int]) -> bool:
+    """Exact positive semidefiniteness, by fraction-free symmetric
+    elimination, of the checked symmetric matrix whose nonzero integer
+    entries are given by 0-based (row, column).
+
+    The matrix is the direct sum of its blocks on the connected components
+    of its nonzero pattern, so each block is tested on its own: a 1-by-1
+    block by its sign, a larger one by elimination.  Pivoting runs in row
+    order: a negative pivot refutes PSD, a zero pivot with a nonzero
+    residual row refutes PSD, and a zero row is dropped.  Updates use the
+    Bareiss rule (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay
+    integers.
+    """
     return all(
         a[0][0] > 0 if len(a) == 1 else _bareiss_psd(a) for a in _dense_blocks(entries, 0)
     )

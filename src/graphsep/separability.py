@@ -27,6 +27,7 @@ from .graphs import (
     Edge,
     EdgeClass,
     Graph,
+    checked_dims,
     classify_edge,
     laplacian_entries,
     linear_index,
@@ -37,6 +38,7 @@ from .matrix import (
     add,
     exact_str,
     is_psd_exact,
+    is_psd_integral,
     kron,
     partial_transpose_entries,
 )
@@ -109,7 +111,7 @@ def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
     Entries are 1/2 everywhere except the edge's two endpoints, which get
     (p + q - 1) / (2 (p + q)).
     """
-    dims = Dims(*dims)
+    dims = checked_dims(dims)
     e = frozenset(edge)
     if len(e) != 2 or classify_edge(e, dims) != EdgeClass.ENTANGLED:
         raise NotEntangledEdgeError(
@@ -166,30 +168,42 @@ class BlockLineSumSymmetric:
     swapped: bool = False
 
 
+_HALF = Fraction(1, 2)
+
+
 def _point_mass(n: int, i: int) -> SparseSymMatrix:
     return SparseSymMatrix(n, {(i - 1, i - 1): 1})
 
 
 def _difference_projector(n: int, a: int, b: int) -> SparseSymMatrix:
     """Unit-trace projector onto the normalized difference of two basis axes."""
-    half = Fraction(1, 2)
     a, b = a - 1, b - 1
-    return SparseSymMatrix(n, {(a, a): half, (b, b): half, (a, b): -half, (b, a): -half})
+    return SparseSymMatrix(n, {(a, a): _HALF, (b, b): _HALF, (a, b): -_HALF, (b, a): -_HALF})
 
 
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:
-    """Explicit product mixture when no edge spans both coordinates."""
+    """Explicit product mixture when no edge spans both coordinates; equal
+    factors are one object."""
     if g.entangled_edges:
         return None
     pairs = g.sorted_edges
     p, q = g.dims
     weight = Fraction(1, len(pairs))
+    factors = {}  # (order, a, b) -> the point mass at a == b or the projector
+
+    def factor(n: int, a: int, b: int) -> SparseSymMatrix:
+        key = n, a, b
+        f = factors.get(key)
+        if f is None:
+            f = factors[key] = _point_mass(n, a) if a == b else _difference_projector(n, a, b)
+        return f
+
     terms = []
     for (i, j), (s, t) in pairs:
         if i == s:
-            terms.append((weight, _point_mass(p, i), _difference_projector(q, j, t)))
+            terms.append((weight, factor(p, i, i), factor(q, j, t)))
         else:
-            terms.append((weight, _difference_projector(p, i, s), _point_mass(q, j)))
+            terms.append((weight, factor(p, i, s), factor(q, j, j)))
     return ProductDecomposition(tuple(terms))
 
 
@@ -296,6 +310,9 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
         if not isinstance(terms, tuple) or not terms:
             return False
         p, q = g.dims
+        # each distinct factor object once; keyed by id, since a factor
+        # hashes by its order alone
+        factors = {}
         for term in terms:
             if not isinstance(term, tuple) or len(term) != 3:
                 return False
@@ -306,16 +323,14 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
             for factor, dim in ((row_factor, p), (col_factor, q)):
                 if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
                     return False
-                if factor.trace() != 1 or not is_psd_exact(factor):
-                    return False
-        # every weight and factor entry as an integer over one common
-        # denominator den, so the mixture is summed in ints and is den**3
-        # times the real one
-        den = lcm(*(
-            x.denominator
-            for w, rf, cf in terms
-            for x in (w, *rf.entries.values(), *cf.entries.values())
-        ))
+                factors[id(factor)] = factor
+        # every weight and every distinct factor's entry as an integer over
+        # one common denominator den, so the mixture is summed in ints and
+        # is den**3 times the real one
+        den = lcm(
+            *(w.denominator for w, _, _ in terms),
+            *(x.denominator for f in factors.values() for x in f.entries.values()),
+        )
 
         def scaled(x):  # den * x, exactly, without a Fraction multiply
             return x.numerator * (den // x.denominator)
@@ -323,16 +338,25 @@ def _revalidate_certificate(g: Graph, cert) -> bool:
         weights = [scaled(w) for w, _, _ in terms]
         if sum(weights) != den:
             return False
+        # den times each distinct factor: unit trace is a diagonal summing
+        # to den, and a positive scaling keeps definiteness
+        ints = {}
+        for key, factor in factors.items():
+            entries = ints[key] = {k: scaled(x) for k, x in factor.entries.items()}
+            if sum(x for (r, c), x in entries.items() if r == c) != den:
+                return False
+            if not is_psd_integral(entries):
+                return False
         mixture = {}  # degree_sum * den**3 times the mixture, sparse like the Laplacian
         get = mixture.get
         for w, (_, row_factor, col_factor) in zip(weights, terms):
             w *= g.degree_sum
-            cols = [(c, d, scaled(y)) for (c, d), y in col_factor.entries.items()]
+            cols = ints[id(col_factor)].items()
             # row-factor entry (a, b) times column-factor entry (c, d) lands at
             # (a q + c, b q + d); an all-separable term has at most 4 of them
-            for (a, b), x in row_factor.entries.items():
-                wx, a, b = w * scaled(x), a * q, b * q
-                for c, d, y in cols:
+            for (a, b), x in ints[id(row_factor)].items():
+                wx, a, b = w * x, a * q, b * q
+                for (c, d), y in cols:
                     key = a + c, b + d
                     mixture[key] = get(key, 0) + wx * y
         cube = den**3

@@ -61,6 +61,15 @@ def test_classify_edge():
 
 INVALID_GRAPHS = [
     (BadDimsError, Dims(0, 2), [frozenset({(1, 1), (1, 2)})]),
+    # dims must be a pair of ints, and a bool is not one
+    (BadDimsError, (2.0, 3), [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, (2, 3.0), [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, (True, 3), [frozenset({(1, 1), (1, 2)})]),
+    (BadDimsError, (2, "3"), [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, (2,), [frozenset({(1, 1), (2, 1)})]),
+    (BadDimsError, (2, 3, 4), [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, 6, [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, None, [frozenset({(1, 1), (2, 2)})]),
     (EmptyEdgeSetError, Dims(2, 2), []),
     (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 1)})]),
     (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 3)})]),
@@ -76,6 +85,29 @@ def test_build_graph_validation():
         for make in (build_graph, lambda d, e: Graph(d, frozenset(e))):
             with pytest.raises(error):
                 make(dims, edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        complete_graph,
+        star_graph,
+        separable_edge_pool,
+        entangled_edge_pool,
+        separable_pool_size,
+        entangled_pool_size,
+        lambda dims: random_graph(dims, 1, 0, 0),
+        lambda dims: single_edge_graph(dims, {(1, 1), (2, 2)}),
+        lambda dims: pe_matching_graph(dims, (2, 1)),
+    ],
+    ids=["complete", "star", "separable-pool", "entangled-pool", "separable-size",
+         "entangled-size", "random", "single-edge", "pe-matching"],
+)
+def test_generators_refuse_dims_that_are_not_ints(make):
+    # refused as bad dims before any range or comb sees a float
+    for dims in ((2.0, 2), (2, 2.0), (2, True), (2,)):
+        with pytest.raises(BadDimsError):
+            make(dims)
 
 
 def test_build_graph_dedups():

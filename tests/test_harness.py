@@ -71,6 +71,10 @@ def test_run_suite_validation():
         run_suite(7, (2, 1), 10, 0)
     with pytest.raises(BadDimsError):
         run_suite(0, (1, 1), 10, 0)
+    # dims must be a pair of ints, and a bool is not one
+    for dims in ((2.0, 2), (3, 3.0), (True, 3), (3, False), ("3", 3), (3,), (3, 3, 3), 9):
+        with pytest.raises(BadDimsError):
+            run_suite(1, dims, 1, 0)
 
 
 def test_suite_instance_reproducible():

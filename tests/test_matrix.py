@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 import graphsep.matrix
 from graphsep.errors import (
@@ -15,6 +17,7 @@ from graphsep.errors import (
 from graphsep.graphs import Dims, complete_graph, laplacian_entries, star_graph
 from graphsep.matrix import (
     SparseSymMatrix,
+    _dense_blocks,
     SymMatrix,
     add,
     eigenvalues_sym,
@@ -200,6 +203,60 @@ def test_sparse_matrix_validates_entries():
     m = SparseSymMatrix(2, source)
     source[5, 5] = 1
     assert m.entries == {(0, 0): 1}
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """An entry map by 0-based (row, column) of a symmetric matrix of up to
+    12 rows, with explicit zeros, and its zero: exact entries with 0, or
+    float entries with 0.0 as on the eigenvalue path."""
+    n = draw(st.integers(0, 12))
+    floats = draw(st.booleans())
+    if floats:
+        value = st.floats(-3, 3, allow_nan=False)
+    else:
+        value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    entries = {}
+    for r, c in draw(st.lists(cells, max_size=2 * n)) if n else ():
+        entries[r, c] = entries[c, r] = draw(value)
+    return entries, n, 0.0 if floats else 0
+
+
+def connected_rows(entries, n) -> list[list[int]]:
+    """Oracle: the rows of each connected component of the nonzero pattern,
+    by scipy, ascending, in order of least row; rows with no nonzero entry
+    are left out."""
+    pattern = [k for k, x in entries.items() if x]
+    if not pattern:
+        return []
+    rows, cols = zip(*pattern)
+    graph = coo_array(([1] * len(pattern), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    comps = {}
+    for v in sorted(set(rows)):
+        comps.setdefault(labels[v], []).append(v)
+    return list(comps.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_patterns())
+@example(({}, 0, 0))
+@example(({}, 4, 0.0))
+@example(({(0, 1): 0, (1, 0): 0, (2, 2): 0}, 3, 0))
+@example(({(2, 2): 1, (0, 1): 5, (1, 0): 5}, 3, 0))
+def test_dense_blocks_match_scipy_components(case):
+    entries, n, zero = case
+    comps = connected_rows(entries, n)
+
+    def block(rows, values):
+        return [[values[r, c] if values.get((r, c)) else zero for c in rows] for r in rows]
+
+    assert _dense_blocks(entries, zero) == [block(rows, entries) for rows in comps]
+    # a value unique to each unordered pair pins the block order and each
+    # block's row order, which equal entries could leave open
+    labels = {(r, c): n * min(r, c) + max(r, c) + 1 for (r, c), x in entries.items() if x}
+    assert _dense_blocks(labels, zero) == [block(rows, labels) for rows in comps]
 
 
 def fraction_psd(rows) -> bool:

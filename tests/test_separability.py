@@ -174,6 +174,71 @@ def test_product_decomposition_two_edges():
     assert row_term[2].dense().rows == ((half, -half), (-half, half))
 
 
+SAME_ROW_2X4 = build_graph(Dims(2, 4), [{(1, 1), (1, 2)}, {(1, 3), (1, 4)}])
+
+
+def test_product_terms_share_equal_factors():
+    # both edges lie in row 1, so both terms take the one row-1 point mass
+    (_, r0, c0), (_, r1, c1) = all_separable_certificate(SAME_ROW_2X4).terms
+    assert r0 is r1 and c0 is not c1
+    row = [["1", "0"], ["0", "0"]]
+    zeros = ["0", "0", "0", "0"]
+    assert verdict_to_json_dict(verdict(SAME_ROW_2X4)) == {
+        "verdict": "separable",
+        "certificate": {
+            "kind": "all-edges-separable",
+            "terms": [
+                {
+                    "weight": "1/2",
+                    "row_factor": row,
+                    "column_factor": [
+                        ["1/2", "-1/2", "0", "0"],
+                        ["-1/2", "1/2", "0", "0"],
+                        zeros,
+                        zeros,
+                    ],
+                },
+                {
+                    "weight": "1/2",
+                    "row_factor": row,
+                    "column_factor": [
+                        zeros,
+                        zeros,
+                        ["0", "0", "1/2", "-1/2"],
+                        ["0", "0", "-1/2", "1/2"],
+                    ],
+                },
+            ],
+        },
+        "witness": None,
+    }
+
+
+def test_shared_factor_is_checked_whatever_its_terms():
+    # each mixture below equals the density matrix with weights summing to
+    # 1, so only a factor's trace or PSD check can refuse it; the trace-2
+    # factor and the indefinite one are each shared by two terms
+    g = SAME_ROW_2X4
+    (_, row, col0), (_, _, col1) = all_separable_certificate(g).terms
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    double = SparseSymMatrix(2, {(0, 0): 2})  # trace 2
+    halves = [_scaled(c, half) for c in (col0, col1)]  # trace 1/2
+    traced = ProductDecomposition(((half, double, halves[0]), (half, double, halves[1])))
+    # unit trace, not PSD; it plus the PSD point mass at row 2 is twice row's
+    negative = SparseSymMatrix(2, {(0, 0): 2, (1, 1): -1})
+    other = SparseSymMatrix(2, {(1, 1): 1})
+    indefinite = ProductDecomposition(tuple(
+        (quarter, r, c) for r in (negative, other) for c in (col0, col1)
+    ))
+    for cert in (traced, indefinite):
+        assert reconstruct(cert) == density_matrix(g)
+        claim = Verdict(Status.SEPARABLE, certificate=cert)
+        assert not revalidate(g, claim) and not dense_product_rule(g, cert)
+    assert revalidate(g, Verdict(Status.SEPARABLE, certificate=ProductDecomposition(
+        ((half, row, col0), (half, row, col1))
+    )))
+
+
 def test_product_decomposition_denied_with_entangled_edge():
     g = single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)})
     assert all_separable_certificate(g) is None
@@ -698,7 +763,7 @@ def test_product_revalidation_over_a_common_denominator(g, data):
     # the verdict the dense Fraction rule gives
     terms = list(all_separable_certificate(g).terms)
     third, seventh = Fraction(1, 3), Fraction(1, 7)
-    ops = ("split", "move", "scale", "zero", "negate")
+    ops = ("split", "move", "scale", "zero", "negate", "share")
     for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):
         i = data.draw(st.integers(0, len(terms) - 1))
         j = data.draw(st.integers(0, len(terms) - 1))
@@ -715,6 +780,9 @@ def test_product_revalidation_over_a_common_denominator(g, data):
             terms[i] = (w, _scaled(rf, Fraction(3, 2)), cf)
             wj, rj, cj = terms[j]
             terms[j] = (wj, rj, _scaled(cj, Fraction(2, 3)))
+        elif op == "share":  # term i's factor object in term j too
+            wj, rj, cj = terms[j]
+            terms[j] = (wj, rf, cj) if data.draw(st.booleans()) else (wj, rj, cf)
         elif op == "zero":
             terms[i] = (0, rf, cf)
         else:
