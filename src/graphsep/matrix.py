@@ -227,18 +227,38 @@ def is_psd_exact(mat: SymMatrix | SparseSymMatrix) -> bool:
 
 
 def is_psd_integral(entries: Mapping[tuple[int, int], int]) -> bool:
-    """Exact positive semidefiniteness, by fraction-free symmetric
-    elimination, of the checked symmetric matrix whose nonzero integer
-    entries are given by 0-based (row, column).
+    """Exact positive semidefiniteness of the checked symmetric matrix whose
+    nonzero integer entries are given by 0-based (row, column).
 
-    The matrix is the direct sum of its blocks on the connected components
-    of its nonzero pattern, so each block is tested on its own: a 1-by-1
-    block by its sign, a larger one by elimination.  Pivoting runs in row
-    order: a negative pivot refutes PSD, a zero pivot with a nonzero
-    residual row refutes PSD, and a zero row is dropped.  Updates use the
-    Bareiss rule (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay
-    integers.
+    Two rules read the sign pattern and the row sums, in one pass over the
+    entries, and decide most matrices without elimination; both hold for
+    every symmetric matrix.  A row with no entry sums to 0.
+
+    1. Every off-diagonal entry <= 0 and every row sum >= 0: PSD.  Each
+       diagonal entry is then at least the sum of its row's off-diagonal
+       magnitudes, so every Gershgorin disc lies in [0, inf).
+    2. The entries sum to 0 and some row sum is nonzero: not PSD.  For a
+       PSD A, 1^T A 1 = |A^(1/2) 1|^2 = 0 forces A 1 = 0.
+
+    Otherwise the matrix is the direct sum of its blocks on the connected
+    components of its nonzero pattern, so each block is tested on its own:
+    a 1-by-1 block by its sign, a larger one by fraction-free symmetric
+    elimination.  Pivoting runs in row order: a negative pivot refutes PSD,
+    a zero pivot with a nonzero residual row refutes PSD, and a zero row is
+    dropped.  Updates use the Bareiss rule (d*a[i][j] - a[i][k]*a[k][j]) /
+    prev so intermediates stay integers.
     """
+    sums = {}  # row -> row sum, for the rows that have an entry
+    get = sums.get
+    z_matrix = True  # no positive off-diagonal entry seen
+    for (r, c), x in entries.items():
+        sums[r] = get(r, 0) + x
+        if x > 0 and r != c:
+            z_matrix = False
+    if z_matrix and min(sums.values(), default=0) >= 0:
+        return True
+    if not sum(sums.values()) and any(sums.values()):
+        return False
     return all(
         a[0][0] > 0 if len(a) == 1 else _bareiss_psd(a) for a in _dense_blocks(entries, 0)
     )

@@ -53,7 +53,10 @@ def pt_laplacian_entries(g: Graph) -> dict:
 
 def ppt_test(g: Graph) -> bool:
     """Exact positivity of the Laplacian's partial transpose by the generic
-    index rule; the reference for the edge-based checks."""
+    index rule; the reference for the edge-based checks.  The map has no
+    positive off-diagonal entry and its entries total 0, so is_psd_integral
+    decides it by its row sums alone: PSD when every one is 0, not PSD
+    otherwise."""
     return is_psd_exact(SparseSymMatrix(g.n, pt_laplacian_entries(g)))
 
 

@@ -1,13 +1,24 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import graphsep.graphs
 import graphsep.harness
+import graphsep.matrix
 import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
-from graphsep.graphs import Dims, star_graph
+from graphsep.graphs import (
+    Dims,
+    build_graph,
+    complete_graph,
+    entangled_edge_pool,
+    random_graph,
+    separable_edge_pool,
+    single_edge_graph,
+    star_graph,
+)
 from graphsep.report import MAX_DENSE_VERTICES
 from graphsep.harness import (
     SUITE_DESCRIPTIONS,
@@ -21,7 +32,11 @@ from graphsep.harness import (
 from graphsep.matrix import SymMatrix
 from graphsep.separability import (
     BlockLineSumSymmetric,
+    ProductDecomposition,
     _block_line_sums_match,
+    ppt_test,
+    revalidate,
+    verdict,
 )
 
 
@@ -265,3 +280,34 @@ def test_suite_dims_stop_at_the_report_bound(monkeypatch):
     _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2))
     with pytest.raises(BadDimsError):
         _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2 + 1))
+
+
+def test_graphsep_matrices_need_no_elimination(monkeypatch):
+    # every matrix graphsep tests for PSD has no positive off-diagonal entry,
+    # so is_psd_integral decides it by row sums: either all are >= 0, or
+    # they total 0 and one is not 0
+    def eliminate(a):
+        raise AssertionError("Bareiss elimination reached")
+
+    monkeypatch.setattr(graphsep.matrix, "_bareiss_psd", eliminate)
+    rng = random.Random(5)
+    for p in range(2, 9):
+        for q in range(2, 9):
+            dims = Dims(p, q)
+            assert ppt_test(complete_graph(dims))
+            assert not ppt_test(star_graph(dims))
+            assert not ppt_test(single_edge_graph(dims, {(1, 1), (p, q)}))
+            # entangled edges with their partial-transpose images keep degrees
+            edges = set(rng.sample(separable_edge_pool(dims), 2))
+            pool = entangled_edge_pool(dims)
+            for (i, j), (s, t) in rng.sample(pool, min(3, len(pool))):
+                edges |= {((i, j), (s, t)), ((i, t), (s, j))}
+            assert ppt_test(build_graph(dims, [frozenset(e) for e in edges]))
+            g = random_graph(dims, 4, 0, rng.getrandbits(32))
+            v = verdict(g)
+            assert isinstance(v.certificate, ProductDecomposition)
+            assert revalidate(g, v)
+    for suite in SUITE_IDS:
+        assert run_suite(suite, (2, 6) if suite == 7 else (4, 4), 1, 3).ok, suite
+    # separable edges join this partial transpose into one 400-row block
+    assert run_suite(1, (20, 20), 1, 0).ok

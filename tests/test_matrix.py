@@ -17,6 +17,7 @@ from graphsep.errors import (
 from graphsep.graphs import Dims, complete_graph, laplacian_entries, star_graph
 from graphsep.matrix import (
     SparseSymMatrix,
+    _bareiss_psd,
     _dense_blocks,
     SymMatrix,
     add,
@@ -25,6 +26,7 @@ from graphsep.matrix import (
     float12,
     identity,
     is_psd_exact,
+    is_psd_integral,
     kron,
     partial_transpose,
     partial_transpose_entries,
@@ -376,6 +378,110 @@ def test_psd_agrees_with_float_eigenvalues(m):
         assert is_psd_exact(m)
     elif eigs.min() < -1e-8:
         assert not is_psd_exact(m)
+
+
+@st.composite
+def z_matrices(draw):
+    """A case and the entries by 0-based (row, column), with explicit zeros
+    and empty rows, of a symmetric integer Z-matrix (every off-diagonal
+    entry <= 0) whose row sums s put it in that case: "rule-1" every s >= 0;
+    "rule-2" the s total 0 and some s is nonzero; "neither" some s < 0,
+    some s > 0 and a nonzero total."""
+    case = draw(st.sampled_from(["rule-1", "rule-2", "neither"]))
+    n = draw(st.integers(2, 9))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = {}
+    for r, c in draw(st.lists(cells, max_size=2 * n)):
+        if r != c:
+            entries[r, c] = entries[c, r] = draw(st.integers(-3, 0))
+    if case == "rule-1":
+        sums = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    else:
+        sums = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if case == "rule-2":
+        sums[-1] -= sum(sums)
+        if not any(sums):
+            sums[0], sums[1] = 1, -1
+    elif case == "neither":
+        sums[0], sums[1] = -draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        # coupled, so row 0's diagonal may be positive and reach elimination
+        entries[0, 1] = entries[1, 0] = -draw(st.integers(1, 3))
+        if not sum(sums):
+            sums[1] += 1
+    for r in range(n):
+        x = sums[r] - sum(y for (a, b), y in entries.items() if a == r and b != r)
+        if x or draw(st.booleans()):
+            entries[r, r] = x
+    return case, entries, n
+
+
+def sign_pattern_case(dense) -> str:
+    """Which rule of is_psd_integral decides a dense matrix, read off numpy's
+    row sums, or "neither"."""
+    sums = dense.sum(axis=1)
+    off_diagonal = dense - np.diag(np.diag(dense))
+    if off_diagonal.max(initial=0) <= 0 and sums.min(initial=0) >= 0:
+        return "rule-1"
+    if sums.sum() == 0 and sums.any():
+        return "rule-2"
+    return "neither"
+
+
+class EliminationSpy:
+    """Counts the calls to matrix._bareiss_psd while it is installed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, a):
+        self.calls += 1
+        return _bareiss_psd(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_matrices())
+@example(("rule-1", {}, 3))
+@example(("rule-1", {(0, 1): 0, (1, 0): 0, (1, 1): 0}, 2))
+def test_psd_rules_match_elimination_and_numpy(case):
+    want_case, entries, n = case
+    dense = np.zeros((n, n), dtype=np.int64)
+    for (r, c), x in entries.items():
+        dense[r, c] = x
+    assert sign_pattern_case(dense) == want_case
+    spy = EliminationSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphsep.matrix, "_bareiss_psd", spy)
+        got = is_psd_integral(entries)
+        assert is_psd_exact(SparseSymMatrix(n, entries)) == got
+    # rows 0 and 1 of a "neither" matrix share the first block
+    assert (spy.calls > 0) == (want_case == "neither")
+    assert got == all(_bareiss_psd(a) for a in _dense_blocks(entries, 0))
+    least = np.linalg.eigvalsh(dense.astype(float)).min()
+    if abs(least) > 1e-9:
+        assert got == (least > 0)
+
+
+def test_psd_rules_known_cases():
+    lap = laplacian_entries(complete_graph(Dims(3, 3)))
+    star_pt = partial_transpose_entries(laplacian_entries(star_graph(Dims(3, 3))), (3, 3))
+    spy = EliminationSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphsep.matrix, "_bareiss_psd", spy)
+        # rule 1: a Laplacian has row sums 0 and no positive off-diagonal entry
+        assert is_psd_integral(lap)
+        # rule 2: the star's partial transpose totals 0 with a negative row sum
+        assert not is_psd_integral(star_pt)
+        assert spy.calls == 0
+        # Z-matrices with row sums (-1, 3) and (-2, 3): determinants 1 and -3
+        assert is_psd_integral({(0, 0): 1, (0, 1): -2, (1, 0): -2, (1, 1): 5})
+        assert not is_psd_integral({(0, 0): 1, (0, 1): -3, (1, 0): -3, (1, 1): 6})
+        assert spy.calls == 2
+        # a positive off-diagonal entry: row sums 3 and 3, eigenvalues 3 and -1
+        assert not is_psd_integral({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1})
+        assert is_psd_integral({(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+        # every row sums to 0, but (0, 1) is positive: eigenvalues 0, 1 and 9
+        assert is_psd_integral(SymMatrix(((2, 1, -3), (1, 2, -3), (-3, -3, 6))).entries)
+        assert spy.calls == 5
 
 
 def test_eigenvalues_small_cases():

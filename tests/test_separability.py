@@ -61,6 +61,8 @@ from graphsep.separability import (
 from graphsep.matrix import (
     SparseSymMatrix,
     SymMatrix,
+    _bareiss_psd,
+    _dense_blocks,
     eigenvalues_sym,
     is_psd_exact,
     partial_transpose,
@@ -606,6 +608,10 @@ def test_degree_preservation_equals_exact_ppt(g, data):
     pt = partial_transpose(laplacian(g), g.dims)
     degree = degree_criterion(g)
     assert (degree is None) == is_psd_exact(pt)
+    # is_psd_exact decides these by row sums alone, the degree theorem's own
+    # terms, so elimination confirms the theorem independently
+    blocks = _dense_blocks(pt_laplacian_entries(g), 0)
+    assert (degree is None) == all(_bareiss_psd(a) for a in blocks)
     assert degree == dense_degree_criterion(pt)
     assert_block_certificate_matches_dense(g)
     x = data.draw(
