@@ -20,6 +20,8 @@ from .graphs import Dims, Graph
 def parse_graph_text(text: str) -> Graph:
     dims: Dims | None = None
     edges = set()
+    rows: dict[str, int] = {}  # a field already checked as a row, and its int
+    cols: dict[str, int] = {}  # the same for columns
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.isascii():
             raise GraphFileError("non-ASCII character", line=lineno)
@@ -46,23 +48,35 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFileError("edge line before dims header", line=lineno)
             if len(fields) != 5:
                 raise GraphFileError("edge needs exactly four fields", line=lineno)
-            if "".join(fields[1:]).isdigit():  # all unsigned, as none is empty
-                i, j, s, t = map(int, fields[1:])
-            else:  # raises at the first bad field or leaves a negative one
-                i, j, s, t = (_parse_int(f, lineno) for f in fields[1:])
-            p, q = dims
-            if not (0 < i <= p and 0 < s <= p and 0 < j <= q and 0 < t <= q):
-                for (a, b) in ((i, j), (s, t)):
-                    if not (1 <= a <= p and 1 <= b <= q):
-                        raise OutOfRangeError(
-                            f"vertex ({a},{b}) outside {p}x{q} grid", line=lineno
-                        )
-            edges.add(frozenset({(i, j), (s, t)}))
+            _, i, j, s, t = fields  # strings, as in the memos
+            try:
+                edges.add(frozenset({(rows[i], cols[j]), (rows[s], cols[t])}))
+            except KeyError:
+                edges.add(_checked_edge(fields, dims, rows, cols, lineno))
         else:
             raise GraphFileError(f"unknown keyword {keyword!r}", line=lineno)
     if dims is None:
         raise GraphFileError("missing dims header")
     return Graph(dims, frozenset(edges))
+
+
+def _checked_edge(fields, dims, rows, cols, lineno):
+    """The edge of a line with a field missing from its axis's memo,
+    checked in file order: the first bad integer, then the first endpoint
+    off the grid.  A memo holds only fields that passed both checks, so a
+    hit (never 0) skips them; the line's fields go in once all pass."""
+    memos = (rows, cols, rows, cols)
+    i, j, s, t = (
+        memo.get(f) or _parse_int(f, lineno) for memo, f in zip(memos, fields[1:])
+    )
+    p, q = dims
+    for (a, b) in ((i, j), (s, t)):
+        if not (1 <= a <= p and 1 <= b <= q):
+            raise OutOfRangeError(
+                f"vertex ({a},{b}) outside {p}x{q} grid", line=lineno
+            )
+    rows[fields[1]], cols[fields[2]], rows[fields[3]], cols[fields[4]] = i, j, s, t
+    return frozenset({(i, j), (s, t)})
 
 
 def _parse_int(field: str, lineno: int) -> int:

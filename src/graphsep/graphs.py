@@ -89,7 +89,7 @@ class Graph:
 
     def __post_init__(self):
         """Store dims as Dims, then require a pair of positive ints, edges of
-        one or two grid vertices, and a non-loop edge."""
+        one or two grid vertices, each a 2-tuple of ints, and a non-loop edge."""
         object.__setattr__(self, "dims", checked_dims(self.dims))
         p, q = self.dims
         if p < 1 or q < 1:
@@ -97,7 +97,12 @@ class Graph:
         sizes = set(map(len, self.edges))
         if bad := sizes - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
-        for (i, j) in frozenset().union(*self.edges):
+        vertices = frozenset().union(*self.edges)
+        for v in vertices:  # sorted_edges keys on int coordinates
+            if not (type(v) is tuple and len(v) == 2
+                    and type(v[0]) is type(v[1]) is int):
+                raise BadParamsError(f"vertex must be a pair of ints, got {v!r}")
+        for (i, j) in vertices:
             if not (1 <= i <= p and 1 <= j <= q):
                 raise OutOfRangeError(f"vertex ({i},{j}) outside {p}x{q} grid")
         if not sizes:
@@ -112,9 +117,20 @@ class Graph:
     @cached_property
     def sorted_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """Non-loop edges as sorted pairs, sorted.  Tuple order on vertices is
-        their row-major linear order, since 1 <= j <= q."""
-        pairs = (e for e in self.edges if len(e) == 2)
-        return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
+        their row-major linear order a = i * q + j, since 1 <= j <= q, so
+        a pair sorts by the one int a * m + b, with b < m."""
+        q = self.dims.q
+        m = (self.dims.p + 1) * q + 1
+        by_key = {}
+        for e in self.edges:
+            if len(e) == 2:
+                u, v = e
+                a, b = u[0] * q + u[1], v[0] * q + v[1]
+                if a < b:
+                    by_key[a * m + b] = u, v
+                else:
+                    by_key[b * m + a] = v, u
+        return tuple([by_key[k] for k in sorted(by_key)])
 
     @cached_property
     def entangled_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
@@ -241,18 +257,15 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
 
 
 def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
-    """All same-row and same-column edges as sorted pairs, sorted."""
+    """All same-row and same-column edges as sorted pairs, sorted: a same-row
+    partner (i, t) of (i, j) sorts before any same-column one (s, j), s > i."""
     dims = checked_dims(dims)
     pool = []
     for i in range(1, dims.p + 1):
         for j in range(1, dims.q + 1):
-            for t in range(j + 1, dims.q + 1):
-                pool.append(((i, j), (i, t)))
-    for j in range(1, dims.q + 1):
-        for i in range(1, dims.p + 1):
-            for s in range(i + 1, dims.p + 1):
-                pool.append(((i, j), (s, j)))
-    return sorted(pool)
+            pool += [((i, j), (i, t)) for t in range(j + 1, dims.q + 1)]
+            pool += [((i, j), (s, j)) for s in range(i + 1, dims.p + 1)]
+    return pool
 
 
 def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
@@ -261,12 +274,10 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     dims = checked_dims(dims)
     pool = []
     for i in range(1, dims.p + 1):
-        for s in range(i + 1, dims.p + 1):
-            for j in range(1, dims.q + 1):
-                for t in range(1, dims.q + 1):
-                    if j != t:
-                        pool.append(((i, j), (s, t)))
-    return sorted(pool)
+        for j in range(1, dims.q + 1):
+            for s in range(i + 1, dims.p + 1):
+                pool += [((i, j), (s, t)) for t in range(1, dims.q + 1) if t != j]
+    return pool
 
 
 def separable_pool_size(dims: Dims) -> int:

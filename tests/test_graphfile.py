@@ -1,5 +1,10 @@
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphfile_reference import parse_graph_text as reference_parse
 from graphsep.errors import (
     EmptyEdgeSetError,
     GraphFileError,
@@ -175,3 +180,132 @@ def test_round_trip(g, tmp_path):
 def test_unreadable_file():
     with pytest.raises(GraphFileError, match="cannot read"):
         parse_graph_file("/nonexistent/g.graph")
+
+
+def _outcome(parse, text):
+    """The graph, or the error's type, message and line."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+ZEROS = st.sampled_from(["", "", "0", "00"])
+PADDING = st.sampled_from(["", " ", "\t", "  \t", "\t "])
+COMMENT = st.sampled_from(["", "# note", "#", " # a b  c"])
+ERROR_LINES = st.sampled_from([
+    "edge 1 1 2",                # edge needs exactly four fields
+    "edge 1  1 2 2",             # fields must be separated by single spaces
+    "edge 1 1 2 2 # caf\u00e9",   # non-ASCII character
+    "vertex 1 1",                # unknown keyword
+    "dims 2 2",                  # duplicate dims header
+    "dims 2",                    # dims needs exactly two fields
+    "edge 1 +1 1 1",             # bad integer, and so are the next four
+    "edge 1_0 1 1 1",
+    "edge 1 1 0x1 1",
+    "edge 1 1 1 1.0",
+    "edge - 1 1 1",
+    "edge 0 1 1 1",              # off the grid, and so are the next two
+    "edge 1 1 1 -1",
+    "edge 1 1 -01 1",
+])
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph file of canonical edge lines and valid lines that are not
+    canonical: leading zeros, tab and space padding, trailing comments,
+    blank lines, CRLF.  When errors are drawn, every edge field ranges over
+    both axes, so a field checked on one axis comes back on the other, maybe
+    off the grid there; bad dims and every other kind of bad line come at
+    random places."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    with_errors = draw(st.booleans())
+    if with_errors:
+        coords = [st.integers(1, max(p, q))] * 4
+    else:
+        coords = [st.integers(1, p), st.integers(1, q)] * 2
+    canonical = st.tuples(*coords).map(lambda f: "edge %d %d %d %d" % f)
+    spelled = st.tuples(
+        PADDING, st.tuples(*(st.tuples(ZEROS, c) for c in coords)), PADDING, COMMENT
+    ).map(lambda t: t[0] + "edge " + " ".join(z + str(v) for z, v in t[1]) + t[2] + t[3])
+    comment = st.tuples(PADDING, st.sampled_from(["# x", "#edge 9 9 9 9"])).map("".join)
+    kinds = [canonical, canonical, spelled, spelled, PADDING, comment]
+    body = draw(st.lists(st.one_of(kinds + [ERROR_LINES] * with_errors),
+                         min_size=1, max_size=16))
+    dims_line = f"dims {p} {q}"
+    if with_errors:
+        dims_line = draw(st.sampled_from(
+            [dims_line] * 20 + [f"dims 0 {q}", f"dims {p} -1", f"dims {p} +{q}", None]))
+    if dims_line is not None:
+        # mostly first, so edge lines are read; anywhere for "edge before dims"
+        at = draw(st.sampled_from([0] * 7 + [len(body)])) if with_errors else 0
+        body.insert(draw(st.integers(0, at)), dims_line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(body),
+                         max_size=len(body)))
+    return "".join(line + end for line, end in zip(body, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_parser_matches_reference_loop(text):
+    # equal graphs, or the same first error: type, message and line
+    assert _outcome(parse_graph_text, text) == _outcome(reference_parse, text)
+
+
+@st.composite
+def shared_field_texts(draw):
+    """Edge lines whose every field ranges over both axes, so a field checked
+    on one axis often comes back on the other, and may be off the grid
+    there."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    field = st.integers(1, max(p, q))
+    lines = draw(st.lists(st.tuples(field, field, field, field), max_size=12))
+    return f"dims {p} {q}\n" + "".join("edge %d %d %d %d\n" % f for f in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_field_texts())
+def test_fields_shared_by_both_axes_match_reference_loop(text):
+    # a memo per axis: a row field is checked again the first time it is a column
+    assert _outcome(parse_graph_text, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line",
+    [
+        # a row field already in the memo, reused as a column off the grid
+        ("dims 3 2\nedge 3 1 1 2\nedge 1 3 2 1\n", OutOfRangeError,
+         "vertex (1,3) outside 3x2 grid", 3),
+        # every field of the bad line is already in its memo but one
+        ("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 +1\n", GraphFileError,
+         "bad integer '+1'", 3),
+        ("dims 2 2\nedge 1 1 2 2\nedge 1 2 2 1\nedge 2 2 1 3\n", OutOfRangeError,
+         "vertex (1,3) outside 2x2 grid", 4),
+        # a field spelled two ways is memoised twice, and the later line fails
+        ("dims 2 3\nedge 1 01 2 2\nedge 01 1 2 2\nedge 1 1 3 1\n", OutOfRangeError,
+         "vertex (3,1) outside 2x3 grid", 4),
+        ("dims 2 2\nedge 1 1 2 2\nedge 1 1 2 2 2\n", GraphFileError,
+         "edge needs exactly four fields", 3),
+    ],
+)
+def test_memoised_fields_keep_the_first_error(text, error, message, line):
+    for parse in (parse_graph_text, reference_parse):
+        with pytest.raises(error) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+
+def test_parse_memory_does_not_grow_with_dims():
+    # per-axis tables sized by dims would need megabytes here
+    text = "dims 1000000 1000000\n" + "".join(
+        f"edge {k} {k + 1} {999_990 + k} {k}\n" for k in range(1, 6)
+    )
+    tracemalloc.start()
+    try:
+        g = parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 5
+    assert peak < 1_000_000

@@ -76,6 +76,11 @@ INVALID_GRAPHS = [
     (OnlyLoopsError, Dims(2, 2), [frozenset({(1, 1)}), frozenset({(2, 2)})]),
     (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (1, 2), (2, 1)})]),
     (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, 2)}), frozenset()]),
+    # a vertex is a pair of ints, and a bool or a float is not one
+    (BadParamsError, Dims(2, 2), [frozenset({(True, 1), (2, 2)})]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1.0, 1), (2, 2)})]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1, 1, 1), (2, 2)})]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, "a")})]),
 ]
 
 
@@ -241,6 +246,60 @@ def test_pool_sizes_and_disjointness(dims):
         for pr in sep
     )
     assert all(classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED for pr in ent)
+
+
+def _separable_pool_by_sorting(dims):
+    pool = [((i, j), (i, t)) for i in range(1, dims.p + 1)
+            for j in range(1, dims.q + 1) for t in range(j + 1, dims.q + 1)]
+    pool += [((i, j), (s, j)) for j in range(1, dims.q + 1)
+             for i in range(1, dims.p + 1) for s in range(i + 1, dims.p + 1)]
+    return sorted(pool)
+
+
+def _entangled_pool_by_sorting(dims):
+    return sorted(
+        ((i, j), (s, t))
+        for i in range(1, dims.p + 1) for s in range(i + 1, dims.p + 1)
+        for j in range(1, dims.q + 1) for t in range(1, dims.q + 1) if j != t
+    )
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [Dims(p, q) for p in range(1, 7) for q in range(1, 7)] + [Dims(2, 64), Dims(64, 2)],
+    ids=str,
+)
+def test_pools_come_out_in_sorted_order(dims):
+    # the loops emit each pool already sorted, so neither calls sorted()
+    assert separable_edge_pool(dims) == _separable_pool_by_sorting(dims)
+    assert entangled_edge_pool(dims) == _entangled_pool_by_sorting(dims)
+
+
+ORDER_GRIDS = [Dims(1, 5), Dims(1, 64), Dims(5, 1), Dims(64, 1), Dims(2, 64),
+               Dims(64, 2), Dims(30, 30), Dims(3, 7), Dims(7, 3)]
+
+
+@st.composite
+def graphs_with_loops(draw):
+    p, q = dims = draw(st.sampled_from(ORDER_GRIDS))
+    vertex = st.tuples(st.integers(1, p), st.integers(1, q))
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=40))
+    u, v = ends[0]
+    if u == v:  # one non-loop edge keeps the graph legal
+        v = (u[0] % p + 1, u[1]) if p > 1 else (u[0], u[1] % q + 1)
+    return build_graph(dims, [{u, v}] + [set(e) for e in ends[1:]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_loops())
+def test_sorted_edges_is_tuple_order(g):
+    # the integer key sorts exactly as tuple order on the oriented pairs
+    assert g.sorted_edges == tuple(
+        sorted((min(e), max(e)) for e in g.edges if len(e) == 2)
+    )
+    assert g.entangled_edges == tuple(
+        (u, v) for u, v in g.sorted_edges if u[0] != v[0] and u[1] != v[1]
+    )
 
 
 def test_random_graph_determinism_and_counts():
