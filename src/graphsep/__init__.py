@@ -32,7 +32,6 @@ from .graphs import (
     Dims,
     EdgeClass,
     Graph,
-    adjacency_matrix,
     build_graph,
     classify_edge,
     complete_graph,

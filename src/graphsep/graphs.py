@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import FrozenSet, Iterable, NamedTuple
 
 from .errors import (
@@ -64,14 +63,25 @@ class EdgeClass(Enum):
     LOOP = "loop"
 
 
+def _check_vertices(vertices, dims: Dims | None) -> None:
+    """Raise BadParamsError unless every vertex is a 2-tuple of ints (a bool
+    is an int, but not a coordinate), then, when dims is given,
+    OutOfRangeError unless every vertex lies on the grid."""
+    for v in vertices:
+        if not (type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int):
+            raise BadParamsError(f"vertex must be a pair of ints, got {v!r}")
+    if dims is not None:
+        p, q = dims
+        for (i, j) in vertices:
+            if not (1 <= i <= p and 1 <= j <= q):
+                raise OutOfRangeError(f"vertex ({i},{j}) outside {p}x{q} grid")
+
+
 def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
     """Loop, same-row, same-column, or entangled (both coordinates differ)."""
     if not 1 <= len(edge) <= 2:
         raise BadParamsError(f"edge needs one or two vertices, got {len(edge)}")
-    if dims is not None:
-        for (i, j) in edge:
-            if not (1 <= i <= dims.p and 1 <= j <= dims.q):
-                raise OutOfRangeError(f"vertex ({i},{j}) outside {dims.p}x{dims.q} grid")
+    _check_vertices(edge, dims)
     if len(edge) == 1:
         return EdgeClass.LOOP
     (i, j), (s, t) = edge  # both tests are symmetric in the endpoints
@@ -97,14 +107,8 @@ class Graph:
         sizes = set(map(len, self.edges))
         if bad := sizes - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
-        vertices = frozenset().union(*self.edges)
-        for v in vertices:  # sorted_edges keys on int coordinates
-            if not (type(v) is tuple and len(v) == 2
-                    and type(v[0]) is type(v[1]) is int):
-                raise BadParamsError(f"vertex must be a pair of ints, got {v!r}")
-        for (i, j) in vertices:
-            if not (1 <= i <= p and 1 <= j <= q):
-                raise OutOfRangeError(f"vertex ({i},{j}) outside {p}x{q} grid")
+        # each vertex once; sorted_edges keys on int coordinates
+        _check_vertices(frozenset().union(*self.edges), self.dims)
         if not sizes:
             raise EmptyEdgeSetError("graph needs at least one edge")
         if sizes == {1}:
@@ -151,15 +155,6 @@ def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
     """Graph from any dims pair and any iterable of vertex collections;
     duplicate edges collapse and Graph checks the rest."""
     return Graph(dims, frozenset(frozenset(e) for e in edges))
-
-
-def adjacency_matrix(g: Graph) -> SymMatrix:
-    n = g.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.sorted_edges:
-        r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
-        a[r][c] = a[c][r] = 1
-    return SymMatrix(tuple(tuple(row) for row in a))
 
 
 def laplacian_entries(g: Graph) -> dict:
@@ -278,16 +273,6 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
             for s in range(i + 1, dims.p + 1):
                 pool += [((i, j), (s, t)) for t in range(1, dims.q + 1) if t != j]
     return pool
-
-
-def separable_pool_size(dims: Dims) -> int:
-    dims = checked_dims(dims)
-    return dims.p * comb(dims.q, 2) + dims.q * comb(dims.p, 2)
-
-
-def entangled_pool_size(dims: Dims) -> int:
-    dims = checked_dims(dims)
-    return comb(dims.p, 2) * dims.q * (dims.q - 1)
 
 
 def random_graph(

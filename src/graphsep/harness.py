@@ -222,16 +222,12 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
         if not ppt_test(g):
             return "partial-transpose-not-positive", None, g, False
         v = verdict(g)
-        if v.status != Status.SEPARABLE or not isinstance(
-            v.certificate, BlockLineSumSymmetric
-        ):
+        if v.status != Status.SEPARABLE or type(v.certificate) is not BlockLineSumSymmetric:
             return "verdict-not-separable-by-blocks", None, g, False
         return None, None, g, False
     if suite == 5:
         v = verdict(g)
-        if v.status != Status.SEPARABLE or not isinstance(
-            v.certificate, BlockLineSumSymmetric
-        ):
+        if v.status != Status.SEPARABLE or type(v.certificate) is not BlockLineSumSymmetric:
             return "complete-not-separable-by-blocks", None, g, False
         lap = laplacian_entries(g)
         if partial_transpose_entries(lap, g.dims) != lap:

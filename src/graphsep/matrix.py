@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     DimMismatchError,
@@ -59,10 +59,6 @@ class SymMatrix:
                 if self.rows[r][c] != self.rows[c][r]:
                     raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Entry]]) -> "SymMatrix":
-        return cls(tuple(tuple(_as_exact(x) for x in row) for row in rows))
-
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -71,12 +67,6 @@ class SymMatrix:
     def entries(self) -> dict[tuple[int, int], Entry]:
         """Nonzero entries by 0-based (row, column)."""
         return {(r, c): x for r, row in enumerate(self.rows) for c, x in enumerate(row) if x}
-
-    def trace(self) -> Entry:
-        return sum(self.rows[i][i] for i in range(self.order))
-
-    def diagonal(self) -> tuple[Entry, ...]:
-        return tuple(self.rows[i][i] for i in range(self.order))
 
     def scaled(self, factor: Entry) -> "SymMatrix":
         f = Fraction(factor)
@@ -97,16 +87,9 @@ class SparseSymMatrix:
             _as_exact(x)
         _check_entries(self.entries, self.order)
 
-    def trace(self) -> Entry:
-        return sum(x for (r, c), x in self.entries.items() if r == c)
-
     def dense(self) -> SymMatrix:
         n, get = self.order, self.entries.get
         return SymMatrix(tuple(tuple(get((r, c), 0) for c in range(n)) for r in range(n)))
-
-
-def identity(n: int) -> SymMatrix:
-    return SymMatrix(tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n)))
 
 
 def add(a: SymMatrix, b: SymMatrix) -> SymMatrix:

@@ -17,8 +17,6 @@ from .errors import BadDimsError
 from .graphs import EdgeClass, Graph, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
 from .separability import (
-    BlockLineSumSymmetric,
-    ProductDecomposition,
     Status,
     Verdict,
     pt_laplacian_entries,
@@ -114,11 +112,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
         least = density_eigenvalues(pt_laplacian_entries(g), g)[0]
     else:
         least = spec["partial_transpose"][0]
-    cert = v.certificate
-    certificates = () if cert is None else (cert.kind,)
-    if isinstance(cert, ProductDecomposition):
-        # no entangled edges, so the block check, which reads only those, passes too
-        certificates += (BlockLineSumSymmetric.kind,)
+    certificates = () if v.certificate is None else v.certificate.passes
     # the Laplacian's squared entries: each degree squared, and a 1 for each
     # of the degree_sum off-diagonal -1s
     degrees = Counter(chain.from_iterable(g.sorted_edges))
@@ -167,8 +161,7 @@ def report_json_dict(r: AnalysisReport) -> dict:
 def render_text(r: AnalysisReport) -> str:
     g, v, d = r.graph, r.verdict, r.verdict.witness
     if v.status == Status.SEPARABLE:
-        swapped = ", subsystems swapped" if getattr(v.certificate, "swapped", False) else ""
-        lines = [f"verdict: separable ({v.certificate.kind}{swapped})"]
+        lines = [f"verdict: separable ({v.certificate.label})"]
     elif v.status == Status.ENTANGLED:
         lines = [
             "verdict: entangled",

@@ -2,8 +2,10 @@
 
 Everything that decides a verdict runs in exact arithmetic.  A verdict is
 always backed by evidence: a certificate object for separable states, a
-degree witness for entangled ones.  revalidate() re-derives that evidence
-from scratch so callers never have to trust the classifier.
+degree witness for entangled ones.  Each kind of evidence owns its check(g),
+which re-derives it from the graph alone, and its to_json(); revalidate()
+calls the check only for the exact types a status may carry, so callers
+never have to trust the classifier.
 
 The partial transpose keeps the Laplacian's diagonal and moves the entry of
 an edge {(i,j),(s,t)} to ((i,t),(s,j)), so the degree, block and witness
@@ -69,6 +71,18 @@ class DegreeCriterionWitness:
     kind: ClassVar[str] = "degree-criterion"
     row: int
     row_sum: int
+
+    def check(self, g: Graph) -> bool:
+        """Whether the row's sum in g's partial transpose is this nonzero
+        row_sum."""
+        # a bool is an int, so it is refused by type; a row outside the grid
+        # has no entry, so its sum reads as zero
+        if type(self.row) is not int or type(self.row_sum) is not int:
+            return False
+        return self.row_sum != 0 and _pt_row_sum(g, self.row) == self.row_sum
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "row": self.row, "row_sum": exact_str(self.row_sum)}
 
 
 def _pt_row_sums(g: Graph) -> dict[int, int]:
@@ -148,6 +162,34 @@ def witness_value(g: Graph, x: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
+    n = mat.order
+    strs = {k: exact_str(x) for k, x in mat.entries.items()}
+    return [[strs.get((r, c), "0") for c in range(n)] for r in range(n)]
+
+
+@dataclass(frozen=True)
+class BlockLineSumSymmetric:
+    """Every block of the block-partitioned combinatorial matrix has matching
+    row and column sums, which forces separability.  swapped: the blocks are
+    those of the same state on the q-by-p grid, (i, j) read as (j, i)."""
+
+    kind: ClassVar[str] = "block-line-sum-symmetric"
+    passes: ClassVar[tuple[str, ...]] = (kind,)
+    swapped: bool = False
+
+    @property
+    def label(self) -> str:
+        return self.kind + (", subsystems swapped" if self.swapped else "")
+
+    def check(self, g: Graph) -> bool:
+        """Whether g's blocks are line-sum symmetric in the claimed order."""
+        return isinstance(self.swapped, bool) and _block_line_sums_match(g, self.swapped)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "swapped": self.swapped}
+
+
 @dataclass(frozen=True)
 class ProductDecomposition:
     """Convex mixture of product states that reproduces the density matrix.
@@ -158,17 +200,84 @@ class ProductDecomposition:
     """
 
     kind: ClassVar[str] = "all-edges-separable"
+    label: ClassVar[str] = kind
+    # no entangled edges, so the block check, which reads only those, passes too
+    passes: ClassVar[tuple[str, ...]] = (kind, BlockLineSumSymmetric.kind)
     terms: tuple[tuple[Fraction, SparseSymMatrix, SparseSymMatrix], ...]
 
+    def check(self, g: Graph) -> bool:
+        """Whether the terms are a convex mixture of product states, each
+        factor of unit trace and PSD, that sums to g's density matrix."""
+        terms = self.terms
+        if not isinstance(terms, tuple) or not terms:
+            return False
+        p, q = g.dims
+        # each distinct factor object once; keyed by id, since a factor
+        # hashes by its order alone
+        factors = {}
+        for term in terms:
+            if not isinstance(term, tuple) or len(term) != 3:
+                return False
+            weight, row_factor, col_factor = term
+            # a bool is an int, but not a weight
+            if type(weight) is bool or not isinstance(weight, (int, Fraction)) or weight <= 0:
+                return False
+            for factor, dim in ((row_factor, p), (col_factor, q)):
+                if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
+                    return False
+                factors[id(factor)] = factor
+        # every weight and every distinct factor's entry as an integer over
+        # one common denominator den, so the mixture is summed in ints and
+        # is den**3 times the real one
+        den = lcm(
+            *(w.denominator for w, _, _ in terms),
+            *(x.denominator for f in factors.values() for x in f.entries.values()),
+        )
 
-@dataclass(frozen=True)
-class BlockLineSumSymmetric:
-    """Every block of the block-partitioned combinatorial matrix has matching
-    row and column sums, which forces separability.  swapped: the blocks are
-    those of the same state on the q-by-p grid, (i, j) read as (j, i)."""
+        def scaled(x):  # den * x, exactly, without a Fraction multiply
+            return x.numerator * (den // x.denominator)
 
-    kind: ClassVar[str] = "block-line-sum-symmetric"
-    swapped: bool = False
+        weights = [scaled(w) for w, _, _ in terms]
+        if sum(weights) != den:
+            return False
+        # den times each distinct factor: unit trace is a diagonal summing
+        # to den, and a positive scaling keeps definiteness
+        ints = {}
+        for key, factor in factors.items():
+            entries = ints[key] = {k: scaled(x) for k, x in factor.entries.items()}
+            if sum(x for (r, c), x in entries.items() if r == c) != den:
+                return False
+            if not is_psd_integral(entries):
+                return False
+        mixture = {}  # degree_sum * den**3 times the mixture, sparse like the Laplacian
+        get = mixture.get
+        for w, (_, row_factor, col_factor) in zip(weights, terms):
+            w *= g.degree_sum
+            cols = ints[id(col_factor)].items()
+            # row-factor entry (a, b) times column-factor entry (c, d) lands at
+            # (a q + c, b q + d); an all-separable term has at most 4 of them
+            for (a, b), x in ints[id(row_factor)].items():
+                wx, a, b = w * x, a * q, b * q
+                for (c, d), y in cols:
+                    key = a + c, b + d
+                    mixture[key] = get(key, 0) + wx * y
+        cube = den**3
+        return {k: x for k, x in mixture.items() if x} == {
+            k: cube * x for k, x in laplacian_entries(g).items()
+        }
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "terms": [
+                {
+                    "weight": exact_str(w),
+                    "row_factor": _matrix_strings(rf),
+                    "column_factor": _matrix_strings(cf),
+                }
+                for w, rf, cf in self.terms
+            ],
+        }
 
 
 _HALF = Fraction(1, 2)
@@ -307,113 +416,30 @@ def verdict(g: Graph) -> Verdict:
     return Verdict(Status.SEPARABLE, certificate=cert)
 
 
-def _revalidate_certificate(g: Graph, cert) -> bool:
-    if isinstance(cert, ProductDecomposition):
-        terms = cert.terms
-        if not isinstance(terms, tuple) or not terms:
-            return False
-        p, q = g.dims
-        # each distinct factor object once; keyed by id, since a factor
-        # hashes by its order alone
-        factors = {}
-        for term in terms:
-            if not isinstance(term, tuple) or len(term) != 3:
-                return False
-            weight, row_factor, col_factor = term
-            # a bool is an int, but not a weight
-            if type(weight) is bool or not isinstance(weight, (int, Fraction)) or weight <= 0:
-                return False
-            for factor, dim in ((row_factor, p), (col_factor, q)):
-                if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
-                    return False
-                factors[id(factor)] = factor
-        # every weight and every distinct factor's entry as an integer over
-        # one common denominator den, so the mixture is summed in ints and
-        # is den**3 times the real one
-        den = lcm(
-            *(w.denominator for w, _, _ in terms),
-            *(x.denominator for f in factors.values() for x in f.entries.values()),
-        )
-
-        def scaled(x):  # den * x, exactly, without a Fraction multiply
-            return x.numerator * (den // x.denominator)
-
-        weights = [scaled(w) for w, _, _ in terms]
-        if sum(weights) != den:
-            return False
-        # den times each distinct factor: unit trace is a diagonal summing
-        # to den, and a positive scaling keeps definiteness
-        ints = {}
-        for key, factor in factors.items():
-            entries = ints[key] = {k: scaled(x) for k, x in factor.entries.items()}
-            if sum(x for (r, c), x in entries.items() if r == c) != den:
-                return False
-            if not is_psd_integral(entries):
-                return False
-        mixture = {}  # degree_sum * den**3 times the mixture, sparse like the Laplacian
-        get = mixture.get
-        for w, (_, row_factor, col_factor) in zip(weights, terms):
-            w *= g.degree_sum
-            cols = ints[id(col_factor)].items()
-            # row-factor entry (a, b) times column-factor entry (c, d) lands at
-            # (a q + c, b q + d); an all-separable term has at most 4 of them
-            for (a, b), x in ints[id(row_factor)].items():
-                wx, a, b = w * x, a * q, b * q
-                for (c, d), y in cols:
-                    key = a + c, b + d
-                    mixture[key] = get(key, 0) + wx * y
-        cube = den**3
-        return {k: x for k, x in mixture.items() if x} == {
-            k: cube * x for k, x in laplacian_entries(g).items()
-        }
-    if isinstance(cert, BlockLineSumSymmetric):
-        swapped = cert.swapped
-        return isinstance(swapped, bool) and _block_line_sums_match(g, swapped)
-    return False
+# The evidence each decided status may carry, compared by exact type, so a
+# subclass or a look-alike class never reaches its own check.  A new kind of
+# evidence is one class with check and to_json, and one entry here.
+CERTIFICATE_TYPES = (ProductDecomposition, BlockLineSumSymmetric)
+WITNESS_TYPES = (DegreeCriterionWitness,)
 
 
 def revalidate(g: Graph, v: Verdict) -> bool:
     """Re-derive the verdict's evidence from the graph alone."""
     if v.status == Status.SEPARABLE:
-        return v.witness is None and _revalidate_certificate(g, v.certificate)
-    if v.status == Status.ENTANGLED:
-        wit = v.witness
-        if v.certificate is not None or not isinstance(wit, DegreeCriterionWitness):
-            return False
-        # a bool is an int, so it is refused by type; a row outside the grid
-        # has no entry, so its sum reads as zero
-        if type(wit.row) is not int or type(wit.row_sum) is not int:
-            return False
-        return wit.row_sum != 0 and _pt_row_sum(g, wit.row) == wit.row_sum
-    return v == Verdict(Status.UNKNOWN) and verdict(g) == v
-
-
-def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
-    n = mat.order
-    strs = {k: exact_str(x) for k, x in mat.entries.items()}
-    return [[strs.get((r, c), "0") for c in range(n)] for r in range(n)]
+        evidence, other, types = v.certificate, v.witness, CERTIFICATE_TYPES
+    elif v.status == Status.ENTANGLED:
+        evidence, other, types = v.witness, v.certificate, WITNESS_TYPES
+    else:
+        return v == Verdict(Status.UNKNOWN) and verdict(g) == v
+    cls = type(evidence)
+    # `in` compares classes by identity unless a metaclass redefines ==
+    exact = type(cls) is type and cls in types
+    return other is None and exact and evidence.check(g)
 
 
 def verdict_to_json_dict(v: Verdict) -> dict:
-    cert = None
-    if v.certificate is not None:
-        c = v.certificate
-        if isinstance(c, ProductDecomposition):
-            cert = {
-                "kind": c.kind,
-                "terms": [
-                    {
-                        "weight": exact_str(w),
-                        "row_factor": _matrix_strings(rf),
-                        "column_factor": _matrix_strings(cf),
-                    }
-                    for w, rf, cf in c.terms
-                ],
-            }
-        else:
-            cert = {"kind": c.kind, "swapped": c.swapped}
-    wit = None
-    if v.witness is not None:
-        w = v.witness
-        wit = {"kind": w.kind, "row": w.row, "row_sum": exact_str(w.row_sum)}
-    return {"verdict": v.status.value, "certificate": cert, "witness": wit}
+    return {
+        "verdict": v.status.value,
+        "certificate": None if v.certificate is None else v.certificate.to_json(),
+        "witness": None if v.witness is None else v.witness.to_json(),
+    }

@@ -12,6 +12,7 @@ import graphsep.matrix
 import graphsep.report
 import graphsep.separability
 from graphsep.errors import (
+    BadParamsError,
     DimMismatchError,
     NotEntangledEdgeError,
     NotSymmetricError,
@@ -26,13 +27,11 @@ from graphsep.graphs import (
     complete_graph,
     density_matrix,
     entangled_edge_pool,
-    entangled_pool_size,
     laplacian,
     laplacian_entries,
     pe_matching_graph,
     random_graph,
     separable_edge_pool,
-    separable_pool_size,
     single_edge_graph,
     star_graph,
 )
@@ -121,6 +120,10 @@ def test_witness_rejects_separable_edge():
     for edge in ({(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, set()):
         with pytest.raises(NotEntangledEdgeError):
             entangled_edge_witness(Dims(2, 2), edge)
+    # a vertex Graph refuses is refused here too, not read as (1, 1)
+    for bad in ((True, 1), (1.0, 1), ("1", 1)):
+        with pytest.raises(BadParamsError, match="pair of ints"):
+            entangled_edge_witness(Dims(2, 2), {bad, (2, 2)})
 
 
 def test_witness_values_known():
@@ -152,7 +155,7 @@ def test_witness_values_known():
     st.integers(min_value=0, max_value=2**31),
 )
 def test_one_entangled_edge_always_entangled(dims, ns, seed):
-    ns = min(ns, separable_pool_size(dims))
+    ns = min(ns, len(separable_edge_pool(dims)))
     g = random_graph(dims, ns, 1, seed)
     v = verdict(g)
     assert v.status == Status.ENTANGLED
@@ -476,6 +479,48 @@ def test_revalidate_rejects_tampered_evidence():
         SparseSymMatrix(2, {(0, 0): 1, (0, 1): Fraction(1, 2)})
 
 
+def test_revalidate_takes_only_the_exact_evidence_types():
+    k4 = complete_graph(Dims(2, 2))
+    star = star_graph(Dims(2, 2))
+
+    class Block(BlockLineSumSymmetric):
+        pass
+
+    class Degree(DegreeCriterionWitness):
+        pass
+
+    class Lenient(BlockLineSumSymmetric):
+        def check(self, g):
+            return True
+
+    class EqualToEveryClass(type):
+        def __eq__(cls, other):
+            return True
+
+        __hash__ = type.__hash__
+
+    class LookAlike(metaclass=EqualToEveryClass):
+        kind = BlockLineSumSymmetric.kind
+
+        def check(self, g):
+            return True
+
+    # the same data in the exact types revalidates, but only alone: honest
+    # evidence of the other status beside it is refused
+    block, degree = BlockLineSumSymmetric(), DegreeCriterionWitness(3, -1)
+    assert revalidate(k4, Verdict(Status.SEPARABLE, certificate=block))
+    assert revalidate(star, Verdict(Status.ENTANGLED, witness=degree))
+    assert not revalidate(k4, Verdict(Status.SEPARABLE, block, degree_criterion(star)))
+    assert not revalidate(star, Verdict(Status.ENTANGLED, block, degree))
+    # a subclass is refused even with honest data, and so is one whose own
+    # check passes anything, or a class that compares equal to every class
+    assert not revalidate(k4, Verdict(Status.SEPARABLE, certificate=Block()))
+    assert not revalidate(star, Verdict(Status.ENTANGLED, witness=Degree(3, -1)))
+    for forged in (Lenient(), LookAlike()):
+        assert not revalidate(star, Verdict(Status.SEPARABLE, certificate=forged))
+        assert not revalidate(star, Verdict(Status.ENTANGLED, witness=forged))
+
+
 def test_verdict_json_shapes():
     d = verdict_to_json_dict(verdict(star_graph(Dims(2, 2))))
     assert d == {
@@ -521,8 +566,8 @@ def test_verdict_json_shapes():
     st.integers(min_value=0, max_value=2**31),
 )
 def test_every_verdict_revalidates(dims, ns, ne, seed):
-    ns = min(ns, separable_pool_size(dims))
-    ne = min(ne, entangled_pool_size(dims))
+    ns = min(ns, len(separable_edge_pool(dims)))
+    ne = min(ne, len(entangled_edge_pool(dims)))
     if ns + ne == 0:
         ns = 1
     g = random_graph(dims, ns, ne, seed)
@@ -550,8 +595,8 @@ def pt_paired_graphs(draw):
 def random_grid_graphs(draw):
     """random_graph on grids up to 4x4, from one edge up to every edge."""
     dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-    ns = draw(st.integers(0, separable_pool_size(dims)))
-    ne = draw(st.integers(0 if ns else 1, entangled_pool_size(dims)))
+    ns = draw(st.integers(0, len(separable_edge_pool(dims))))
+    ne = draw(st.integers(0 if ns else 1, len(entangled_edge_pool(dims))))
     return random_graph(dims, ns, ne, draw(st.integers(0, 2**31)))
 
 
@@ -742,7 +787,8 @@ def dense_product_rule(g, cert):
         if weight <= 0:
             return False
         for factor, dim in ((row_factor, g.dims.p), (col_factor, g.dims.q)):
-            if factor.order != dim or factor.trace() != 1:
+            trace = sum(x for (r, c), x in factor.entries.items() if r == c)
+            if factor.order != dim or trace != 1:
                 return False
             if not is_psd_exact(factor.dense()):
                 return False
@@ -753,7 +799,7 @@ def dense_product_rule(g, cert):
 def all_separable_graphs(draw):
     """random_graph with only same-row and same-column edges, grids up to 4x4."""
     dims = Dims(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-    ns = draw(st.integers(1, min(6, separable_pool_size(dims))))
+    ns = draw(st.integers(1, min(6, len(separable_edge_pool(dims)))))
     return random_graph(dims, ns, 0, draw(st.integers(0, 2**31)))
 
 
@@ -960,8 +1006,8 @@ def frontier_graphs(draw):
     dims = draw(st.sampled_from(METAMORPHIC_GRIDS))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if not draw(st.integers(0, 3)):
-        ns = rng.randint(0, separable_pool_size(dims))
-        ne = rng.randint(0 if ns else 1, entangled_pool_size(dims))
+        ns = rng.randint(0, len(separable_edge_pool(dims)))
+        ne = rng.randint(0 if ns else 1, len(entangled_edge_pool(dims)))
         return random_graph(dims, ns, ne, rng.randrange(2**31))
     entangled = entangled_edge_pool(dims)
     separable = rng.sample(separable_edge_pool(dims), rng.randint(0, 3))
