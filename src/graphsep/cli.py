@@ -24,7 +24,7 @@ from .graphs import (
 from .harness import SUITE_DESCRIPTIONS, SUITE_IDS, run_suite
 from .report import (
     analyze,
-    check_dense_size,
+    check_grid_size,
     render_text,
     report_json_dict,
     spectrum,
@@ -133,6 +133,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # these families build every edge of the grid, or a pool of them, so
+    # they stop at the reports' bound before any edge is built
+    if args.family in ("complete", "star", "random"):
+        check_grid_size((args.p, args.q), f"generate {args.family} stops")
     if args.family in ("complete", "star"):
         if args.n is not None and args.n != args.p * args.q:
             raise BadParamsError(
@@ -171,7 +175,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = parse_graph_file(args.path)
-    check_dense_size(g)
+    check_grid_size(g.dims, "reports stop")
     spec = spectrum(g)
     if args.format == "json":
         print(json.dumps(spectrum_json_dict(spec), indent=2))

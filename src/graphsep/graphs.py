@@ -77,8 +77,18 @@ def _check_vertices(vertices, dims: Dims | None) -> None:
                 raise OutOfRangeError(f"vertex ({i},{j}) outside {p}x{q} grid")
 
 
-def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
+def checked_edge(edge) -> Edge:
+    """edge as a frozenset of its vertices; BadParamsError when it is not a
+    collection of hashable vertices."""
+    try:
+        return frozenset(edge)
+    except TypeError:
+        raise BadParamsError(f"edge must be a set of vertices, got {edge!r}") from None
+
+
+def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> EdgeClass:
     """Loop, same-row, same-column, or entangled (both coordinates differ)."""
+    edge = checked_edge(edge)
     if not 1 <= len(edge) <= 2:
         raise BadParamsError(f"edge needs one or two vertices, got {len(edge)}")
     _check_vertices(edge, dims)
@@ -94,6 +104,10 @@ def classify_edge(edge: Edge, dims: Dims | None = None) -> EdgeClass:
 
 @dataclass(frozen=True)
 class Graph:
+    """A graph as its dims and its edges, exactly a frozenset of frozensets,
+    so equal graphs compare and hash equal; build_graph takes any other
+    collection of edges."""
+
     dims: Dims
     edges: frozenset[Edge]
 
@@ -104,6 +118,10 @@ class Graph:
         p, q = self.dims
         if p < 1 or q < 1:
             raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
+        if type(self.edges) is not frozenset or set(map(type, self.edges)) - {frozenset}:
+            raise BadParamsError(
+                "edges must be a frozenset of frozensets; build_graph takes any collections"
+            )
         sizes = set(map(len, self.edges))
         if bad := sizes - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
@@ -154,7 +172,11 @@ class Graph:
 def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
     """Graph from any dims pair and any iterable of vertex collections;
     duplicate edges collapse and Graph checks the rest."""
-    return Graph(dims, frozenset(frozenset(e) for e in edges))
+    try:
+        edge_set = frozenset(map(frozenset, edges))
+    except TypeError as exc:
+        raise BadParamsError(f"edges must be sets of vertices: {exc}") from None
+    return Graph(dims, edge_set)
 
 
 def laplacian_entries(g: Graph) -> dict:
@@ -280,6 +302,12 @@ def random_graph(
 ) -> Graph:
     """Uniform sample without replacement from the two edge pools."""
     dims = checked_dims(dims)
+    # a bool is an int, but neither a count nor a seed; a seed may be negative
+    if any(type(x) is not int for x in (num_separable, num_entangled, seed)):
+        raise BadParamsError(
+            f"edge counts and seed must be ints, got {num_separable!r},"
+            f" {num_entangled!r} and {seed!r}"
+        )
     if num_separable < 0 or num_entangled < 0:
         raise BadParamsError("edge counts must be nonnegative")
     sep_pool = separable_edge_pool(dims)

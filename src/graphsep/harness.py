@@ -37,7 +37,7 @@ from .matrix import (
     is_psd_exact,
     partial_transpose_entries,
 )
-from .report import MAX_DENSE_VERTICES, density_eigenvalues
+from .report import check_grid_size, density_eigenvalues
 from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
@@ -287,12 +287,10 @@ def _run_trial(suite: int, dims: Dims, tseed: int):
 def _check_suite_dims(suite: int, dims: Dims) -> None:
     """Refuse dims a suite cannot run on, before any pool or instance is
     built; suite 0 runs the float spectrum on the whole partial transpose,
-    so every suite stops at the reports' vertex bound."""
+    so every suite stops at the reports' vertex bound, and a dim below 1
+    leaves suite 0's edge pools empty, where it would draw forever."""
+    check_grid_size(dims, "suites stop")
     p, q = dims
-    if dims.n > MAX_DENSE_VERTICES:
-        raise BadDimsError(
-            f"{p}x{q} grid has {dims.n} vertices; suites stop at {MAX_DENSE_VERTICES}"
-        )
     if suite == 0:
         if p * q < 2:
             raise BadDimsError("cross-consistency needs at least two vertices")

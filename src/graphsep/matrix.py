@@ -22,6 +22,7 @@ from .errors import (
 )
 
 Entry = int | Fraction
+_EXACT_TYPES = frozenset({int, Fraction})
 
 QL_MAX_ITERATIONS = 30  # per eigenvalue; QL converges cubically, so a few suffice
 _EPS = math.ulp(1.0)  # machine epsilon
@@ -35,12 +36,6 @@ def exact_str(value: Entry) -> str:
 def float12(value) -> float:
     """Float rounded through 12 significant digits, for stable JSON output."""
     return float(f"{float(value):.12g}")
-
-
-def _as_exact(x) -> Entry:
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -76,16 +71,30 @@ class SymMatrix:
 @dataclass(frozen=True)
 class SparseSymMatrix:
     """Immutable symmetric matrix of the given order with exact entries,
-    stored by 0-based (row, column); an absent entry is zero."""
+    stored by 0-based (row, column); an absent entry is zero.  An entry is
+    exactly an int or a Fraction: a bool is an int, but not an entry."""
 
     order: int
     entries: Mapping[tuple[int, int], Entry] = field(hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        for x in self.entries.values():
-            _as_exact(x)
-        _check_entries(self.entries, self.order)
+        """Refuse any entry of another type, then, entry by entry in order,
+        one outside the matrix or unequal to its mirror.  A diagonal entry is
+        its own mirror, and with exact types a mirror that is the same
+        object is equal to it, so neither is compared."""
+        entries = dict(self.entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        if not set(map(type, entries.values())) <= _EXACT_TYPES:
+            bad = next(x for x in entries.values() if type(x) not in _EXACT_TYPES)
+            raise TypeError(f"exact entry expected (int or Fraction), got {type(bad).__name__}")
+        n, get = self.order, entries.get
+        for (r, c), x in entries.items():
+            if not (0 <= r < n and 0 <= c < n):
+                raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
+            if r != c:
+                y = get((c, r), 0)
+                if y is not x and y != x:
+                    raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
 
     def dense(self) -> SymMatrix:
         n, get = self.order, self.entries.get
@@ -133,8 +142,9 @@ def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
     return SparseSymMatrix(n, partial_transpose_entries(mat.entries, dims)).dense()
 
 
-def _check_entries(entries: Mapping[tuple[int, int], Entry], n: int) -> None:
-    """Raise unless every entry lies in the n-by-n matrix and equals its mirror."""
+def _check_entries(entries: Mapping[tuple[int, int], Real], n: int) -> None:
+    """Raise unless every entry lies in the n-by-n matrix and equals its
+    mirror; the check of eigenvalues_sym, whose entries may be floats."""
     for (r, c), x in entries.items():
         if not (0 <= r < n and 0 <= c < n):
             raise DimMismatchError(f"entry ({r},{c}) outside order {n}")

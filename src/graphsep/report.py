@@ -81,19 +81,23 @@ def spectrum_lines(spec: dict[str, list[float]]) -> list[str]:
     ]
 
 
-def check_dense_size(g: Graph) -> None:
-    """Refuse a graph whose report would list too long a spectrum."""
-    if g.n > MAX_DENSE_VERTICES:
+def check_grid_size(dims, who: str) -> None:
+    """BadDimsError for a p-by-q grid with a dim below 1 or with more than
+    MAX_DENSE_VERTICES vertices, naming who stops at the bound.  The sign
+    comes first, since two negative dims have a positive product."""
+    p, q = dims
+    if p < 1 or q < 1:
+        raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
+    if p * q > MAX_DENSE_VERTICES:
         raise BadDimsError(
-            f"{g.dims.p}x{g.dims.q} grid has {g.n} vertices;"
-            f" reports stop at {MAX_DENSE_VERTICES}"
+            f"{p}x{q} grid has {p * q} vertices; {who} at {MAX_DENSE_VERTICES}"
         )
 
 
 def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     """Classify one graph with verdict, revalidate the verdict, and add the
     report's counts and float estimates."""
-    check_dense_size(g)
+    check_grid_size(g.dims, "reports stop")
     entangled = len(g.entangled_edges)
     same_row = sum(u[0] == v[0] for u, v in g.sorted_edges)
     counts = {

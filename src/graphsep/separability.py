@@ -30,6 +30,7 @@ from .graphs import (
     EdgeClass,
     Graph,
     checked_dims,
+    checked_edge,
     classify_edge,
     laplacian_entries,
     linear_index,
@@ -129,7 +130,7 @@ def entangled_edge_witness(dims: Dims, edge: Edge) -> tuple[Fraction, ...]:
     (p + q - 1) / (2 (p + q)).
     """
     dims = checked_dims(dims)
-    e = frozenset(edge)
+    e = checked_edge(edge)
     if len(e) != 2 or classify_edge(e, dims) != EdgeClass.ENTANGLED:
         raise NotEntangledEdgeError(
             "witness vector needs an edge whose endpoints differ in both coordinates"
@@ -219,8 +220,11 @@ class ProductDecomposition:
             if not isinstance(term, tuple) or len(term) != 3:
                 return False
             weight, row_factor, col_factor = term
-            # a bool is an int, but not a weight
-            if type(weight) is bool or not isinstance(weight, (int, Fraction)) or weight <= 0:
+            # a bool is an int, but not a weight; past the types, a weight's
+            # sign is its numerator's
+            if type(weight) is bool or not isinstance(weight, (int, Fraction)):
+                return False
+            if weight.numerator <= 0:
                 return False
             for factor, dim in ((row_factor, p), (col_factor, q)):
                 if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
@@ -228,31 +232,37 @@ class ProductDecomposition:
                 factors[id(factor)] = factor
         # every weight and every distinct factor's entry as an integer over
         # one common denominator den, so the mixture is summed in ints and
-        # is den**3 times the real one
+        # is den**3 times the real one; den * x is x.numerator * (den //
+        # x.denominator), exactly, without a Fraction multiply
         den = lcm(
             *(w.denominator for w, _, _ in terms),
             *(x.denominator for f in factors.values() for x in f.entries.values()),
         )
-
-        def scaled(x):  # den * x, exactly, without a Fraction multiply
-            return x.numerator * (den // x.denominator)
-
-        weights = [scaled(w) for w, _, _ in terms]
+        weights = [w.numerator * (den // w.denominator) for w, _, _ in terms]
         if sum(weights) != den:
             return False
         # den times each distinct factor: unit trace is a diagonal summing
         # to den, and a positive scaling keeps definiteness
         ints = {}
         for key, factor in factors.items():
-            entries = ints[key] = {k: scaled(x) for k, x in factor.entries.items()}
-            if sum(x for (r, c), x in entries.items() if r == c) != den:
+            entries = ints[key] = {}
+            trace = 0
+            for (r, c), x in factor.entries.items():
+                entries[r, c] = y = x.numerator * (den // x.denominator)
+                if r == c:
+                    trace += y
+            if trace != den:
                 return False
             if not is_psd_integral(entries):
                 return False
-        mixture = {}  # degree_sum * den**3 times the mixture, sparse like the Laplacian
-        get = mixture.get
+        # degree_sum * den**3 times the mixture less den**3 times the
+        # Laplacian, sparse like it: all zero exactly when the two are equal
+        cube = den**3
+        excess = {k: -cube * x for k, x in laplacian_entries(g).items()}
+        get = excess.get
+        degree_sum = g.degree_sum
         for w, (_, row_factor, col_factor) in zip(weights, terms):
-            w *= g.degree_sum
+            w *= degree_sum
             cols = ints[id(col_factor)].items()
             # row-factor entry (a, b) times column-factor entry (c, d) lands at
             # (a q + c, b q + d); an all-separable term has at most 4 of them
@@ -260,11 +270,8 @@ class ProductDecomposition:
                 wx, a, b = w * x, a * q, b * q
                 for (c, d), y in cols:
                     key = a + c, b + d
-                    mixture[key] = get(key, 0) + wx * y
-        cube = den**3
-        return {k: x for k, x in mixture.items() if x} == {
-            k: cube * x for k, x in laplacian_entries(g).items()
-        }
+                    excess[key] = get(key, 0) + wx * y
+        return not any(excess.values())
 
     def to_json(self) -> dict:
         return {
@@ -280,7 +287,9 @@ class ProductDecomposition:
         }
 
 
-_HALF = Fraction(1, 2)
+# the entries of every difference projector, shared, so a projector's
+# mirror entries are one object
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
 
 
 def _point_mass(n: int, i: int) -> SparseSymMatrix:
@@ -290,7 +299,9 @@ def _point_mass(n: int, i: int) -> SparseSymMatrix:
 def _difference_projector(n: int, a: int, b: int) -> SparseSymMatrix:
     """Unit-trace projector onto the normalized difference of two basis axes."""
     a, b = a - 1, b - 1
-    return SparseSymMatrix(n, {(a, a): _HALF, (b, b): _HALF, (a, b): -_HALF, (b, a): -_HALF})
+    return SparseSymMatrix(
+        n, {(a, a): _HALF, (b, b): _HALF, (a, b): _MINUS_HALF, (b, a): _MINUS_HALF}
+    )
 
 
 def all_separable_certificate(g: Graph) -> ProductDecomposition | None:

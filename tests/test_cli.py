@@ -269,6 +269,25 @@ def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
         assert str(graphsep.report.MAX_DENSE_VERTICES) in err
 
 
+def test_generate_refuses_grids_past_the_vertex_bound(monkeypatch, capsys):
+    # complete, star and random build every edge or both pools of the grid;
+    # on 33x32 they are refused before any of it is built
+    def build(*args):
+        raise AssertionError("edges built")
+
+    for name in ("complete_graph", "star_graph", "random_graph"):
+        monkeypatch.setattr(graphsep.cli, name, build)
+    for family, extra in (("complete", []), ("star", []), ("random", ["--separable", "1"])):
+        assert main(["generate", family, "--p", "33", "--q", "32", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: 33x32 grid has 1056 vertices; generate {family} stops at 1024\n"
+    # the bound itself is legal: a 32x32 star has only 1023 edges
+    monkeypatch.undo()
+    assert main(["generate", "star", "--p", "32", "--q", "32"]) == 0
+    assert capsys.readouterr().out.count("\nedge ") == 32 * 32 - 1
+
+
 def test_reports_build_no_dense_matrix(tmp_path, monkeypatch, capsys):
     def dense(*args):
         raise AssertionError("dense matrix built")

@@ -83,6 +83,9 @@ INVALID_GRAPHS = [
     (BadParamsError, Dims(2, 2), [frozenset({(1.0, 1), (2, 2)})]),
     (BadParamsError, Dims(2, 2), [frozenset({(1, 1, 1), (2, 2)})]),
     (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, "a")})]),
+    # an edge is a collection of vertices, and an int or None is not one
+    (BadParamsError, Dims(2, 2), [5]),
+    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, 2)}), None]),
 ]
 
 
@@ -92,6 +95,46 @@ def test_build_graph_validation():
         for make in (build_graph, lambda d, e: Graph(d, frozenset(e))):
             with pytest.raises(error):
                 make(dims, edges)
+    # Graph takes only a frozenset of frozensets: a list edge [(1, 1), (1, 1)]
+    # would otherwise count as a non-loop edge; build_graph reads it as a loop
+    edges = [[(1, 1), (1, 1)], [(1, 1), (2, 2)]]
+    for given in (edges, [frozenset(e) for e in edges], {frozenset(edges[1])},
+                  frozenset([tuple(edges[1])])):
+        with pytest.raises(BadParamsError, match="frozenset"):
+            Graph(Dims(2, 2), given)
+    g = build_graph(Dims(2, 2), edges)
+    assert (g.loops, g.sorted_edges, g.degree_sum) == (((1, 1),), (((1, 1), (2, 2)),), 2)
+    # an edge that is not a collection: BadParamsError, not a bare TypeError
+    for make in (lambda: build_graph(Dims(2, 2), [5]), lambda: build_graph(Dims(2, 2), 5),
+                 lambda: classify_edge(5), lambda: Graph(Dims(2, 2), frozenset({5}))):
+        with pytest.raises(BadParamsError):
+            make()
+
+
+def test_equal_graphs_compare_and_hash_equal():
+    e = frozenset({(1, 1), (2, 2)})
+    made = [Graph(Dims(2, 2), frozenset({e})), Graph((2, 2), frozenset([e])),
+            build_graph((2, 2), [e]), build_graph(Dims(2, 2), {e}),
+            build_graph(Dims(2, 2), [[(2, 2), (1, 1)], ((1, 1), (2, 2))])]
+    assert all(g == made[0] for g in made)
+    assert len({hash(g) for g in made}) == 1
+    assert made[0] != build_graph(Dims(2, 2), [{(1, 1), (2, 1)}])
+
+
+def test_classify_edge_takes_any_collection():
+    assert classify_edge([(1, 1), (1, 1)]) == EdgeClass.LOOP
+    assert classify_edge([(1, 1), (2, 2)], Dims(2, 2)) == EdgeClass.ENTANGLED
+
+
+def test_random_graph_refuses_counts_and_seeds_that_are_not_ints():
+    # a bool is an int, but neither a count nor a seed; a float is neither
+    dims = Dims(2, 2)
+    for args in ((True, 1, 0), (1, False, 0), (1.0, 1, 0), (1, 1.0, 0), (1, 1, 1.5),
+                 (1, 1, True), (1, 1, "0"), (1, 1, None)):
+        with pytest.raises(BadParamsError, match="must be ints"):
+            random_graph(dims, *args)
+    # no sign rule for the seed
+    assert random_graph(dims, 1, 1, -1) == random_graph(dims, 1, 1, -1)
 
 
 @pytest.mark.parametrize(

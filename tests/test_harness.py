@@ -86,6 +86,12 @@ def test_run_suite_validation():
         run_suite(7, (2, 1), 10, 0)
     with pytest.raises(BadDimsError):
         run_suite(0, (1, 1), 10, 0)
+    # a dim below 1 leaves suite 0's edge pools empty; (-1, -2) has two
+    # vertices by product, and its draw for a nonempty edge set never ended
+    for dims in ((-1, -2), (-40, -40), (0, 5)):
+        for suite in SUITE_IDS:
+            with pytest.raises(BadDimsError, match="must be positive"):
+                run_suite(suite, dims, 1, 0)
     # dims must be a pair of ints, and a bool is not one
     for dims in ((2.0, 2), (3, 3.0), (True, 3), (3, False), ("3", 3), (3,), (3, 3, 3), 9):
         with pytest.raises(BadDimsError):

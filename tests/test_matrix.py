@@ -9,6 +9,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 import graphsep.matrix
+from matrix_reference import check_sparse_entries
 from graphsep.errors import (
     DimMismatchError,
     NoConvergenceError,
@@ -189,6 +190,86 @@ def test_sparse_matrix_validates_entries():
     m = SparseSymMatrix(2, source)
     source[5, 5] = 1
     assert m.entries == {(0, 0): 1}
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+@st.composite
+def entry_maps(draw):
+    """An order and an entry map that mixes ints and Fractions, mirrors that
+    are one object or equal distinct ones, and, when drawn, faults: floats,
+    bools, subclasses, keys off the grid and mirrors that differ, several
+    to a map."""
+    n = draw(st.integers(0, 4))
+    values = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    )
+    entries = {}
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+        x = draw(values)
+        entries[r, c] = x
+        mirror = draw(st.sampled_from(["same", "equal", "none", "other"]))
+        if mirror == "same":
+            entries[c, r] = x
+        elif mirror == "equal":  # an equal value, but a distinct object
+            entries[c, r] = Fraction(x) if type(x) is int else Fraction(x.numerator, x.denominator)
+        elif mirror == "other":
+            entries[c, r] = draw(values)
+    faulty = st.sampled_from([0.5, 1.0, 0.0, float("nan"), "1", None, True, False,
+                              _Int(1), _Fraction(1, 2)])
+    for key in draw(st.lists(st.sampled_from(sorted(entries) or [(0, 0)]), max_size=2)):
+        entries[key] = draw(faulty)
+    return n, entries
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_maps())
+def test_sparse_matrix_check_matches_two_pass_reference(case):
+    # SparseSymMatrix checks each entry once; it must accept what the
+    # two-pass reference accepts and raise what it raises, except that an
+    # entry that is not exactly an int or a Fraction, such as a bool or a
+    # subclass, is now refused by type
+    n, entries = case
+    got = _outcome(SparseSymMatrix, n, entries)
+    inexact = [x for x in entries.values() if type(x) not in (int, Fraction)]
+    if any(isinstance(x, (int, Fraction)) for x in inexact):
+        want = (TypeError, f"exact entry expected (int or Fraction), got {type(inexact[0]).__name__}")
+    else:
+        want = _outcome(check_sparse_entries, n, entries)
+    assert got == want
+
+
+def test_sparse_matrix_refuses_bools_and_subclasses():
+    # the two-pass reference took a bool as the int 1 and a subclass as its
+    # base; both are refused now, as weights, dims and coordinates are
+    for x in (True, False, _Int(1), _Fraction(1, 2)):
+        check_sparse_entries(2, {(0, 0): x})
+        with pytest.raises(TypeError, match=type(x).__name__):
+            SparseSymMatrix(2, {(0, 0): x})
+    # a type error outranks any range or mirror error, wherever it is
+    with pytest.raises(TypeError, match="bool"):
+        SparseSymMatrix(2, {(5, 5): 1, (0, 1): 1, (1, 1): True})
+    # equal distinct mirrors are compared; the same object is not
+    half = Fraction(1, 2)
+    assert SparseSymMatrix(2, {(0, 1): half, (1, 0): Fraction(1, 2)}).entries[1, 0] == half
+    with pytest.raises(NotSymmetricError):
+        SparseSymMatrix(2, {(0, 1): half, (1, 0): Fraction(-1, 2)})
 
 
 @st.composite

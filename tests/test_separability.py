@@ -120,6 +120,9 @@ def test_witness_rejects_separable_edge():
     for edge in ({(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, set()):
         with pytest.raises(NotEntangledEdgeError):
             entangled_edge_witness(Dims(2, 2), edge)
+    # an edge that is not a collection is a bad parameter, not a TypeError
+    with pytest.raises(BadParamsError, match="set of vertices"):
+        entangled_edge_witness(Dims(2, 2), 5)
     # a vertex Graph refuses is refused here too, not read as (1, 1)
     for bad in ((True, 1), (1.0, 1), ("1", 1)):
         with pytest.raises(BadParamsError, match="pair of ints"):
