@@ -202,8 +202,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except GraphSepError as exc:
-        line = getattr(exc, "line", None)
-        location = f"line {line}: " if line is not None else ""
+        location = f"line {exc.line}: " if exc.line is not None else ""
         print(f"error: {location}{exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 
 class GraphSepError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose; line is
+    the 1-based graph-file line at fault, or None when there is none."""
+
+    def __init__(self, message: str = "", line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 class OutOfRangeError(GraphSepError):
     """A vertex coordinate lies outside the declared p-by-q grid."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class OnlyLoopsError(GraphSepError):
@@ -57,7 +58,3 @@ class NoConvergenceError(GraphSepError):
 
 class GraphFileError(GraphSepError):
     """A graph file violates the line-oriented format."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line

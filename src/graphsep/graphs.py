@@ -23,7 +23,7 @@ from .errors import (
     OnlyLoopsError,
     OutOfRangeError,
 )
-from .matrix import SymMatrix
+from .matrix import SparseSymMatrix, SymMatrix
 
 Vertex = tuple[int, int]
 Edge = FrozenSet[Vertex]
@@ -194,12 +194,8 @@ def laplacian_entries(g: Graph) -> dict:
 
 
 def laplacian(g: Graph) -> SymMatrix:
-    """Degree matrix minus adjacency matrix, filled from laplacian_entries."""
-    n = g.n
-    a = [[0] * n for _ in range(n)]
-    for (r, c), x in laplacian_entries(g).items():
-        a[r][c] = x
-    return SymMatrix(tuple(tuple(row) for row in a))
+    """Degree matrix minus adjacency matrix: laplacian_entries, dense."""
+    return SparseSymMatrix(g.n, laplacian_entries(g)).dense()
 
 
 def density_matrix(g: Graph) -> SymMatrix:
@@ -310,8 +306,9 @@ def random_graph(
         )
     if num_separable < 0 or num_entangled < 0:
         raise BadParamsError("edge counts must be nonnegative")
-    sep_pool = separable_edge_pool(dims)
-    ent_pool = entangled_edge_pool(dims)
+    # a pool is listed only when drawn from: Random.sample(pool, 0) draws nothing
+    sep_pool = separable_edge_pool(dims) if num_separable else []
+    ent_pool = entangled_edge_pool(dims) if num_entangled else []
     if num_separable > len(sep_pool):
         raise BadParamsError(
             f"asked for {num_separable} separable edges, pool has {len(sep_pool)}"

@@ -26,6 +26,7 @@ from .graphs import (
     entangled_edge_pool,
     laplacian_entries,
     linear_index,
+    pe_matching_graph,
     separable_edge_pool,
     star_graph,
     tensor_product,
@@ -80,7 +81,7 @@ class TrialFailure:
     trial: int
     seed: int
     reason: str
-    artifact: Graph | None = None
+    artifact: Graph
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class SuiteReport:
                     "trial": f.trial,
                     "seed": f.seed,
                     "reason": f.reason,
-                    "artifact": format_graph(f.artifact) if f.artifact else None,
+                    "artifact": format_graph(f.artifact),
                 }
                 for f in self.failures
             ],
@@ -167,10 +168,8 @@ def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
         perm = list(range(1, dims.q + 1))
         while any(perm[j] == j + 1 for j in range(dims.q)):
             rng.shuffle(perm)
-        matching = [
-            frozenset({(1, j), (2, perm[j - 1])}) for j in range(1, dims.q + 1)
-        ]
-        return build_graph(dims, matching + _random_separable(rng, dims))
+        matching = pe_matching_graph(dims, perm).edges
+        return build_graph(dims, [*matching, *_random_separable(rng, dims)])
     if suite == 0:
         sep_pool = separable_edge_pool(dims)
         ent_pool = entangled_edge_pool(dims)
@@ -343,8 +342,7 @@ def run_suite(
             failures.append(TrialFailure(i, tseeds[i], reason, artifact))
     if dump_dir is not None and failures:
         for f in failures:
-            if f.artifact is not None:
-                _dump_failure(dump_dir, suite, dims, f.trial, f.artifact)
+            _dump_failure(dump_dir, suite, dims, f.trial, f.artifact)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SuiteReport(
         suite, dims, trials, seed, tuple(failures), min_witness, elapsed_ms, unknown_count

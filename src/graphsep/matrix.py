@@ -38,9 +38,29 @@ def float12(value) -> float:
     return float(f"{float(value):.12g}")
 
 
+def _check_exact(entries: dict[tuple[int, int], Entry], n: int) -> None:
+    """Refuse any entry that is not exactly an int or a Fraction (a bool is
+    an int, but not an entry), then, entry by entry in order, one outside the
+    n-by-n matrix or unequal to its mirror.  A diagonal entry is its own
+    mirror, and with exact types a mirror that is the same object is equal
+    to it, so neither is compared."""
+    if not set(map(type, entries.values())) <= _EXACT_TYPES:
+        bad = next(x for x in entries.values() if type(x) not in _EXACT_TYPES)
+        raise TypeError(f"exact entry expected (int or Fraction), got {type(bad).__name__}")
+    get = entries.get
+    for (r, c), x in entries.items():
+        if not (0 <= r < n and 0 <= c < n):
+            raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
+        if r != c:
+            y = get((c, r), 0)
+            if y is not x and y != x:
+                raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
+
+
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable square symmetric matrix with exact entries."""
+    """Immutable square symmetric matrix; every entry, zeros included, is
+    exactly an int or a Fraction, as in SparseSymMatrix."""
 
     rows: tuple[tuple[Entry, ...], ...]
 
@@ -49,10 +69,9 @@ class SymMatrix:
         for row in self.rows:
             if len(row) != n:
                 raise DimMismatchError("matrix is not square")
-        for r in range(n):
-            for c in range(r + 1, n):
-                if self.rows[r][c] != self.rows[c][r]:
-                    raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
+        _check_exact(
+            {(r, c): x for r, row in enumerate(self.rows) for c, x in enumerate(row)}, n
+        )
 
     @property
     def order(self) -> int:
@@ -78,23 +97,9 @@ class SparseSymMatrix:
     entries: Mapping[tuple[int, int], Entry] = field(hash=False)
 
     def __post_init__(self):
-        """Refuse any entry of another type, then, entry by entry in order,
-        one outside the matrix or unequal to its mirror.  A diagonal entry is
-        its own mirror, and with exact types a mirror that is the same
-        object is equal to it, so neither is compared."""
         entries = dict(self.entries)
         object.__setattr__(self, "entries", MappingProxyType(entries))
-        if not set(map(type, entries.values())) <= _EXACT_TYPES:
-            bad = next(x for x in entries.values() if type(x) not in _EXACT_TYPES)
-            raise TypeError(f"exact entry expected (int or Fraction), got {type(bad).__name__}")
-        n, get = self.order, entries.get
-        for (r, c), x in entries.items():
-            if not (0 <= r < n and 0 <= c < n):
-                raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
-            if r != c:
-                y = get((c, r), 0)
-                if y is not x and y != x:
-                    raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
+        _check_exact(entries, self.order)
 
     def dense(self) -> SymMatrix:
         n, get = self.order, self.entries.get

@@ -11,7 +11,7 @@ import graphsep.matrix
 import graphsep.report
 from graphsep.cli import main
 from graphsep.report import analyze
-from graphsep.errors import NoConvergenceError
+from graphsep.errors import GraphSepError, NoConvergenceError
 from graphsep.graphfile import parse_graph_file
 from graphsep.graphs import (
     Dims,
@@ -242,6 +242,12 @@ def test_ql_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
     write_graph_file(path, star_graph(Dims(2, 2)))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("internal error: QL stopped")
+
+
+def test_errors_not_tied_to_a_file_line_carry_line_none():
+    for kind in (GraphSepError, *GraphSepError.__subclasses__()):
+        exc = kind("message")
+        assert (str(exc), exc.line) == ("message", None)
 
 
 def test_internal_error_without_message_names_its_type(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsep.graphs
 from graphsep.errors import (
     BadDimsError,
     BadParamsError,
@@ -371,3 +372,17 @@ def test_random_graph_validation():
         random_graph(Dims(2, 2), 0, 100, 0)
     with pytest.raises(EmptyEdgeSetError):
         random_graph(Dims(2, 2), 0, 0, 0)
+
+
+def test_random_graph_lists_only_the_pool_it_draws_from(monkeypatch):
+    # a 32x32 grid has 492,032 entangled pairs; one separable edge lists none
+    def refuse(dims):
+        raise AssertionError("pool listed but not drawn from")
+
+    separable_only = random_graph(Dims(32, 32), 1, 0, 0)
+    entangled_only = random_graph(Dims(6, 6), 0, 2, 0)
+    monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
+    assert random_graph(Dims(32, 32), 1, 0, 0) == separable_only
+    monkeypatch.undo()
+    monkeypatch.setattr(graphsep.graphs, "separable_edge_pool", refuse)
+    assert random_graph(Dims(6, 6), 0, 2, 0) == entangled_only

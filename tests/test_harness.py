@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import graphsep.harness
 import graphsep.matrix
 import graphsep.separability
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
+from graphsep.graphfile import format_graph
 from graphsep.graphs import (
     Dims,
     build_graph,
@@ -103,6 +105,21 @@ def test_suite_instance_reproducible():
         a = suite_instance(suite, Dims(*dims), 987654321)
         b = suite_instance(suite, Dims(*dims), 987654321)
         assert a == b
+
+
+def test_random_streams_are_pinned():
+    # one SHA-256 over the first trials of every suite id and a few
+    # random_graph outputs: an edit to any sampler must keep every draw
+    dims_of = {0: (3, 3), 1: (3, 4), 2: (4, 3), 4: (3, 3), 5: (2, 3), 7: (2, 5)}
+    h = hashlib.sha256()
+    for suite in SUITE_IDS:
+        for i in range(4):
+            g = suite_instance(suite, Dims(*dims_of[suite]), trial_seed(7, i))
+            h.update(format_graph(g).encode())
+    for dims, ns, ne, seed in (((3, 3), 4, 2, 1), ((4, 5), 0, 3, 9), ((6, 6), 7, 0, -2),
+                               ((2, 9), 3, 3, 2**70)):
+        h.update(format_graph(random_graph(Dims(*dims), ns, ne, seed)).encode())
+    assert h.hexdigest() == "af950d26869603d0684fbb2dd66ac762c8d4fb3b89216b9eeed8cb59f1d20486"
 
 
 def test_suite_instance_unknown_id():

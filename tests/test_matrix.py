@@ -173,6 +173,15 @@ def test_psd_handles_fractions():
     assert not is_psd_exact(SymMatrix(((third, 1), (1, third))))
 
 
+def test_dense_matrix_refuses_inexact_entries():
+    # every entry is checked, zeros included, as SparseSymMatrix checks its
+    # own, so is_psd_exact never meets a float or a bool
+    for rows, name in ((((0.5, True), (True, 2)), "float"), (((1, 0.0), (0.0, 1)), "float"),
+                       (((False, 0), (0, 1)), "bool")):
+        with pytest.raises(TypeError, match=f"got {name}$"):
+            SymMatrix(rows)
+
+
 def test_sparse_matrix_validates_entries():
     half = Fraction(1, 2)
     m = SparseSymMatrix(3, {(0, 0): half, (0, 2): -half, (2, 0): -half, (2, 2): half})

@@ -447,7 +447,7 @@ def test_revalidate_rejects_tampered_evidence():
     # malformed evidence is refused, not raised on: factors that are not
     # SparseSymMatrix, a float weight, terms of the wrong shape, and degree
     # witness entries that are not int
-    for bad in (SymMatrix(((1.0, 0), (0, 0))), "factor"):
+    for bad in (SymMatrix(((1, 0), (0, 0))), "factor"):
         forged = ProductDecomposition(((w0, bad, c0), (w1, r1, c1)))
         assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=forged))
     single = build_graph(Dims(2, 2), [{(1, 1), (1, 2)}])
