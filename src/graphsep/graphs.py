@@ -9,6 +9,7 @@ on the graph so callers can still see them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -293,6 +294,26 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     return pool
 
 
+def _entangled_count(dims: Dims) -> int:
+    """len(entangled_edge_pool(dims)): p(p - 1)/2 pairs of rows times q(q - 1)
+    ordered pairs of columns, 0 for a dim below 1."""
+    p, q = (max(d, 0) for d in dims)
+    return p * (p - 1) // 2 * q * (q - 1)
+
+
+def _entangled_edge(dims: Dims, k: int) -> tuple[Vertex, Vertex]:
+    """entangled_edge_pool(dims)[k] for 0 <= k < its length, by arithmetic:
+    vertex (i, j) heads r(q - 1) pairs, r = p - i, so row i and the rows
+    below it head q(q - 1) T(r) of them, T(r) = r(r + 1)/2."""
+    p, q = dims
+    w = q * (q - 1)
+    e = _entangled_count(dims) - 1 - k  # pairs after the k-th one
+    r = (1 + math.isqrt(8 * (e // w) + 1)) // 2  # T(r - 1) <= e // w < T(r)
+    j, rest = divmod(w * r * (r + 1) // 2 - 1 - e, r * (q - 1))
+    s, t = divmod(rest, q - 1)
+    return (p - r, j + 1), (p - r + 1 + s, t + 1 + (t >= j))
+
+
 def random_graph(
     dims: Dims, num_separable: int, num_entangled: int, seed: int
 ) -> Graph:
@@ -306,19 +327,23 @@ def random_graph(
         )
     if num_separable < 0 or num_entangled < 0:
         raise BadParamsError("edge counts must be nonnegative")
-    # a pool is listed only when drawn from: Random.sample(pool, 0) draws nothing
+    # the separable pool is listed only when drawn from: Random.sample(pool, 0)
+    # draws nothing; the entangled one never is, as sampling its indices
+    # draws what sampling the list would
     sep_pool = separable_edge_pool(dims) if num_separable else []
-    ent_pool = entangled_edge_pool(dims) if num_entangled else []
+    ent_count = _entangled_count(dims)
     if num_separable > len(sep_pool):
         raise BadParamsError(
             f"asked for {num_separable} separable edges, pool has {len(sep_pool)}"
         )
-    if num_entangled > len(ent_pool):
+    if num_entangled > ent_count:
         raise BadParamsError(
-            f"asked for {num_entangled} entangled edges, pool has {len(ent_pool)}"
+            f"asked for {num_entangled} entangled edges, pool has {ent_count}"
         )
     if num_separable + num_entangled == 0:
         raise EmptyEdgeSetError("graph needs at least one edge")
     rng = random.Random(seed)
-    chosen = rng.sample(sep_pool, num_separable) + rng.sample(ent_pool, num_entangled)
+    chosen = rng.sample(sep_pool, num_separable) + [
+        _entangled_edge(dims, k) for k in rng.sample(range(ent_count), num_entangled)
+    ]
     return build_graph(dims, [frozenset(e) for e in chosen])

@@ -14,12 +14,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BadDimsError, BadParamsError, BadTrialCountError
 from .graphfile import format_graph, write_graph_file
 from .graphs import (
     Dims,
     Graph,
+    _entangled_count,
+    _entangled_edge,
     build_graph,
     checked_dims,
     complete_graph,
@@ -56,8 +59,6 @@ from .separability import (
 
 MASK64 = (1 << 64) - 1
 
-SUITE_IDS = (0, 1, 2, 4, 5, 7)
-
 SUITE_DESCRIPTIONS = {
     0: "structural invariants and criterion cross-consistency",
     1: "one entangled edge forces entanglement",
@@ -66,6 +67,8 @@ SUITE_DESCRIPTIONS = {
     5: "complete graphs are separable, stars are entangled",
     7: "perfect entangled matchings are separable",
 }
+
+SUITE_IDS = tuple(SUITE_DESCRIPTIONS)
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -82,6 +85,15 @@ class TrialFailure:
     seed: int
     reason: str
     artifact: Graph
+
+
+class _Trial(NamedTuple):
+    """One trial's outcome; a failure is filed on artifact, or on the instance."""
+
+    reason: str | None = None
+    value: Fraction | None = None
+    artifact: Graph | None = None
+    unknown: bool = False
 
 
 @dataclass(frozen=True)
@@ -131,46 +143,25 @@ def _random_separable(rng: random.Random, dims: Dims):
     return [frozenset(e) for e in rng.sample(pool, count)]
 
 
-def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
-    """Deterministic instance for one trial."""
+def _check_suite_id(suite: int) -> None:
+    if suite not in SUITE_DESCRIPTIONS:
+        raise BadParamsError(
+            f"unknown suite id {suite}; valid ids are {', '.join(map(str, SUITE_IDS))}"
+        )
+
+
+def suite_instance(suite: int, dims, tseed: int) -> Graph:
+    """Deterministic instance for one trial, or BadDimsError, before anything is
+    built, for dims the suite cannot run on: every suite stops at the reports'
+    vertex bound, as suite 0 takes the float spectrum of the partial transpose."""
+    _check_suite_id(suite)
     dims = checked_dims(dims)
+    check_grid_size(dims, "suites stop")
+    p, q = dims
     rng = random.Random(tseed)
-    if suite == 1:
-        sep = _random_separable(rng, dims)
-        ent = frozenset(rng.choice(entangled_edge_pool(dims)))
-        return build_graph(dims, sep + [ent])
-    if suite == 2:
-        v = (rng.randint(1, dims.p), rng.randint(1, dims.q))
-        partners = [
-            (i, j)
-            for i in range(1, dims.p + 1)
-            for j in range(1, dims.q + 1)
-            if i != v[0] and j != v[1]
-        ]
-        k = rng.randint(2, min(dims.q, len(partners)))
-        fan = [frozenset({v, w}) for w in rng.sample(partners, k)]
-        return build_graph(dims, fan + _random_separable(rng, dims))
-    if suite == 4:
-        a = rng.randint(2, dims.p)
-        b = rng.randint(2, dims.q)
-        factors = []
-        for m in (a, b):
-            fdims = Dims(m, 1)
-            pool = separable_edge_pool(fdims)
-            count = rng.randint(1, len(pool))
-            factors.append(
-                build_graph(fdims, [frozenset(e) for e in rng.sample(pool, count)])
-            )
-        return tensor_product(factors[0], factors[1])
-    if suite == 5:
-        return complete_graph(dims)
-    if suite == 7:
-        perm = list(range(1, dims.q + 1))
-        while any(perm[j] == j + 1 for j in range(dims.q)):
-            rng.shuffle(perm)
-        matching = pe_matching_graph(dims, perm).edges
-        return build_graph(dims, [*matching, *_random_separable(rng, dims)])
     if suite == 0:
+        if p * q < 2:
+            raise BadDimsError("cross-consistency needs at least two vertices")
         sep_pool = separable_edge_pool(dims)
         ent_pool = entangled_edge_pool(dims)
         while True:
@@ -180,7 +171,46 @@ def suite_instance(suite: int, dims: Dims, tseed: int) -> Graph:
                 break
         chosen = rng.sample(sep_pool, ns) + rng.sample(ent_pool, ne)
         return build_graph(dims, [frozenset(e) for e in chosen])
-    raise BadParamsError(f"unknown suite id {suite}")
+    if suite == 7:
+        if p != 2 or q < 2:
+            raise BadDimsError(f"suite 7 needs a 2xQ grid with Q >= 2, got {p}x{q}")
+        perm = list(range(1, q + 1))
+        while any(perm[j] == j + 1 for j in range(q)):
+            rng.shuffle(perm)
+        matching = pe_matching_graph(dims, perm).edges
+        return build_graph(dims, [*matching, *_random_separable(rng, dims)])
+    if p < 2 or q < 2:
+        raise BadDimsError(f"suite {suite} needs p >= 2 and q >= 2, got {p}x{q}")
+    if suite == 1:
+        sep = _random_separable(rng, dims)
+        ent = frozenset(_entangled_edge(dims, rng.choice(range(_entangled_count(dims)))))
+        return build_graph(dims, sep + [ent])
+    if suite == 2:
+        if (p - 1) * (q - 1) < 2:
+            raise BadDimsError(
+                f"suite 2 needs at least two entangled partners per vertex, got {p}x{q}"
+            )
+        v = (rng.randint(1, p), rng.randint(1, q))
+        partners = [
+            (i, j)
+            for i in range(1, p + 1)
+            for j in range(1, q + 1)
+            if i != v[0] and j != v[1]
+        ]
+        k = rng.randint(2, min(q, len(partners)))
+        fan = [frozenset({v, w}) for w in rng.sample(partners, k)]
+        return build_graph(dims, fan + _random_separable(rng, dims))
+    if suite == 4:
+        factors = []
+        for m in (rng.randint(2, p), rng.randint(2, q)):
+            fdims = Dims(m, 1)
+            pool = separable_edge_pool(fdims)
+            count = rng.randint(1, len(pool))
+            factors.append(
+                build_graph(fdims, [frozenset(e) for e in rng.sample(pool, count)])
+            )
+        return tensor_product(factors[0], factors[1])
+    return complete_graph(dims)  # suite 5
 
 
 def _uniform_edge_mixture(g: Graph) -> Counter:
@@ -196,153 +226,117 @@ def _uniform_edge_mixture(g: Graph) -> Counter:
     return mixture
 
 
-def _run_trial(suite: int, dims: Dims, tseed: int):
-    """Returns (failure reason or None, witness value or None, artifact, unknown)."""
-    g = suite_instance(suite, dims, tseed)
+def _run_trial(suite: int, g: Graph) -> _Trial:
+    """Run one suite's checks on its instance g."""
     if suite == 1:
         if ppt_test(g):
-            return "partial-transpose-stayed-positive", None, g, False
+            return _Trial("partial-transpose-stayed-positive")
         value = witness_value(g, entangled_edge_witness(g.dims, g.entangled_edges[0]))
         if value >= 0:
-            return "witness-value-not-negative", value, g, False
+            return _Trial("witness-value-not-negative", value)
         if verdict(g).status != Status.ENTANGLED:
-            return "verdict-not-entangled", value, g, False
-        return None, value, g, False
+            return _Trial("verdict-not-entangled", value)
+        return _Trial(value=value)
     if suite == 2:
         if verdict(g).status != Status.ENTANGLED:
-            return "verdict-not-entangled", None, g, False
+            return _Trial("verdict-not-entangled")
         value = witness_value(g, entangled_edge_witness(g.dims, g.entangled_edges[0]))
         if value >= 0:
-            return "witness-value-not-negative", value, g, False
-        return None, value, g, False
+            return _Trial("witness-value-not-negative", value)
+        return _Trial(value=value)
     if suite == 4:
         if block_lss_certificate(g) is None:
-            return "block-certificate-missing", None, g, False
+            return _Trial("block-certificate-missing")
         if not ppt_test(g):
-            return "partial-transpose-not-positive", None, g, False
+            return _Trial("partial-transpose-not-positive")
         v = verdict(g)
         if v.status != Status.SEPARABLE or type(v.certificate) is not BlockLineSumSymmetric:
-            return "verdict-not-separable-by-blocks", None, g, False
-        return None, None, g, False
+            return _Trial("verdict-not-separable-by-blocks")
+        return _Trial()
     if suite == 5:
         v = verdict(g)
         if v.status != Status.SEPARABLE or type(v.certificate) is not BlockLineSumSymmetric:
-            return "complete-not-separable-by-blocks", None, g, False
+            return _Trial("complete-not-separable-by-blocks")
         lap = laplacian_entries(g)
         if partial_transpose_entries(lap, g.dims) != lap:
-            return "complete-not-fixed-by-partial-transpose", None, g, False
-        star = star_graph(dims)
+            return _Trial("complete-not-fixed-by-partial-transpose")
+        p, q = g.dims
+        star = star_graph(g.dims)
         vs = verdict(star)
         if vs.status != Status.ENTANGLED or vs.witness is None:
-            return "star-not-entangled", None, star, False
-        if vs.witness != DegreeCriterionWitness((dims.p - 1) * dims.q + 1, -(dims.q - 1)):
-            return "star-degree-witness-wrong-row", None, star, False
-        return None, None, g, False
+            return _Trial("star-not-entangled", artifact=star)
+        if vs.witness != DegreeCriterionWitness((p - 1) * q + 1, -(q - 1)):
+            return _Trial("star-degree-witness-wrong-row", artifact=star)
+        return _Trial()
     if suite == 7:
         cert = pe_matching_certificate(g)
         if cert is None:
-            return "matching-certificate-missing", None, g, False
+            return _Trial("matching-certificate-missing")
         v = verdict(g)
         if v.status != Status.SEPARABLE or v.certificate != cert:
-            return "verdict-not-separable-by-blocks", None, g, False
+            return _Trial("verdict-not-separable-by-blocks")
         if not revalidate(g, v):
-            return "revalidation-failed", None, g, False
+            return _Trial("revalidation-failed")
         if not ppt_test(g):
-            return "partial-transpose-not-positive", None, g, False
-        return None, None, g, False
+            return _Trial("partial-transpose-not-positive")
+        return _Trial()
     # suite 0: structural invariants and cross-consistency, on integer entry
     # maps: degree_sum times the density matrix is the Laplacian
     lap = laplacian_entries(g)
     diagonal = {r: x for (r, c), x in lap.items() if r == c}
     if _uniform_edge_mixture(g) != lap or sum(diagonal.values()) != g.degree_sum:
-        return "density-not-uniform-edge-mixture", None, g, False
+        return _Trial("density-not-uniform-edge-mixture")
     pt = partial_transpose_entries(lap, g.dims)
     if partial_transpose_entries(pt, g.dims) != lap:
-        return "partial-transpose-not-involutive", None, g, False
+        return _Trial("partial-transpose-not-involutive")
     pt_diagonal = {r: x for (r, c), x in pt.items() if r == c}
     if sum(pt_diagonal.values()) != g.degree_sum:
-        return "partial-transpose-changed-trace", None, g, False
+        return _Trial("partial-transpose-changed-trace")
     if pt_diagonal != diagonal:
-        return "partial-transpose-changed-diagonal", None, g, False
+        return _Trial("partial-transpose-changed-diagonal")
     if not is_psd_exact(SparseSymMatrix(g.n, lap)):
-        return "laplacian-not-psd", None, g, False
+        return _Trial("laplacian-not-psd")
     ppt = is_psd_exact(SparseSymMatrix(g.n, pt))
     min_eigenvalue = density_eigenvalues(pt, g)[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
-        return "eigenvalue-sign-disagrees-with-exact-test", None, g, False
+        return _Trial("eigenvalue-sign-disagrees-with-exact-test")
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):
-        return "certificate-granted-despite-negative-partial-transpose", None, g, False
+        return _Trial("certificate-granted-despite-negative-partial-transpose")
     if ppt != (degree_criterion(g) is None):
-        return "degree-and-positivity-tests-disagree", None, g, False
+        return _Trial("degree-and-positivity-tests-disagree")
     v = verdict(g)
     unknown = v.status == Status.UNKNOWN
     if unknown and min(g.dims) <= 2:
-        return "small-grid-verdict-unknown", None, g, unknown
+        return _Trial("small-grid-verdict-unknown", unknown=unknown)
     if not revalidate(g, v):
-        return "revalidation-failed", None, g, unknown
-    return None, None, g, unknown
+        return _Trial("revalidation-failed", unknown=unknown)
+    return _Trial(unknown=unknown)
 
 
-def _check_suite_dims(suite: int, dims: Dims) -> None:
-    """Refuse dims a suite cannot run on, before any pool or instance is
-    built; suite 0 runs the float spectrum on the whole partial transpose,
-    so every suite stops at the reports' vertex bound, and a dim below 1
-    leaves suite 0's edge pools empty, where it would draw forever."""
-    check_grid_size(dims, "suites stop")
-    p, q = dims
-    if suite == 0:
-        if p * q < 2:
-            raise BadDimsError("cross-consistency needs at least two vertices")
-        return
-    if suite == 7:
-        if p != 2 or q < 2:
-            raise BadDimsError(f"suite 7 needs a 2xQ grid with Q >= 2, got {p}x{q}")
-        return
-    if p < 2 or q < 2:
-        raise BadDimsError(f"suite {suite} needs p >= 2 and q >= 2, got {p}x{q}")
-    if suite == 2 and (p - 1) * (q - 1) < 2:
-        raise BadDimsError(
-            f"suite 2 needs at least two entangled partners per vertex, got {p}x{q}"
-        )
-
-
-def run_suite(
-    suite: int,
-    dims,
-    trials: int,
-    seed: int,
-    *,
-    dump_dir=None,
-) -> SuiteReport:
+def run_suite(suite: int, dims, trials: int, seed: int, *, dump_dir=None) -> SuiteReport:
     """Run one suite and collect failures instead of raising on them."""
-    if suite not in SUITE_IDS:
-        raise BadParamsError(
-            f"unknown suite id {suite}; valid ids are {', '.join(map(str, SUITE_IDS))}"
-        )
+    _check_suite_id(suite)
     # a bool is an int, but neither a trial count nor a seed
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise BadTrialCountError(f"trial count must be a positive integer, got {trials}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise BadParamsError(f"seed must be a nonnegative integer, got {seed}")
     dims = checked_dims(dims)
-    _check_suite_dims(suite, dims)
     start = time.perf_counter()
-    tseeds = [trial_seed(seed, i) for i in range(trials)]
-    results = [_run_trial(suite, dims, tseed) for tseed in tseeds]
-
     failures = []
     min_witness = None
     unknown_count = 0
-    for i, (reason, value, artifact, unknown) in enumerate(results):
-        if unknown:
-            unknown_count += 1
-        if value is not None and (min_witness is None or value < min_witness):
-            min_witness = value
-        if reason is not None:
-            failures.append(TrialFailure(i, tseeds[i], reason, artifact))
-    if dump_dir is not None and failures:
-        for f in failures:
-            _dump_failure(dump_dir, suite, dims, f.trial, f.artifact)
+    for i in range(trials):
+        tseed = trial_seed(seed, i)
+        g = suite_instance(suite, dims, tseed)
+        t = _run_trial(suite, g)
+        unknown_count += t.unknown
+        if t.value is not None and (min_witness is None or t.value < min_witness):
+            min_witness = t.value
+        if t.reason is not None:
+            failures.append(TrialFailure(i, tseed, t.reason, t.artifact or g))
+            if dump_dir is not None:
+                _dump_failure(dump_dir, suite, dims, i, failures[-1].artifact)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SuiteReport(
         suite, dims, trials, seed, tuple(failures), min_witness, elapsed_ms, unknown_count

@@ -164,10 +164,9 @@ def test_verify_bad_trials_exit_1(tmp_path):
 
 def test_verify_failure_exit_3(capsys, tmp_path, monkeypatch):
     import graphsep.harness as harness
-    from graphsep.harness import suite_instance
 
-    def broken(suite, dims, tseed):
-        return "forced-failure", None, suite_instance(suite, dims, tseed), False
+    def broken(suite, g):
+        return harness._Trial("forced-failure")
 
     monkeypatch.setattr(harness, "_run_trial", broken)
     args = ["verify", "--theorem", "1", "--p", "2", "--q", "2", "--trials", "2",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +19,8 @@ from graphsep.graphs import (
     Dims,
     EdgeClass,
     Graph,
+    _entangled_count,
+    _entangled_edge,
     build_graph,
     classify_edge,
     complete_graph,
@@ -386,3 +389,33 @@ def test_random_graph_lists_only_the_pool_it_draws_from(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(graphsep.graphs, "separable_edge_pool", refuse)
     assert random_graph(Dims(6, 6), 0, 2, 0) == entangled_only
+
+
+def test_entangled_edges_are_drawn_by_index(monkeypatch):
+    # the k-th pair of the sorted entangled pool, by arithmetic; sampling
+    # its indices draws what sampling the listed pool drew
+    for p in range(1, 8):
+        for q in range(1, 8):
+            pool = entangled_edge_pool(Dims(p, q))
+            assert _entangled_count(Dims(p, q)) == len(pool)
+            assert [_entangled_edge(Dims(p, q), k) for k in range(len(pool))] == pool
+    pools = {d: entangled_edge_pool(d) for d in (Dims(2, 512), Dims(512, 2), Dims(32, 32))}
+    for dims, pool in pools.items():
+        n = len(pool)
+        assert _entangled_count(dims) == n
+        for k in (0, 1, n // 3, n // 2, n - 1):
+            assert _entangled_edge(dims, k) == pool[k]
+    assert _entangled_count(Dims(-1, -2)) == _entangled_count(Dims(0, 5)) == 0
+    pools[Dims(5, 4)] = entangled_edge_pool(Dims(5, 4))
+    cases = ((Dims(32, 32), 0, 1, 0), (Dims(2, 512), 3, 50, 7), (Dims(5, 4), 0, 120, 2))
+    expected = []
+    for dims, ns, ne, seed in cases:
+        rng = random.Random(seed)
+        chosen = rng.sample(separable_edge_pool(dims), ns) + rng.sample(pools[dims], ne)
+        expected.append(build_graph(dims, [frozenset(e) for e in chosen]))
+
+    def refuse(dims):
+        raise AssertionError("entangled pool listed")
+
+    monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
+    assert [random_graph(*case) for case in cases] == expected

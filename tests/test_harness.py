@@ -25,7 +25,6 @@ from graphsep.report import MAX_DENSE_VERTICES
 from graphsep.harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
-    _check_suite_dims,
     _dump_failure,
     run_suite,
     suite_instance,
@@ -194,9 +193,8 @@ def test_report_json_keys():
 def test_failure_entries_serialize(monkeypatch):
     import graphsep.harness as harness
 
-    def broken(suite, dims, tseed):
-        g = suite_instance(suite, dims, tseed)
-        return "forced-failure", None, g, False
+    def broken(suite, g):
+        return harness._Trial("forced-failure")
 
     monkeypatch.setattr(harness, "_run_trial", broken)
     report = run_suite(1, (2, 2), 3, 0)
@@ -214,9 +212,8 @@ def test_failure_entries_serialize(monkeypatch):
 def test_failures_dumped_to_dir(tmp_path, monkeypatch):
     import graphsep.harness as harness
 
-    def broken(suite, dims, tseed):
-        g = suite_instance(suite, dims, tseed)
-        return "forced-failure", None, g, False
+    def broken(suite, g):
+        return harness._Trial("forced-failure")
 
     monkeypatch.setattr(harness, "_run_trial", broken)
     report = run_suite(1, (2, 2), 2, 5, dump_dir=tmp_path / "dumps")
@@ -299,10 +296,66 @@ def test_suite_dims_stop_at_the_report_bound(monkeypatch):
         with pytest.raises(BadDimsError, match=str(MAX_DENSE_VERTICES)):
             run_suite(suite, (33, 32), 1, 0)
     for suite in (0, 1, 2, 4, 5):
-        _check_suite_dims(suite, Dims(32, 32))
-    _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2))
+        with pytest.raises(AssertionError, match="suite instance built"):
+            suite_instance(suite, Dims(32, 32), 0)
+    with pytest.raises(AssertionError, match="suite instance built"):
+        suite_instance(7, Dims(2, MAX_DENSE_VERTICES // 2), 0)
     with pytest.raises(BadDimsError):
-        _check_suite_dims(7, Dims(2, MAX_DENSE_VERTICES // 2 + 1))
+        suite_instance(7, Dims(2, MAX_DENSE_VERTICES // 2 + 1), 0)
+
+
+def test_suite_instance_refuses_what_run_suite_refuses(monkeypatch):
+    # suite_instance is public: it applies every suite's dims rule itself,
+    # before any pool or graph is built
+    def build(*args):
+        raise AssertionError("suite instance built")
+
+    for name in ("separable_edge_pool", "entangled_edge_pool", "complete_graph"):
+        monkeypatch.setattr(graphsep.harness, name, build)
+    cases = [(0, (1, 1)), (0, (-1, -2)), (1, (1, 4)), (2, (2, 2)), (4, (1, 3)),
+             (5, (33, 32)), (7, (3, 2))]
+    for suite, dims in cases:
+        with pytest.raises(BadDimsError) as refused:
+            suite_instance(suite, Dims(*dims), 0)
+        with pytest.raises(BadDimsError) as run_refused:
+            run_suite(suite, dims, 1, 0)
+        assert str(refused.value) == str(run_refused.value)
+
+
+def test_suite1_draws_its_entangled_edge_by_index(monkeypatch):
+    # the edge a suite 1 trial on the largest grid draws from the listed pool
+    dims = Dims(32, 32)
+    sep_pool, ent_pool = separable_edge_pool(dims), entangled_edge_pool(dims)
+    seeds = [trial_seed(4, i) for i in range(2)]
+    expected = []
+    for tseed in seeds:
+        rng = random.Random(tseed)
+        edges = rng.sample(sep_pool, rng.randint(0, len(sep_pool)))
+        edges.append(rng.choice(ent_pool))
+        expected.append(build_graph(dims, [frozenset(e) for e in edges]))
+
+    def refuse(dims):
+        raise AssertionError("entangled pool listed")
+
+    monkeypatch.setattr(graphsep.harness, "entangled_edge_pool", refuse)
+    monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
+    assert [suite_instance(1, dims, tseed) for tseed in seeds] == expected
+
+
+def test_suite5_files_a_star_failure_on_the_star(tmp_path, monkeypatch):
+    # a single edge in place of the star has a degree witness on another row
+    # (q = 2 would put it on the star's row), so its check fails, and the
+    # failure carries that graph, not the complete instance
+    def not_a_star(dims):
+        return single_edge_graph(dims, {(1, 1), (dims.p, dims.q)})
+
+    monkeypatch.setattr(graphsep.harness, "star_graph", not_a_star)
+    report = run_suite(5, (3, 3), 2, 0, dump_dir=tmp_path)
+    edge = single_edge_graph(Dims(3, 3), {(1, 1), (3, 3)})
+    assert [f.reason for f in report.failures] == ["star-degree-witness-wrong-row"] * 2
+    assert [f.artifact for f in report.failures] == [edge, edge]
+    dumped = (tmp_path / "suite5-p3q3-trial0000.graph").read_text()
+    assert dumped == format_graph(edge)
 
 
 def test_graphsep_matrices_need_no_elimination(monkeypatch):
