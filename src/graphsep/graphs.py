@@ -40,14 +40,17 @@ class Dims(NamedTuple):
 
 
 def checked_dims(dims) -> Dims:
-    """dims as Dims when it is a pair of ints; BadDimsError otherwise.  A
-    bool is an int, but not a dim."""
+    """dims as Dims when it is a pair of positive ints; BadDimsError
+    otherwise, for the type before the sign.  A bool is an int, but not a
+    dim."""
     try:
         p, q = dims
     except (TypeError, ValueError):
         raise BadDimsError(f"grid dims must be a pair, got {dims!r}") from None
     if any(type(d) is bool or not isinstance(d, int) for d in (p, q)):
         raise BadDimsError(f"grid dims must be integers, got {p!r} and {q!r}")
+    if p < 1 or q < 1:
+        raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
     return Dims(p, q)
 
 
@@ -113,12 +116,9 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        """Store dims as Dims, then require a pair of positive ints, edges of
-        one or two grid vertices, each a 2-tuple of ints, and a non-loop edge."""
+        """Store dims as checked_dims gives them, then require edges of one
+        or two grid vertices, each a 2-tuple of ints, and a non-loop edge."""
         object.__setattr__(self, "dims", checked_dims(self.dims))
-        p, q = self.dims
-        if p < 1 or q < 1:
-            raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
         if type(self.edges) is not frozenset or set(map(type, self.edges)) - {frozenset}:
             raise BadParamsError(
                 "edges must be a frozenset of frozensets; build_graph takes any collections"
@@ -294,24 +294,46 @@ def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     return pool
 
 
+def _separable_count(dims: Dims) -> int:
+    """len(separable_edge_pool(dims)): p rows of q(q - 1)/2 pairs and q
+    columns of p(p - 1)/2."""
+    p, q = dims
+    return p * q * (q - 1) // 2 + q * p * (p - 1) // 2
+
+
 def _entangled_count(dims: Dims) -> int:
     """len(entangled_edge_pool(dims)): p(p - 1)/2 pairs of rows times q(q - 1)
-    ordered pairs of columns, 0 for a dim below 1."""
-    p, q = (max(d, 0) for d in dims)
+    ordered pairs of columns."""
+    p, q = dims
     return p * (p - 1) // 2 * q * (q - 1)
 
 
-def _entangled_edge(dims: Dims, k: int) -> tuple[Vertex, Vertex]:
-    """entangled_edge_pool(dims)[k] for 0 <= k < its length, by arithmetic:
-    vertex (i, j) heads r(q - 1) pairs, r = p - i, so row i and the rows
-    below it head q(q - 1) T(r) of them, T(r) = r(r + 1)/2."""
+def _entangled_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
+    """[entangled_edge_pool(dims)[k] for k in ks], 0 <= k < its length, by
+    arithmetic: vertex (i, j) heads r(q - 1) pairs, r = p - i, so row i and
+    the rows below it head q(q - 1) T(r) of them, T(r) = r(r + 1)/2."""
     p, q = dims
-    w = q * (q - 1)
-    e = _entangled_count(dims) - 1 - k  # pairs after the k-th one
-    r = (1 + math.isqrt(8 * (e // w) + 1)) // 2  # T(r - 1) <= e // w < T(r)
-    j, rest = divmod(w * r * (r + 1) // 2 - 1 - e, r * (q - 1))
-    s, t = divmod(rest, q - 1)
-    return (p - r, j + 1), (p - r + 1 + s, t + 1 + (t >= j))
+    w, last = q * (q - 1), _entangled_count(dims) - 1
+    edges = []
+    for k in ks:
+        e = last - k  # pairs after the k-th one
+        r = (1 + math.isqrt(8 * (e // w) + 1)) // 2  # T(r - 1) <= e // w < T(r)
+        j, rest = divmod(w * r * (r + 1) // 2 - 1 - e, r * (q - 1))
+        s, t = divmod(rest, q - 1)
+        edges.append(((p - r, j + 1), (p - r + 1 + s, t + 1 + (t >= j))))
+    return edges
+
+
+def _draw_edges(
+    rng: random.Random, dims: Dims, num_separable: int, num_entangled: int
+) -> list[Edge]:
+    """num_separable edges sampled from the separable pool, then num_entangled
+    from the entangled one.  The separable pool is listed only when drawn
+    from, as Random.sample(pool, 0) draws nothing; the entangled one never
+    is, as sampling its indices draws what sampling the list would."""
+    sep = rng.sample(separable_edge_pool(dims), num_separable) if num_separable else []
+    ks = rng.sample(range(_entangled_count(dims)), num_entangled)
+    return [frozenset(e) for e in sep + _entangled_edges(dims, ks)]
 
 
 def random_graph(
@@ -327,23 +349,11 @@ def random_graph(
         )
     if num_separable < 0 or num_entangled < 0:
         raise BadParamsError("edge counts must be nonnegative")
-    # the separable pool is listed only when drawn from: Random.sample(pool, 0)
-    # draws nothing; the entangled one never is, as sampling its indices
-    # draws what sampling the list would
-    sep_pool = separable_edge_pool(dims) if num_separable else []
-    ent_count = _entangled_count(dims)
-    if num_separable > len(sep_pool):
-        raise BadParamsError(
-            f"asked for {num_separable} separable edges, pool has {len(sep_pool)}"
-        )
-    if num_entangled > ent_count:
-        raise BadParamsError(
-            f"asked for {num_entangled} entangled edges, pool has {ent_count}"
-        )
+    for kind, num, count in (("separable", num_separable, _separable_count(dims)),
+                             ("entangled", num_entangled, _entangled_count(dims))):
+        if num > count:
+            raise BadParamsError(f"asked for {num} {kind} edges, pool has {count}")
     if num_separable + num_entangled == 0:
         raise EmptyEdgeSetError("graph needs at least one edge")
     rng = random.Random(seed)
-    chosen = rng.sample(sep_pool, num_separable) + [
-        _entangled_edge(dims, k) for k in rng.sample(range(ent_count), num_entangled)
-    ]
-    return build_graph(dims, [frozenset(e) for e in chosen])
+    return build_graph(dims, _draw_edges(rng, dims, num_separable, num_entangled))

@@ -21,16 +21,15 @@ from .graphfile import format_graph, write_graph_file
 from .graphs import (
     Dims,
     Graph,
+    _draw_edges,
     _entangled_count,
-    _entangled_edge,
+    _separable_count,
     build_graph,
     checked_dims,
     complete_graph,
-    entangled_edge_pool,
     laplacian_entries,
     linear_index,
     pe_matching_graph,
-    separable_edge_pool,
     star_graph,
     tensor_product,
 )
@@ -137,10 +136,10 @@ class SuiteReport:
         return out
 
 
-def _random_separable(rng: random.Random, dims: Dims):
-    pool = separable_edge_pool(dims)
-    count = rng.randint(0, len(pool))
-    return [frozenset(e) for e in rng.sample(pool, count)]
+def _random_edges(rng: random.Random, dims: Dims, num_entangled: int = 0, least: int = 0):
+    """A uniform number, at least least, of separable edges, then
+    num_entangled entangled ones, all drawn by _draw_edges."""
+    return _draw_edges(rng, dims, rng.randint(least, _separable_count(dims)), num_entangled)
 
 
 def _check_suite_id(suite: int) -> None:
@@ -155,22 +154,16 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
     built, for dims the suite cannot run on: every suite stops at the reports'
     vertex bound, as suite 0 takes the float spectrum of the partial transpose."""
     _check_suite_id(suite)
-    dims = checked_dims(dims)
-    check_grid_size(dims, "suites stop")
-    p, q = dims
+    p, q = dims = check_grid_size(dims, "suites stop")
     rng = random.Random(tseed)
     if suite == 0:
         if p * q < 2:
             raise BadDimsError("cross-consistency needs at least two vertices")
-        sep_pool = separable_edge_pool(dims)
-        ent_pool = entangled_edge_pool(dims)
         while True:
-            ns = rng.randint(0, len(sep_pool))
-            ne = rng.randint(0, len(ent_pool))
+            ns = rng.randint(0, _separable_count(dims))
+            ne = rng.randint(0, _entangled_count(dims))
             if ns + ne:
-                break
-        chosen = rng.sample(sep_pool, ns) + rng.sample(ent_pool, ne)
-        return build_graph(dims, [frozenset(e) for e in chosen])
+                return build_graph(dims, _draw_edges(rng, dims, ns, ne))
     if suite == 7:
         if p != 2 or q < 2:
             raise BadDimsError(f"suite 7 needs a 2xQ grid with Q >= 2, got {p}x{q}")
@@ -178,13 +171,11 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
         while any(perm[j] == j + 1 for j in range(q)):
             rng.shuffle(perm)
         matching = pe_matching_graph(dims, perm).edges
-        return build_graph(dims, [*matching, *_random_separable(rng, dims)])
+        return build_graph(dims, [*matching, *_random_edges(rng, dims)])
     if p < 2 or q < 2:
         raise BadDimsError(f"suite {suite} needs p >= 2 and q >= 2, got {p}x{q}")
     if suite == 1:
-        sep = _random_separable(rng, dims)
-        ent = frozenset(_entangled_edge(dims, rng.choice(range(_entangled_count(dims)))))
-        return build_graph(dims, sep + [ent])
+        return build_graph(dims, _random_edges(rng, dims, num_entangled=1))
     if suite == 2:
         if (p - 1) * (q - 1) < 2:
             raise BadDimsError(
@@ -199,17 +190,13 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
         ]
         k = rng.randint(2, min(q, len(partners)))
         fan = [frozenset({v, w}) for w in rng.sample(partners, k)]
-        return build_graph(dims, fan + _random_separable(rng, dims))
+        return build_graph(dims, fan + _random_edges(rng, dims))
     if suite == 4:
-        factors = []
-        for m in (rng.randint(2, p), rng.randint(2, q)):
-            fdims = Dims(m, 1)
-            pool = separable_edge_pool(fdims)
-            count = rng.randint(1, len(pool))
-            factors.append(
-                build_graph(fdims, [frozenset(e) for e in rng.sample(pool, count)])
-            )
-        return tensor_product(factors[0], factors[1])
+        row, col = (
+            build_graph(Dims(m, 1), _random_edges(rng, Dims(m, 1), least=1))
+            for m in (rng.randint(2, p), rng.randint(2, q))
+        )
+        return tensor_product(row, col)
     return complete_graph(dims)  # suite 5
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import BadDimsError
-from .graphs import EdgeClass, Graph, laplacian_entries
+from .graphs import Dims, EdgeClass, Graph, checked_dims, laplacian_entries
 from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
 from .separability import (
     Status,
@@ -81,17 +81,17 @@ def spectrum_lines(spec: dict[str, list[float]]) -> list[str]:
     ]
 
 
-def check_grid_size(dims, who: str) -> None:
-    """BadDimsError for a p-by-q grid with a dim below 1 or with more than
-    MAX_DENSE_VERTICES vertices, naming who stops at the bound.  The sign
-    comes first, since two negative dims have a positive product."""
-    p, q = dims
-    if p < 1 or q < 1:
-        raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
+def check_grid_size(dims, who: str) -> Dims:
+    """dims as checked_dims gives them, or BadDimsError for a grid with more
+    than MAX_DENSE_VERTICES vertices, naming who stops at the bound.
+    checked_dims refuses a dim below 1 first, since two negative dims have a
+    positive product."""
+    p, q = dims = checked_dims(dims)
     if p * q > MAX_DENSE_VERTICES:
         raise BadDimsError(
             f"{p}x{q} grid has {p * q} vertices; {who} at {MAX_DENSE_VERTICES}"
         )
+    return dims
 
 
 def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:

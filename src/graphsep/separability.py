@@ -36,6 +36,7 @@ from .graphs import (
     linear_index,
 )
 from .matrix import (
+    _EXACT_TYPES,
     SparseSymMatrix,
     SymMatrix,
     add,
@@ -220,14 +221,14 @@ class ProductDecomposition:
             if not isinstance(term, tuple) or len(term) != 3:
                 return False
             weight, row_factor, col_factor = term
-            # a bool is an int, but not a weight; past the types, a weight's
-            # sign is its numerator's
-            if type(weight) is bool or not isinstance(weight, (int, Fraction)):
-                return False
-            if weight.numerator <= 0:
+            # exact types only, as _check_exact takes entries: a Fraction
+            # subclass may override numerator, and a SparseSymMatrix subclass
+            # skip the entry checks; past the types, a weight's sign is its
+            # numerator's
+            if type(weight) not in _EXACT_TYPES or weight.numerator <= 0:
                 return False
             for factor, dim in ((row_factor, p), (col_factor, q)):
-                if not isinstance(factor, SparseSymMatrix) or factor.order != dim:
+                if type(factor) is not SparseSymMatrix or factor.order != dim:
                     return False
                 factors[id(factor)] = factor
         # every weight and every distinct factor's entry as an integer over

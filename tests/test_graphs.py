@@ -20,8 +20,10 @@ from graphsep.graphs import (
     EdgeClass,
     Graph,
     _entangled_count,
-    _entangled_edge,
+    _entangled_edges,
+    _separable_count,
     build_graph,
+    checked_dims,
     classify_edge,
     complete_graph,
     density_matrix,
@@ -35,6 +37,9 @@ from graphsep.graphs import (
     star_graph,
     tensor_product,
 )
+from graphsep.harness import SUITE_IDS, run_suite, suite_instance
+from graphsep.report import check_grid_size
+from graphsep.separability import entangled_edge_witness
 
 GRIDS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4), Dims(4, 2)]
 
@@ -391,21 +396,25 @@ def test_random_graph_lists_only_the_pool_it_draws_from(monkeypatch):
     assert random_graph(Dims(6, 6), 0, 2, 0) == entangled_only
 
 
+def test_pool_counts_and_unranking_match_the_listed_pools():
+    grids = [Dims(p, q) for p in range(1, 8) for q in range(1, 8)] + [Dims(1, 12), Dims(12, 1)]
+    for dims in grids:
+        pool = entangled_edge_pool(dims)
+        assert _separable_count(dims) == len(separable_edge_pool(dims))
+        assert _entangled_count(dims) == len(pool)
+        assert _entangled_edges(dims, range(len(pool))) == pool
+
+
 def test_entangled_edges_are_drawn_by_index(monkeypatch):
-    # the k-th pair of the sorted entangled pool, by arithmetic; sampling
-    # its indices draws what sampling the listed pool drew
-    for p in range(1, 8):
-        for q in range(1, 8):
-            pool = entangled_edge_pool(Dims(p, q))
-            assert _entangled_count(Dims(p, q)) == len(pool)
-            assert [_entangled_edge(Dims(p, q), k) for k in range(len(pool))] == pool
+    # the k-th pair of the sorted entangled pool, by arithmetic, on the
+    # largest grids; sampling its indices draws what sampling the listed
+    # pool drew
     pools = {d: entangled_edge_pool(d) for d in (Dims(2, 512), Dims(512, 2), Dims(32, 32))}
     for dims, pool in pools.items():
         n = len(pool)
         assert _entangled_count(dims) == n
-        for k in (0, 1, n // 3, n // 2, n - 1):
-            assert _entangled_edge(dims, k) == pool[k]
-    assert _entangled_count(Dims(-1, -2)) == _entangled_count(Dims(0, 5)) == 0
+        ks = (0, 1, n // 3, n // 2, n - 1)
+        assert _entangled_edges(dims, ks) == [pool[k] for k in ks]
     pools[Dims(5, 4)] = entangled_edge_pool(Dims(5, 4))
     cases = ((Dims(32, 32), 0, 1, 0), (Dims(2, 512), 3, 50, 7), (Dims(5, 4), 0, 120, 2))
     expected = []
@@ -419,3 +428,28 @@ def test_entangled_edges_are_drawn_by_index(monkeypatch):
 
     monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
     assert [random_graph(*case) for case in cases] == expected
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (3, 0), (-1, -2)])
+def test_every_dims_entry_point_refuses_a_dim_below_1(dims):
+    # one rule, in checked_dims: the pools once returned [] here, and
+    # random_graph and entangled_edge_witness raised other errors
+    entry_points = [
+        lambda: checked_dims(dims),
+        lambda: Graph(dims, frozenset({frozenset({(1, 1), (1, 2)})})),
+        lambda: build_graph(dims, [{(1, 1), (1, 2)}]),
+        lambda: complete_graph(dims),
+        lambda: star_graph(dims),
+        lambda: single_edge_graph(dims, {(1, 1), (2, 2)}),
+        lambda: pe_matching_graph(dims, (2, 1)),
+        lambda: separable_edge_pool(dims),
+        lambda: entangled_edge_pool(dims),
+        lambda: random_graph(dims, 1, 1, 0),
+        lambda: entangled_edge_witness(dims, {(1, 1), (2, 2)}),
+        lambda: check_grid_size(dims, "reports stop"),
+        *(lambda suite=suite: suite_instance(suite, dims, 0) for suite in SUITE_IDS),
+        *(lambda suite=suite: run_suite(suite, dims, 1, 0) for suite in SUITE_IDS),
+    ]
+    for call in entry_points:
+        with pytest.raises(BadDimsError, match="must be positive"):
+            call()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,12 +285,12 @@ def test_suites_build_no_dense_matrix(monkeypatch):
 
 
 def test_suite_dims_stop_at_the_report_bound(monkeypatch):
-    # refused before any pool or instance is built: a 1000x1000 suite 0
+    # refused before any edge is drawn or instance built: a 1000x1000 suite 0
     # would otherwise sample from about 10^9 separable edges
     def build(*args):
         raise AssertionError("suite instance built")
 
-    for name in ("separable_edge_pool", "entangled_edge_pool", "complete_graph"):
+    for name in ("_draw_edges", "complete_graph"):
         monkeypatch.setattr(graphsep.harness, name, build)
     assert 33 * 32 > MAX_DENSE_VERTICES == 32 * 32
     for suite in SUITE_IDS:
@@ -306,11 +307,11 @@ def test_suite_dims_stop_at_the_report_bound(monkeypatch):
 
 def test_suite_instance_refuses_what_run_suite_refuses(monkeypatch):
     # suite_instance is public: it applies every suite's dims rule itself,
-    # before any pool or graph is built
+    # before any edge is drawn or graph is built
     def build(*args):
         raise AssertionError("suite instance built")
 
-    for name in ("separable_edge_pool", "entangled_edge_pool", "complete_graph"):
+    for name in ("_draw_edges", "complete_graph"):
         monkeypatch.setattr(graphsep.harness, name, build)
     cases = [(0, (1, 1)), (0, (-1, -2)), (1, (1, 4)), (2, (2, 2)), (4, (1, 3)),
              (5, (33, 32)), (7, (3, 2))]
@@ -337,9 +338,22 @@ def test_suite1_draws_its_entangled_edge_by_index(monkeypatch):
     def refuse(dims):
         raise AssertionError("entangled pool listed")
 
-    monkeypatch.setattr(graphsep.harness, "entangled_edge_pool", refuse)
     monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
     assert [suite_instance(1, dims, tseed) for tseed in seeds] == expected
+
+
+def test_no_suite_lists_the_entangled_pool(monkeypatch):
+    # every suite draws its entangled edges by index, through _draw_edges;
+    # the pool is refused in every graphsep module that binds it
+    def refuse(dims):
+        raise AssertionError("entangled pool listed")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphsep":
+            if getattr(module, "entangled_edge_pool", None) is entangled_edge_pool:
+                monkeypatch.setattr(module, "entangled_edge_pool", refuse)
+    for suite in SUITE_IDS:
+        assert run_suite(suite, (2, 5) if suite == 7 else (4, 4), 10, 0).ok, suite
 
 
 def test_suite5_files_a_star_failure_on_the_star(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -460,6 +461,25 @@ def test_revalidate_rejects_tampered_evidence():
     assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=booled))
     for terms in (((weight, row_factor),), 5, [(weight, row_factor, col_factor)]):
         forged = ProductDecomposition(terms)
+        assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=forged))
+    # weights and factors of exact types only: a Fraction whose numerator
+    # is a float would sum the mixture in floats, and a SparseSymMatrix that
+    # skips its entry checks may hold a float or an entry without its mirror
+    class FloatNumerator(Fraction):
+        numerator = property(lambda self: float(super().numerator))
+
+    class Unchecked(SparseSymMatrix):
+        def __post_init__(self):
+            object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
+    floated = ProductDecomposition(((FloatNumerator(1), row_factor, col_factor),))
+    assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=floated))
+    # the subclass is refused even with the honest entries
+    for row, col in ((Unchecked(2, row_factor.entries), col_factor),
+                     (row_factor, Unchecked(2, col_factor.entries)),
+                     (Unchecked(2, {(0, 0): 1.0}), col_factor),
+                     (row_factor, Unchecked(2, {(0, 0): 1, (0, 1): 1}))):
+        forged = ProductDecomposition(((weight, row, col),))
         assert not revalidate(single, Verdict(Status.SEPARABLE, certificate=forged))
     for forged in (DegreeCriterionWitness(3, -1.0), DegreeCriterionWitness([3], -1)):
         assert not revalidate(star, Verdict(Status.ENTANGLED, witness=forged))
@@ -1038,3 +1058,30 @@ def test_verdict_invariant_under_relabelling(g, seed):
     assert verdict(relabelled(lambda v: (rows[v[0] - 1], v[1]))).status == status
     assert verdict(relabelled(lambda v: (v[0], cols[v[1] - 1]))).status == status
     assert verdict(swap_subsystems(g)).status == status
+
+
+def pt_graph(g):
+    """The graph partial transpose: each edge {(i,j),(s,t)} becomes
+    {(i,t),(s,j)}, which fixes loops and separable edges.  On a
+    degree-preserving graph it is the partial transpose of the state."""
+    edges = []
+    for e in g.edges:
+        (i, j), (s, t) = (*e, *e)[:2]  # a loop's vertex twice
+        edges.append(frozenset({(i, t), (s, j)}))
+    return build_graph(g.dims, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(frontier_graphs(), pt_paired_graphs(), random_grid_graphs_with_loops()))
+def test_graph_partial_transpose_is_a_checked_symmetry(g):
+    # a state and its partial transpose are separable together, so the
+    # verdict, its evidence kind and its subsystem order must agree
+    h = pt_graph(g)
+    assert pt_graph(h) == g
+    v, w = verdict(g), verdict(h)
+    assert (w.status, type(w.certificate), type(w.witness)) == (
+        v.status, type(v.certificate), type(v.witness)
+    )
+    assert getattr(w.certificate, "swapped", None) == getattr(v.certificate, "swapped", None)
+    assert revalidate(g, v) and revalidate(h, w)
+    assert (pt_laplacian_entries(g) == laplacian_entries(h)) == (degree_criterion(g) is None)
