@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +23,7 @@ from .errors import (
     OnlyLoopsError,
     OutOfRangeError,
 )
-from .matrix import SparseSymMatrix, SymMatrix
+from .matrix import SparseSymMatrix, SymMatrix, _Frozen
 
 Vertex = tuple[int, int]
 Edge = FrozenSet[Vertex]
@@ -91,7 +90,9 @@ def checked_edge(edge) -> Edge:
 
 
 def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> EdgeClass:
-    """Loop, same-row, same-column, or entangled (both coordinates differ)."""
+    """Loop, same-row, same-column, or entangled (both coordinates differ).
+    dims, when given, must pass checked_dims, which runs before any check."""
+    dims = None if dims is None else checked_dims(dims)
     edge = checked_edge(edge)
     if not 1 <= len(edge) <= 2:
         raise BadParamsError(f"edge needs one or two vertices, got {len(edge)}")
@@ -106,19 +107,18 @@ def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> Ed
     return EdgeClass.ENTANGLED
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """A graph as its dims and its edges, exactly a frozenset of frozensets,
     so equal graphs compare and hash equal; build_graph takes any other
     collection of edges."""
 
-    dims: Dims
-    edges: frozenset[Edge]
+    _fields = ("dims", "edges")
 
-    def __post_init__(self):
+    def __init__(self, dims: Dims, edges: frozenset[Edge]):
         """Store dims as checked_dims gives them, then require edges of one
         or two grid vertices, each a 2-tuple of ints, and a non-loop edge."""
-        object.__setattr__(self, "dims", checked_dims(self.dims))
+        object.__setattr__(self, "dims", checked_dims(dims))
+        object.__setattr__(self, "edges", edges)
         if type(self.edges) is not frozenset or set(map(type, self.edges)) - {frozenset}:
             raise BadParamsError(
                 "edges must be a frozenset of frozensets; build_graph takes any collections"

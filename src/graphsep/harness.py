@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -78,8 +77,7 @@ def trial_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-@dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(NamedTuple):
     trial: int
     seed: int
     reason: str
@@ -95,8 +93,7 @@ class _Trial(NamedTuple):
     unknown: bool = False
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: int
     dims: Dims
     trials: int
@@ -143,9 +140,11 @@ def _random_edges(rng: random.Random, dims: Dims, num_entangled: int = 0, least:
 
 
 def _check_suite_id(suite: int) -> None:
-    if suite not in SUITE_DESCRIPTIONS:
+    """BadParamsError unless suite is exactly an int (a bool or a float equal
+    to one is not an id) that names a suite."""
+    if type(suite) is not int or suite not in SUITE_DESCRIPTIONS:
         raise BadParamsError(
-            f"unknown suite id {suite}; valid ids are {', '.join(map(str, SUITE_IDS))}"
+            f"unknown suite id {suite!r}; valid ids are {', '.join(map(str, SUITE_IDS))}"
         )
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
 from types import MappingProxyType
@@ -57,12 +56,44 @@ def _check_exact(entries: dict[tuple[int, int], Entry], n: int) -> None:
                 raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class _Frozen:
+    """A record whose fields, named in _fields, are set once by __init__:
+    equal only to an object of exactly its class with equal fields, hashed
+    by its fields, and refusing assignment and deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SymMatrix(_Frozen):
     """Immutable square symmetric matrix; every entry, zeros included, is
     exactly an int or a Fraction, as in SparseSymMatrix."""
 
-    rows: tuple[tuple[Entry, ...], ...]
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[Entry, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.rows)
@@ -87,19 +118,25 @@ class SymMatrix:
         return SymMatrix(tuple(tuple(f * x for x in row) for row in self.rows))
 
 
-@dataclass(frozen=True)
-class SparseSymMatrix:
+class SparseSymMatrix(_Frozen):
     """Immutable symmetric matrix of the given order with exact entries,
     stored by 0-based (row, column); an absent entry is zero.  An entry is
     exactly an int or a Fraction: a bool is an int, but not an entry."""
 
-    order: int
-    entries: Mapping[tuple[int, int], Entry] = field(hash=False)
+    _fields = ("order", "entries")
+
+    def __init__(self, order: int, entries: Mapping[tuple[int, int], Entry]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = dict(self.entries)
         object.__setattr__(self, "entries", MappingProxyType(entries))
         _check_exact(entries, self.order)
+
+    def __hash__(self):
+        return hash((self.order,))  # by order alone: the entries are a mapping
 
     def dense(self) -> SymMatrix:
         n, get = self.order, self.entries.get

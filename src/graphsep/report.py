@@ -9,9 +9,9 @@ is built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import BadDimsError
 from .graphs import Dims, EdgeClass, Graph, checked_dims, laplacian_entries
@@ -30,8 +30,7 @@ from .separability import (
 MAX_DENSE_VERTICES = 1024
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     graph: Graph
     edge_classes: dict
     purity: Fraction

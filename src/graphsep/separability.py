@@ -17,11 +17,10 @@ denominator, against the Laplacian's nonzero entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimMismatchError, NotEntangledEdgeError, WrongDimsError
 from .graphs import (
@@ -64,13 +63,12 @@ def ppt_test(g: Graph) -> bool:
     return is_psd_exact(SparseSymMatrix(g.n, pt_laplacian_entries(g)))
 
 
-@dataclass(frozen=True)
-class DegreeCriterionWitness:
+class DegreeCriterionWitness(NamedTuple):
     """The last 1-based row of the partially transposed Laplacian whose sum
     went negative.  The sums total zero, so a nonzero sum anywhere
     guarantees a negative one somewhere."""
 
-    kind: ClassVar[str] = "degree-criterion"
+    kind = "degree-criterion"
     row: int
     row_sum: int
 
@@ -170,14 +168,13 @@ def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
     return [[strs.get((r, c), "0") for c in range(n)] for r in range(n)]
 
 
-@dataclass(frozen=True)
-class BlockLineSumSymmetric:
+class BlockLineSumSymmetric(NamedTuple):
     """Every block of the block-partitioned combinatorial matrix has matching
     row and column sums, which forces separability.  swapped: the blocks are
     those of the same state on the q-by-p grid, (i, j) read as (j, i)."""
 
-    kind: ClassVar[str] = "block-line-sum-symmetric"
-    passes: ClassVar[tuple[str, ...]] = (kind,)
+    kind = "block-line-sum-symmetric"
+    passes = (kind,)
     swapped: bool = False
 
     @property
@@ -192,8 +189,7 @@ class BlockLineSumSymmetric:
         return {"kind": self.kind, "swapped": self.swapped}
 
 
-@dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(NamedTuple):
     """Convex mixture of product states that reproduces the density matrix.
 
     Each term is (weight, row_factor, column_factor) with the factors acting
@@ -201,10 +197,10 @@ class ProductDecomposition:
     nonzero entries: a point mass has one, a difference projector four.
     """
 
-    kind: ClassVar[str] = "all-edges-separable"
-    label: ClassVar[str] = kind
+    kind = "all-edges-separable"
+    label = kind
     # no entangled edges, so the block check, which reads only those, passes too
-    passes: ClassVar[tuple[str, ...]] = (kind, BlockLineSumSymmetric.kind)
+    passes = (kind, BlockLineSumSymmetric.kind)
     terms: tuple[tuple[Fraction, SparseSymMatrix, SparseSymMatrix], ...]
 
     def check(self, g: Graph) -> bool:
@@ -401,8 +397,7 @@ class Status(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: Status
     certificate: ProductDecomposition | BlockLineSumSymmetric | None = None
     witness: DegreeCriterionWitness | None = None

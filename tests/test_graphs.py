@@ -68,6 +68,13 @@ def test_classify_edge():
     for edge in (frozenset(), frozenset({(1, 1), (1, 2), (2, 1)})):
         with pytest.raises(BadParamsError, match=f"got {len(edge)}"):
             classify_edge(edge)
+    # dims, when given, go through checked_dims before the edge is read:
+    # (2.0, 2) was once taken, (True, True) named a "TruexTrue grid", and
+    # "ab" and (3,) raised a bare TypeError and ValueError
+    for dims in ((2.0, 2), (True, True), "ab", (3,), (0, 3)):
+        with pytest.raises(BadDimsError):
+            classify_edge(frozenset({(1, 1), (2, 2)}), dims)
+    assert classify_edge([(1, 1), (2, 2)], (2, 2)) == EdgeClass.ENTANGLED
 
 
 INVALID_GRAPHS = [
@@ -436,6 +443,7 @@ def test_every_dims_entry_point_refuses_a_dim_below_1(dims):
     # random_graph and entangled_edge_witness raised other errors
     entry_points = [
         lambda: checked_dims(dims),
+        lambda: classify_edge({(1, 1), (1, 2)}, dims),
         lambda: Graph(dims, frozenset({frozenset({(1, 1), (1, 2)})})),
         lambda: build_graph(dims, [{(1, 1), (1, 2)}]),
         lambda: complete_graph(dims),

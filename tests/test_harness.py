@@ -127,6 +127,16 @@ def test_suite_instance_unknown_id():
         suite_instance(6, Dims(2, 2), 0)
 
 
+def test_suite_id_must_be_exactly_an_int():
+    # True and 1.0 are equal to 1 and once ran suite 1, echoing
+    # "theorem": true or 1.0 in the report
+    for suite in (True, 1.0, "1"):
+        with pytest.raises(BadParamsError, match="unknown suite id"):
+            run_suite(suite, (3, 3), 1, 0)
+        with pytest.raises(BadParamsError, match="unknown suite id"):
+            suite_instance(suite, Dims(3, 3), 0)
+
+
 @pytest.mark.parametrize(
     "suite,dims",
     [
