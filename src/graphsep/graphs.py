@@ -14,6 +14,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import FrozenSet, Iterable, NamedTuple
 
 from .errors import (
@@ -108,44 +109,33 @@ def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> Ed
 
 
 class Graph(_Frozen):
-    """A graph as its dims and its edges, exactly a frozenset of frozensets,
-    so equal graphs compare and hash equal; build_graph takes any other
-    collection of edges."""
+    """A graph as its dims, its non-loop edges as sorted pairs, sorted
+    (sorted_edges), and its loops, sorted.  It compares, hashes and prints
+    by dims and edges, exactly a frozenset of frozensets, so equal graphs
+    compare and hash equal; a parsed graph derives edges on first read.
+    build_graph takes any other collection of edges."""
 
     _fields = ("dims", "edges")
 
     def __init__(self, dims: Dims, edges: frozenset[Edge]):
         """Store dims as checked_dims gives them, then require edges of one
-        or two grid vertices, each a 2-tuple of ints, and a non-loop edge."""
+        or two grid vertices, each a 2-tuple of ints, and a non-loop edge;
+        keep edges, and sorted_edges and loops built from them."""
         object.__setattr__(self, "dims", checked_dims(dims))
         object.__setattr__(self, "edges", edges)
-        if type(self.edges) is not frozenset or set(map(type, self.edges)) - {frozenset}:
+        if type(edges) is not frozenset or set(map(type, edges)) - {frozenset}:
             raise BadParamsError(
                 "edges must be a frozenset of frozensets; build_graph takes any collections"
             )
-        sizes = set(map(len, self.edges))
+        sizes = set(map(len, edges))
         if bad := sizes - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
-        # each vertex once; sorted_edges keys on int coordinates
-        _check_vertices(frozenset().union(*self.edges), self.dims)
-        if not sizes:
-            raise EmptyEdgeSetError("graph needs at least one edge")
-        if sizes == {1}:
-            raise OnlyLoopsError("graph has loops only; no matrix is defined")
-
-    @property
-    def n(self) -> int:
-        return self.dims.n
-
-    @cached_property
-    def sorted_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
-        """Non-loop edges as sorted pairs, sorted.  Tuple order on vertices is
-        their row-major linear order a = i * q + j, since 1 <= j <= q, so
-        a pair sorts by the one int a * m + b, with b < m."""
-        q = self.dims.q
-        m = (self.dims.p + 1) * q + 1
-        by_key = {}
-        for e in self.edges:
+        # each vertex once; the pair keys below are int arithmetic
+        _check_vertices(frozenset().union(*edges), self.dims)
+        _require_a_pair(2 in sizes, 1 in sizes)
+        q, m = self.dims.q, _pair_base(self.dims)
+        by_key, loops = {}, []
+        for e in edges:
             if len(e) == 2:
                 u, v = e
                 a, b = u[0] * q + u[1], v[0] * q + v[1]
@@ -153,7 +143,39 @@ class Graph(_Frozen):
                     by_key[a * m + b] = u, v
                 else:
                     by_key[b * m + a] = v, u
-        return tuple([by_key[k] for k in sorted(by_key)])
+            else:
+                loops += e
+        object.__setattr__(self, "sorted_edges", tuple([by_key[k] for k in sorted(by_key)]))
+        object.__setattr__(self, "loops", tuple(sorted(loops)))
+
+    @classmethod
+    def _from_keys(cls, dims: Dims, pair_keys: set[int], loop_keys: set[int]) -> Graph:
+        """The graph of a parsed file, from the vertex key a = i * q + j of
+        each loop and the pair key a * m + b of each other edge, a < b (see
+        _pair_base).  The parser has checked every field, so only the
+        edge-count rules of __init__ run here."""
+        _require_a_pair(bool(pair_keys), bool(loop_keys))
+        q, m = dims.q, _pair_base(dims)
+        g = object.__new__(cls)
+        object.__setattr__(g, "dims", dims)
+        ends = [divmod(k, m) for k in sorted(pair_keys)]
+        vertex = {a: _vertex(a, q) for a in {*chain.from_iterable(ends), *loop_keys}}
+        object.__setattr__(g, "sorted_edges", tuple([(vertex[a], vertex[b]) for a, b in ends]))
+        object.__setattr__(g, "loops", tuple([vertex[a] for a in sorted(loop_keys)]))
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """Each edge as a frozenset of its vertices, a loop of its one
+        vertex.  Graph(dims, edges) keeps the edges it was given; a parsed
+        graph derives them here on first read."""
+        return frozenset(map(frozenset, self.sorted_edges)).union(
+            frozenset((v,)) for v in self.loops
+        )
+
+    @property
+    def n(self) -> int:
+        return self.dims.n
 
     @cached_property
     def entangled_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
@@ -161,13 +183,29 @@ class Graph(_Frozen):
         pairs = self.sorted_edges
         return tuple([e for e in pairs if e[0][0] != e[1][0] and e[0][1] != e[1][1]])
 
-    @cached_property
-    def loops(self) -> tuple[Vertex, ...]:
-        return tuple(sorted(next(iter(e)) for e in self.edges if len(e) == 1))
-
     @property
     def degree_sum(self) -> int:
         return 2 * len(self.sorted_edges)
+
+
+def _pair_base(dims: Dims) -> int:
+    """m such that a pair of vertex keys a < b sorts by the one int a * m + b.
+    Tuple order on vertices is the order of their keys a = i * q + j, since
+    1 <= j <= q, and every key is below m."""
+    return (dims.p + 1) * dims.q + 1
+
+
+def _vertex(a: int, q: int) -> Vertex:
+    """The vertex whose key is a = i * q + j, 1 <= j <= q."""
+    i, j = divmod(a - 1, q)
+    return i, j + 1
+
+
+def _require_a_pair(has_pair: bool, has_loop: bool) -> None:
+    if not has_pair:
+        if not has_loop:
+            raise EmptyEdgeSetError("graph needs at least one edge")
+        raise OnlyLoopsError("graph has loops only; no matrix is defined")
 
 
 def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:

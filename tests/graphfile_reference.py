@@ -1,6 +1,7 @@
 """The graph-file line loop as it was before each coordinate field was
 memoised: every edge line converts and range-checks all four fields.  The
-differential test in test_graphfile.py holds parse_graph_text to it."""
+differential test in test_graphfile.py holds parse_graph_text to it.  Lines
+end at \\n, \\r\\n and \\r only, as in universal newlines."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from graphsep.graphs import Dims, Graph
 def parse_graph_text(text: str) -> Graph:
     dims: Dims | None = None
     edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.isascii():
             raise GraphFileError("non-ASCII character", line=lineno)
         stripped = raw.split("#", 1)[0].strip()

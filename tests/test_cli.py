@@ -73,6 +73,25 @@ def test_analyze_bad_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, err",
+    [
+        # the out-of-range vertex on line 2 comes before the non-ASCII byte
+        (b"dims 2 2\nedge 3 3 1 1\nedge 1 1 2 2 # caf\xc3\xa9\n",
+         "error: line 2: vertex (3,3) outside 2x2 grid\n"),
+        (b"dims 2 2\nedge 1 1 2 2\nedge 1 2 2 1 # caf\xc3\xa9\n",
+         "error: line 3: non-ASCII character\n"),
+        # \v is a blank line's whitespace, not a line end
+        (b"dims 2 2\n\x0b\nedge 1 1 3 3\n", "error: line 3: vertex (3,3) outside 2x2 grid\n"),
+    ],
+)
+def test_analyze_names_the_physical_line_of_the_first_error(tmp_path, capsys, data, err):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_generate_complete_round_trip(tmp_path):
     out = tmp_path / "k.graph"
     assert main(["generate", "complete", "--p", "2", "--q", "2", "--out", str(out)]) == 0

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphfile_reference import parse_graph_text as reference_parse
@@ -142,13 +142,72 @@ def test_unknown_keyword():
 
 
 def test_empty_edge_set_propagates():
-    with pytest.raises(EmptyEdgeSetError):
-        parse_graph_text("dims 2 2\n")
+    for text in ("dims 2 2\n", "dims 2 2\n# no edge\n\n"):
+        with pytest.raises(EmptyEdgeSetError, match="^graph needs at least one edge$"):
+            parse_graph_text(text)
 
 
 def test_only_loops_propagates():
-    with pytest.raises(OnlyLoopsError):
-        parse_graph_text("dims 2 2\nedge 1 1 1 1\n")
+    # the later lines repeat memoised fields, so they take the fast path
+    for text in (
+        "dims 2 2\nedge 1 1 1 1\n",
+        "dims 2 2\nedge 1 1 1 1\nedge 2 2 2 2\nedge 1 1 1 1\nedge 1 2 1 2\nedge 2 1 2 1\n",
+    ):
+        with pytest.raises(OnlyLoopsError, match="^graph has loops only; no matrix is defined$"):
+            parse_graph_text(text)
+
+
+def test_parsed_graph_derives_edges_once():
+    g = parse_graph_text("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 1\nedge 2 1 2 1\n")
+    assert "edges" not in vars(g)
+    edges = g.edges
+    assert edges == frozenset({frozenset({(1, 1), (2, 2)}), frozenset({(2, 1)})})
+    assert g.edges is edges
+    with pytest.raises(AttributeError):
+        g.edges = frozenset()
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g.edges is edges
+
+
+@pytest.mark.parametrize("parse", [parse_graph_text, reference_parse], ids=["parser", "reference"])
+def test_lines_end_only_at_universal_newlines(parse):
+    # str.splitlines would also end a line at \v, \f and \x1c-\x1e
+    with pytest.raises(OutOfRangeError) as exc:
+        parse("dims 2 2\n\x0b\nedge 1 1 3 3\n")
+    assert exc.value.line == 3
+    for end in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e"):
+        with pytest.raises(GraphFileError, match="^dims needs exactly two fields$") as exc:
+            parse(f"dims 2 2{end}edge 1 1 2 2\n")
+        assert exc.value.line == 1
+    # \r\n and a lone \r each end one line
+    with pytest.raises(OutOfRangeError) as exc:
+        parse("dims 2 2\r\n\redge 1 1 2 2\r\nedge 1 1 3 3\n")
+    assert exc.value.line == 4
+    g = parse("dims 2 2\redge 1 1 2 2\r\nedge 1 2 2 1\n")
+    assert g.sorted_edges == (((1, 1), (2, 2)), ((1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "data, error, message, line",
+    [
+        (b"dims 2 2\nedge 3 3 1 1\nedge 1 1 2 2 # caf\xc3\xa9\n", OutOfRangeError,
+         "vertex (3,3) outside 2x2 grid", 2),
+        (b"dims 2 2\nedge 1 1 2 2\nedge 1 2 2 1 # caf\xc3\xa9\n", GraphFileError,
+         "non-ASCII character", 3),
+        # a byte that is not UTF-8 either
+        (b"dims 2 2\r\nedge 1 1 2 2\r\nedge 1 2 2 1 \xff\r\n", GraphFileError,
+         "non-ASCII character", 3),
+    ],
+)
+def test_a_file_and_its_text_give_the_same_first_error(tmp_path, data, error, message, line):
+    path = tmp_path / "g.graph"
+    path.write_bytes(data)
+    text = data.decode("ascii", errors="surrogateescape")
+    for parse, arg in ((parse_graph_file, path), (parse_graph_text, text)):
+        with pytest.raises(error) as exc:
+            parse(arg)
+        assert (type(exc.value), str(exc.value), exc.value.line) == (error, message, line)
 
 
 def test_format_is_canonical():
@@ -177,6 +236,28 @@ def test_round_trip(g, tmp_path):
     assert format_graph(back) == format_graph(g)
 
 
+@st.composite
+def graphs_with_loops(draw):
+    """A graph of 1-12 non-loop edges and 0-4 loops on a grid of 2-16
+    vertices."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    assume(p * q >= 2)
+    vertex = st.tuples(st.integers(1, p), st.integers(1, q))
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=12))
+    loops = draw(st.lists(vertex.map(lambda v: (v,)), max_size=4))
+    return build_graph(Dims(p, q), pairs + loops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_loops())
+def test_format_round_trips_graphs_with_loops(g):
+    text = format_graph(g)
+    back = parse_graph_text(text)
+    assert back == g
+    assert format_graph(back) == text
+
+
 def test_unreadable_file():
     with pytest.raises(GraphFileError, match="cannot read"):
         parse_graph_file("/nonexistent/g.graph")
@@ -191,13 +272,15 @@ def _outcome(parse, text):
 
 
 ZEROS = st.sampled_from(["", "", "0", "00"])
-PADDING = st.sampled_from(["", " ", "\t", "  \t", "\t "])
+PADDING = st.sampled_from(["", " ", "\t", "  \t", "\t ", "\x0b", "\x0c "])
 COMMENT = st.sampled_from(["", "# note", "#", " # a b  c"])
 ERROR_LINES = st.sampled_from([
     "edge 1 1 2",                # edge needs exactly four fields
     "edge 1  1 2 2",             # fields must be separated by single spaces
     "edge 1 1 2 2 # caf\u00e9",   # non-ASCII character
     "vertex 1 1",                # unknown keyword
+    "vertex 1 1 1 1",            # unknown keyword, four fields maybe memoised
+    "dims 1 1 1 1",              # duplicate dims header, the same
     "dims 2 2",                  # duplicate dims header
     "dims 2",                    # dims needs exactly two fields
     "edge 1 +1 1 1",             # bad integer, and so are the next four
@@ -214,11 +297,11 @@ ERROR_LINES = st.sampled_from([
 @st.composite
 def graph_texts(draw):
     """A graph file of canonical edge lines and valid lines that are not
-    canonical: leading zeros, tab and space padding, trailing comments,
-    blank lines, CRLF.  When errors are drawn, every edge field ranges over
-    both axes, so a field checked on one axis comes back on the other, maybe
-    off the grid there; bad dims and every other kind of bad line come at
-    random places."""
+    canonical: leading zeros, padding by tabs, spaces, \\v and \\f, trailing
+    comments, blank lines, CRLF and CR.  When errors are drawn, every edge
+    field ranges over both axes, so a field checked on one axis comes back
+    on the other, maybe off the grid there; bad dims and every other kind
+    of bad line come at random places."""
     p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     with_errors = draw(st.booleans())
     if with_errors:
@@ -241,7 +324,7 @@ def graph_texts(draw):
         # mostly first, so edge lines are read; anywhere for "edge before dims"
         at = draw(st.sampled_from([0] * 7 + [len(body)])) if with_errors else 0
         body.insert(draw(st.integers(0, at)), dims_line)
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(body),
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(body),
                          max_size=len(body)))
     return "".join(line + end for line, end in zip(body, ends))
 
@@ -271,6 +354,38 @@ def test_fields_shared_by_both_axes_match_reference_loop(text):
     assert _outcome(parse_graph_text, text) == _outcome(reference_parse, text)
 
 
+@st.composite
+def edge_list_texts(draw):
+    """Dims, a list of endpoint pairs, loops among them, and a file that
+    lists each pair as one or two lines, as given or reversed, in shuffled
+    order.  Some lines spell a field with leading zeros or pad it, so they
+    miss the memos after earlier lines have hit them."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    vertex = st.tuples(st.integers(1, p), st.integers(1, q))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
+    lines = []
+    for u, v in pairs:
+        for a, b in draw(st.sampled_from([[(u, v)], [(v, u)], [(u, v), (u, v)], [(u, v), (v, u)]])):
+            fields = " ".join(draw(ZEROS) + str(x) for x in (*a, *b))
+            lines.append(draw(PADDING) + "edge " + fields)
+    body = draw(st.permutations(lines))
+    return Dims(p, q), pairs, f"dims {p} {q}\n" + "".join(line + "\n" for line in body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_parsed_graph_equals_the_built_one(case):
+    dims, pairs, text = case
+    built = _outcome(lambda edges: build_graph(dims, edges), pairs)
+    parsed = _outcome(parse_graph_text, text)
+    if type(built) is tuple:  # loops only: the same error
+        assert parsed == built
+        return
+    assert parsed == built and hash(parsed) == hash(built)
+    for name in ("edges", "sorted_edges", "entangled_edges", "loops", "degree_sum"):
+        assert getattr(parsed, name) == getattr(built, name), name
+
+
 @pytest.mark.parametrize(
     "text, error, message, line",
     [
@@ -287,6 +402,11 @@ def test_fields_shared_by_both_axes_match_reference_loop(text):
          "vertex (3,1) outside 2x3 grid", 4),
         ("dims 2 2\nedge 1 1 2 2\nedge 1 1 2 2 2\n", GraphFileError,
          "edge needs exactly four fields", 3),
+        # four memoised fields after another keyword
+        ("dims 2 2\nedge 1 1 2 2\nvertex 1 1 2 2\n", GraphFileError,
+         "unknown keyword 'vertex'", 3),
+        ("dims 2 2\nedge 1 1 2 2\ndims 1 1 2 2\n", GraphFileError,
+         "duplicate dims header", 3),
     ],
 )
 def test_memoised_fields_keep_the_first_error(text, error, message, line):

@@ -67,7 +67,7 @@ def test_records_refuse_assignment_and_deletion():
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-    # a Graph computes its cached fields on first use, and keeps them
+    # a Graph keeps the fields it holds besides dims and edges
     g = records[0]
     assert g.sorted_edges is g.sorted_edges
     with pytest.raises(AttributeError):
