@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import FrozenSet, Iterable, NamedTuple
+from typing import Collection, FrozenSet, Iterable, NamedTuple
 
 from .errors import (
     BadDimsError,
@@ -112,8 +112,8 @@ class Graph(_Frozen):
     """A graph as its dims, its non-loop edges as sorted pairs, sorted
     (sorted_edges), and its loops, sorted.  It compares, hashes and prints
     by dims and edges, exactly a frozenset of frozensets, so equal graphs
-    compare and hash equal; a parsed graph derives edges on first read.
-    build_graph takes any other collection of edges."""
+    compare and hash equal; a graph built by key derives edges on first
+    read.  build_graph takes any other collection of edges."""
 
     _fields = ("dims", "edges")
 
@@ -149,11 +149,12 @@ class Graph(_Frozen):
         object.__setattr__(self, "loops", tuple(sorted(loops)))
 
     @classmethod
-    def _from_keys(cls, dims: Dims, pair_keys: set[int], loop_keys: set[int]) -> Graph:
-        """The graph of a parsed file, from the vertex key a = i * q + j of
-        each loop and the pair key a * m + b of each other edge, a < b (see
-        _pair_base).  The parser has checked every field, so only the
-        edge-count rules of __init__ run here."""
+    def _from_keys(cls, dims: Dims, pair_keys: set[int], loop_keys: Collection[int] = ()) -> Graph:
+        """The graph from the vertex key a = i * q + j of each loop and the
+        distinct pair key a * m + b of each other edge, a < b (see
+        _pair_base).  Its caller vouches for every vertex: the parser checks
+        every field, and graphsep's own builders make only grid vertices.
+        So only the edge-count rules of __init__ run here."""
         _require_a_pair(bool(pair_keys), bool(loop_keys))
         q, m = dims.q, _pair_base(dims)
         g = object.__new__(cls)
@@ -167,11 +168,10 @@ class Graph(_Frozen):
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """Each edge as a frozenset of its vertices, a loop of its one
-        vertex.  Graph(dims, edges) keeps the edges it was given; a parsed
-        graph derives them here on first read."""
-        return frozenset(map(frozenset, self.sorted_edges)).union(
-            frozenset((v,)) for v in self.loops
-        )
+        vertex.  Graph(dims, edges) keeps the edges it was given; a graph
+        built by key derives them here on first read."""
+        loops = (frozenset((v,)) for v in self.loops)
+        return frozenset(chain(map(frozenset, self.sorted_edges), loops))
 
     @property
     def n(self) -> int:
@@ -199,6 +199,13 @@ def _vertex(a: int, q: int) -> Vertex:
     """The vertex whose key is a = i * q + j, 1 <= j <= q."""
     i, j = divmod(a - 1, q)
     return i, j + 1
+
+
+def _graph_of_pairs(dims: Dims, pairs: Iterable[tuple[Vertex, Vertex]]) -> Graph:
+    """The graph whose edges are the given sorted pairs u < v of grid
+    vertices, built by key: the caller vouches for the vertices."""
+    q, m = dims.q, _pair_base(dims)
+    return Graph._from_keys(dims, {(i * q + j) * m + s * q + t for (i, j), (s, t) in pairs})
 
 
 def _require_a_pair(has_pair: bool, has_loop: bool) -> None:
@@ -248,41 +255,33 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     Vertices of the result live on a g.n-by-h.n grid.  Each pair of non-loop
     edges {u1,v1}, {u2,v2} contributes the two cross edges
     {(u1,u2),(v1,v2)} and {(u1,v2),(v1,u2)} written in linear coordinates.
+    Both join row a = linear_index(u1) to row b = linear_index(v1) > a, so
+    each is a sorted pair, and no two pairs of edges share a cross edge.
     """
     out_dims = Dims(g.n, h.n)
-    edges = set()
-    for u1, v1 in g.sorted_edges:
-        a, b = linear_index(u1, g.dims), linear_index(v1, g.dims)
-        for u2, v2 in h.sorted_edges:
-            x, y = linear_index(u2, h.dims), linear_index(v2, h.dims)
-            edges.add(frozenset({(a, x), (b, y)}))
-            edges.add(frozenset({(a, y), (b, x)}))
-    return build_graph(out_dims, edges)
+    q, m = h.n, _pair_base(out_dims)
+    rows = [(linear_index(u, g.dims) * q, linear_index(v, g.dims) * q) for u, v in g.sorted_edges]
+    cols = [(linear_index(u, h.dims), linear_index(v, h.dims)) for u, v in h.sorted_edges]
+    keys = {(a + x) * m + b + y for a, b in rows for x, y in cols}
+    keys.update((a + y) * m + b + x for a, b in rows for x, y in cols)
+    return Graph._from_keys(out_dims, keys)
 
 
 def complete_graph(dims: Dims) -> Graph:
-    """Every pair of distinct grid vertices joined."""
+    """Every pair of distinct grid vertices joined: the vertex keys are
+    q + 1 .. m - 1 (see _pair_base)."""
     dims = checked_dims(dims)
-    verts = [(i, j) for i in range(1, dims.p + 1) for j in range(1, dims.q + 1)]
-    edges = [
-        frozenset({verts[a], verts[b]})
-        for a in range(len(verts))
-        for b in range(a + 1, len(verts))
-    ]
-    return build_graph(dims, edges)
+    m = _pair_base(dims)
+    keys = range(dims.q + 1, m)
+    return Graph._from_keys(dims, {a * m + b for a in keys for b in range(a + 1, m)})
 
 
 def star_graph(dims: Dims) -> Graph:
-    """Vertex (1, 1) joined to every other grid vertex."""
+    """Vertex (1, 1), whose key q + 1 is the least, joined to every other
+    grid vertex."""
     dims = checked_dims(dims)
-    hub = (1, 1)
-    edges = [
-        frozenset({hub, (i, j)})
-        for i in range(1, dims.p + 1)
-        for j in range(1, dims.q + 1)
-        if (i, j) != hub
-    ]
-    return build_graph(dims, edges)
+    hub, m = dims.q + 1, _pair_base(dims)
+    return Graph._from_keys(dims, {hub * m + b for b in range(hub + 1, m)})
 
 
 def single_edge_graph(dims: Dims, edge: Edge | Iterable[Vertex]) -> Graph:
@@ -300,12 +299,15 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
     if dims.p != 2:
         raise BadParamsError(f"matching family needs p = 2, got p = {dims.p}")
     perm = tuple(pi)
-    if sorted(perm) != list(range(1, dims.q + 1)):
-        raise BadParamsError(f"pi must permute 1..{dims.q}, got {perm}")
-    if any(perm[j - 1] == j for j in range(1, dims.q + 1)):
+    q, m = dims.q, _pair_base(dims)
+    if sorted(perm) != list(range(1, q + 1)):
+        raise BadParamsError(f"pi must permute 1..{q}, got {perm}")
+    if any(perm[j - 1] == j for j in range(1, q + 1)):
         raise BadParamsError("pi must not fix any column")
-    edges = [frozenset({(1, j), (2, perm[j - 1])}) for j in range(1, dims.q + 1)]
-    return build_graph(dims, edges)
+    # 2.0 and True equal ints, but are no column
+    if any(type(x) is not int for x in perm):
+        raise BadParamsError(f"pi entries must be ints, got {perm}")
+    return Graph._from_keys(dims, {(q + j) * m + 2 * q + x for j, x in enumerate(perm, 1)})
 
 
 def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
@@ -362,16 +364,40 @@ def _entangled_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex
     return edges
 
 
+def _separable_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
+    """[separable_edge_pool(dims)[k] for k in ks], 0 <= k < its length, by
+    arithmetic.  Vertex (i, j) heads q - j same-row pairs, then d = p - i
+    same-column ones, so the last u rows head q u(u + c)/2 pairs, c = q - 2,
+    and the last w vertices of a row head w(w + 2d - 1)/2 of that row's.
+    The least u with u(u + c) > x >= 0, c >= -1, is the least with
+    2u + c > sqrt(4x + c^2)."""
+    p, q = dims
+    c, last = q - 2, _separable_count(dims) - 1
+    edges = []
+    for k in ks:
+        e = last - k  # pairs after the k-th one
+        u = (math.isqrt(4 * (2 * e // q) + c * c) - c) // 2 + 1
+        e -= q * (u - 1) * (u - 1 + c) // 2  # ... in its row
+        i, b = p - u + 1, 2 * u - 3  # b = 2d - 1
+        w = (math.isqrt(8 * e + b * b) - b) // 2 + 1
+        pos = (w - 1) * (w + b - 1) // 2 + w + u - 3 - e  # its place at its vertex
+        j = q - w + 1
+        if pos < w - 1:
+            edges.append(((i, j), (i, j + 1 + pos)))
+        else:
+            edges.append(((i, j), (i + pos - w + 2, j)))
+    return edges
+
+
 def _draw_edges(
     rng: random.Random, dims: Dims, num_separable: int, num_entangled: int
-) -> list[Edge]:
+) -> list[tuple[Vertex, Vertex]]:
     """num_separable edges sampled from the separable pool, then num_entangled
-    from the entangled one.  The separable pool is listed only when drawn
-    from, as Random.sample(pool, 0) draws nothing; the entangled one never
-    is, as sampling its indices draws what sampling the list would."""
-    sep = rng.sample(separable_edge_pool(dims), num_separable) if num_separable else []
-    ks = rng.sample(range(_entangled_count(dims)), num_entangled)
-    return [frozenset(e) for e in sep + _entangled_edges(dims, ks)]
+    from the entangled one, as sorted pairs.  Neither pool is listed, as
+    sampling a pool's indices draws what sampling the list would."""
+    seps = rng.sample(range(_separable_count(dims)), num_separable)
+    ents = rng.sample(range(_entangled_count(dims)), num_entangled)
+    return _separable_edges(dims, seps) + _entangled_edges(dims, ents)
 
 
 def random_graph(
@@ -394,4 +420,4 @@ def random_graph(
     if num_separable + num_entangled == 0:
         raise EmptyEdgeSetError("graph needs at least one edge")
     rng = random.Random(seed)
-    return build_graph(dims, _draw_edges(rng, dims, num_separable, num_entangled))
+    return _graph_of_pairs(dims, _draw_edges(rng, dims, num_separable, num_entangled))

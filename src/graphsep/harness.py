@@ -22,8 +22,8 @@ from .graphs import (
     Graph,
     _draw_edges,
     _entangled_count,
+    _graph_of_pairs,
     _separable_count,
-    build_graph,
     checked_dims,
     complete_graph,
     laplacian_entries,
@@ -162,19 +162,19 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
             ns = rng.randint(0, _separable_count(dims))
             ne = rng.randint(0, _entangled_count(dims))
             if ns + ne:
-                return build_graph(dims, _draw_edges(rng, dims, ns, ne))
+                return _graph_of_pairs(dims, _draw_edges(rng, dims, ns, ne))
     if suite == 7:
         if p != 2 or q < 2:
             raise BadDimsError(f"suite 7 needs a 2xQ grid with Q >= 2, got {p}x{q}")
         perm = list(range(1, q + 1))
         while any(perm[j] == j + 1 for j in range(q)):
             rng.shuffle(perm)
-        matching = pe_matching_graph(dims, perm).edges
-        return build_graph(dims, [*matching, *_random_edges(rng, dims)])
+        matching = pe_matching_graph(dims, perm).sorted_edges
+        return _graph_of_pairs(dims, [*matching, *_random_edges(rng, dims)])
     if p < 2 or q < 2:
         raise BadDimsError(f"suite {suite} needs p >= 2 and q >= 2, got {p}x{q}")
     if suite == 1:
-        return build_graph(dims, _random_edges(rng, dims, num_entangled=1))
+        return _graph_of_pairs(dims, _random_edges(rng, dims, num_entangled=1))
     if suite == 2:
         if (p - 1) * (q - 1) < 2:
             raise BadDimsError(
@@ -188,11 +188,11 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
             if i != v[0] and j != v[1]
         ]
         k = rng.randint(2, min(q, len(partners)))
-        fan = [frozenset({v, w}) for w in rng.sample(partners, k)]
-        return build_graph(dims, fan + _random_edges(rng, dims))
+        fan = [(v, w) if v < w else (w, v) for w in rng.sample(partners, k)]
+        return _graph_of_pairs(dims, fan + _random_edges(rng, dims))
     if suite == 4:
         row, col = (
-            build_graph(Dims(m, 1), _random_edges(rng, Dims(m, 1), least=1))
+            _graph_of_pairs(Dims(m, 1), _random_edges(rng, Dims(m, 1), least=1))
             for m in (rng.randint(2, p), rng.randint(2, q))
         )
         return tensor_product(row, col)

@@ -170,8 +170,8 @@ def partial_transpose_entries(entries: Mapping[tuple[int, int], Entry], dims) ->
     q = dims[1]
     out = {}
     for (r, c), x in entries.items():
-        (a, b), (s, t) = divmod(r, q), divmod(c, q)
-        out[a * q + t, s * q + b] = x
+        b, t = r % q, c % q  # r = a * q + b and c = s * q + t
+        out[r - b + t, c - t + b] = x
     return out
 
 

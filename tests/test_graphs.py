@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -22,6 +24,7 @@ from graphsep.graphs import (
     _entangled_count,
     _entangled_edges,
     _separable_count,
+    _separable_edges,
     build_graph,
     checked_dims,
     classify_edge,
@@ -37,7 +40,7 @@ from graphsep.graphs import (
     star_graph,
     tensor_product,
 )
-from graphsep.harness import SUITE_IDS, run_suite, suite_instance
+from graphsep.harness import SUITE_IDS, run_suite, suite_instance, trial_seed
 from graphsep.report import check_grid_size
 from graphsep.separability import entangled_edge_witness
 
@@ -293,6 +296,13 @@ def test_pe_matching_graph_validation():
         pe_matching_graph(Dims(2, 3), (2, 2, 1))
     with pytest.raises(BadParamsError):
         pe_matching_graph(Dims(2, 3), (1, 3, 2))
+    # True and 2.0 equal 1 and 2, but are no column; the key path would
+    # read True as 1 and build float keys from 2.0
+    for pi in ((2, True), (2.0, 1)):
+        with pytest.raises(BadParamsError, match=r"pi entries must be ints, got \("):
+            pe_matching_graph(Dims(2, 2), pi)
+    with pytest.raises(BadParamsError, match="pi must not fix any column"):
+        pe_matching_graph(Dims(2, 2), (True, 2))
 
 
 @pytest.mark.parametrize("dims", GRIDS)
@@ -406,22 +416,26 @@ def test_random_graph_lists_only_the_pool_it_draws_from(monkeypatch):
 def test_pool_counts_and_unranking_match_the_listed_pools():
     grids = [Dims(p, q) for p in range(1, 8) for q in range(1, 8)] + [Dims(1, 12), Dims(12, 1)]
     for dims in grids:
-        pool = entangled_edge_pool(dims)
-        assert _separable_count(dims) == len(separable_edge_pool(dims))
-        assert _entangled_count(dims) == len(pool)
-        assert _entangled_edges(dims, range(len(pool))) == pool
+        sep, ent = separable_edge_pool(dims), entangled_edge_pool(dims)
+        assert _separable_count(dims) == len(sep)
+        assert _entangled_count(dims) == len(ent)
+        assert _separable_edges(dims, range(len(sep))) == sep
+        assert _entangled_edges(dims, range(len(ent))) == ent
 
 
 def test_entangled_edges_are_drawn_by_index(monkeypatch):
-    # the k-th pair of the sorted entangled pool, by arithmetic, on the
-    # largest grids; sampling its indices draws what sampling the listed
-    # pool drew
+    # the k-th pair of each sorted pool, by arithmetic, on the largest
+    # grids; sampling its indices draws what sampling the listed pool drew
     pools = {d: entangled_edge_pool(d) for d in (Dims(2, 512), Dims(512, 2), Dims(32, 32))}
-    for dims, pool in pools.items():
-        n = len(pool)
-        assert _entangled_count(dims) == n
-        ks = (0, 1, n // 3, n // 2, n - 1)
-        assert _entangled_edges(dims, ks) == [pool[k] for k in ks]
+    for dims, ent in pools.items():
+        for pool, count, unranked in (
+            (separable_edge_pool(dims), _separable_count, _separable_edges),
+            (ent, _entangled_count, _entangled_edges),
+        ):
+            n = len(pool)
+            assert count(dims) == n
+            ks = (0, 1, n // 3, n // 2, n - 1)
+            assert unranked(dims, ks) == [pool[k] for k in ks]
     pools[Dims(5, 4)] = entangled_edge_pool(Dims(5, 4))
     cases = ((Dims(32, 32), 0, 1, 0), (Dims(2, 512), 3, 50, 7), (Dims(5, 4), 0, 120, 2))
     expected = []
@@ -431,10 +445,89 @@ def test_entangled_edges_are_drawn_by_index(monkeypatch):
         expected.append(build_graph(dims, [frozenset(e) for e in chosen]))
 
     def refuse(dims):
-        raise AssertionError("entangled pool listed")
+        raise AssertionError("pool listed")
 
-    monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
+    for name in ("separable_edge_pool", "entangled_edge_pool"):
+        monkeypatch.setattr(graphsep.graphs, name, refuse)
     assert [random_graph(*case) for case in cases] == expected
+
+
+def _same_graph(g, ref):
+    # a frozenset prints in the order its table holds, so ref is built from
+    # its edges in sorted order, as a graph built by key derives edges
+    assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+    for name in ("edges", "sorted_edges", "loops", "entangled_edges", "degree_sum"):
+        assert getattr(g, name) == getattr(ref, name), name
+
+
+def _tensor_by_frozensets(g, h):
+    edges = set()
+    for u1, v1 in g.sorted_edges:
+        a, b = linear_index(u1, g.dims), linear_index(v1, g.dims)
+        for u2, v2 in h.sorted_edges:
+            x, y = linear_index(u2, h.dims), linear_index(v2, h.dims)
+            edges |= {tuple(sorted(e)) for e in ({(a, x), (b, y)}, {(a, y), (b, x)})}
+    return build_graph(Dims(g.n, h.n), sorted(edges))
+
+
+def test_graphs_built_by_key_equal_build_graph():
+    # every graph graphsep generates is built by key, past build_graph's
+    # checks; it must come out as build_graph makes it from the same edges
+    grids = [Dims(p, q) for p in range(1, 7) for q in range(1, 7) if p * q > 1]
+    for dims in grids + [Dims(2, 12), Dims(12, 2)]:
+        verts = [(i, j) for i in range(1, dims.p + 1) for j in range(1, dims.q + 1)]
+        _same_graph(complete_graph(dims), build_graph(dims, combinations(verts, 2)))
+        _same_graph(star_graph(dims), build_graph(dims, [{(1, 1), v} for v in verts[1:]]))
+    rng = random.Random(11)
+    for q in range(2, 9):
+        pi = list(range(1, q + 1))
+        while any(x == j for j, x in enumerate(pi, 1)):
+            rng.shuffle(pi)
+        matching = [{(1, j), (2, x)} for j, x in enumerate(pi, 1)]
+        _same_graph(pe_matching_graph(Dims(2, q), pi), build_graph(Dims(2, q), matching))
+    for _ in range(30):
+        g, h = (random_graph(Dims(m, 1), rng.randint(1, comb(m, 2)), 0, rng.getrandbits(32))
+                for m in (rng.randint(2, 5), rng.randint(2, 5)))
+        _same_graph(tensor_product(g, h), _tensor_by_frozensets(g, h))
+    g = random_graph(Dims(2, 3), 2, 3, 5)
+    _same_graph(tensor_product(g, g), _tensor_by_frozensets(g, g))
+    for seed in range(60):
+        dims = Dims(rng.randint(1, 6), rng.randint(1, 6))
+        ns = rng.randint(0, _separable_count(dims))
+        ne = rng.randint(0, _entangled_count(dims))
+        if ns + ne:
+            draw = random.Random(seed)
+            chosen = draw.sample(separable_edge_pool(dims), ns)
+            chosen += draw.sample(entangled_edge_pool(dims), ne)
+            _same_graph(random_graph(dims, ns, ne, seed), build_graph(dims, sorted(chosen)))
+    for suite in SUITE_IDS:
+        for i in range(20):
+            g = suite_instance(suite, Dims(2, 5) if suite == 7 else Dims(4, 4), trial_seed(3, i))
+            _same_graph(g, build_graph(g.dims, g.sorted_edges))
+
+
+def test_graphs_built_by_key_refuse_as_before():
+    refusals = [
+        (lambda: complete_graph(Dims(1, 1)), EmptyEdgeSetError, "graph needs at least one edge"),
+        (lambda: star_graph(Dims(1, 1)), EmptyEdgeSetError, "graph needs at least one edge"),
+        (lambda: random_graph(Dims(1, 1), 0, 0, 0), EmptyEdgeSetError,
+         "graph needs at least one edge"),
+        (lambda: complete_graph((0, 3)), BadDimsError, "grid dims must be positive, got 0x3"),
+        (lambda: star_graph((2, -1)), BadDimsError, "grid dims must be positive, got 2x-1"),
+        (lambda: random_graph(Dims(2, 2), 5, 0, 0), BadParamsError,
+         "asked for 5 separable edges, pool has 4"),
+        (lambda: random_graph(Dims(2, 2), 0, 3, 0), BadParamsError,
+         "asked for 3 entangled edges, pool has 2"),
+        (lambda: random_graph(Dims(2, 2), -1, 1, 0), BadParamsError,
+         "edge counts must be nonnegative"),
+        (lambda: random_graph(Dims(2, 2), True, 1, 0), BadParamsError,
+         "edge counts and seed must be ints, got True, 1 and 0"),
+    ]
+    for call, error, message in refusals:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    with pytest.raises(EmptyEdgeSetError, match="^graph needs at least one edge$"):
+        build_graph(Dims(1, 1), [])
 
 
 @pytest.mark.parametrize("dims", [(0, 3), (3, 0), (-1, -2)])

@@ -353,17 +353,20 @@ def test_suite1_draws_its_entangled_edge_by_index(monkeypatch):
 
 
 def test_no_suite_lists_the_entangled_pool(monkeypatch):
-    # every suite draws its entangled edges by index, through _draw_edges;
-    # the pool is refused in every graphsep module that binds it
+    # every suite and random_graph draw their edges by index, through
+    # _draw_edges; both pools are refused in every graphsep module that
+    # binds them
     def refuse(dims):
-        raise AssertionError("entangled pool listed")
+        raise AssertionError("pool listed")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "graphsep":
-            if getattr(module, "entangled_edge_pool", None) is entangled_edge_pool:
-                monkeypatch.setattr(module, "entangled_edge_pool", refuse)
+            for pool in (separable_edge_pool, entangled_edge_pool):
+                if getattr(module, pool.__name__, None) is pool:
+                    monkeypatch.setattr(module, pool.__name__, refuse)
     for suite in SUITE_IDS:
         assert run_suite(suite, (2, 5) if suite == 7 else (4, 4), 10, 0).ok, suite
+    assert len(random_graph(Dims(4, 4), 3, 2, 0).sorted_edges) == 5
 
 
 def test_suite5_files_a_star_failure_on_the_star(tmp_path, monkeypatch):

@@ -153,6 +153,25 @@ def test_partial_transpose_entries_match_numpy(case):
     assert partial_transpose(dense, (p, q)) == SparseSymMatrix(n, pt).dense()
 
 
+def _partial_transpose_by_divmod(entries, dims):
+    q = dims[1]
+    out = {}
+    for (r, c), x in entries.items():
+        (a, b), (s, t) = divmod(r, q), divmod(c, q)
+        out[a * q + t, s * q + b] = x
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_entry_maps())
+def test_partial_transpose_entries_match_the_divmod_form(case):
+    # the remainder form moves each entry where the coordinate form did,
+    # in the same order
+    dims, entries = case
+    want = _partial_transpose_by_divmod(entries, dims)
+    assert list(partial_transpose_entries(entries, dims).items()) == list(want.items())
+
+
 def test_psd_known_cases():
     assert is_psd_exact(SymMatrix(((1, -1), (-1, 1))))
     assert is_psd_exact(SymMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
