@@ -41,13 +41,13 @@ class Dims(NamedTuple):
 
 def checked_dims(dims) -> Dims:
     """dims as Dims when it is a pair of positive ints; BadDimsError
-    otherwise, for the type before the sign.  A bool is an int, but not a
-    dim."""
+    otherwise, for the type before the sign.  A bool or another int
+    subclass, which may order itself, is not a dim."""
     try:
         p, q = dims
     except (TypeError, ValueError):
         raise BadDimsError(f"grid dims must be a pair, got {dims!r}") from None
-    if any(type(d) is bool or not isinstance(d, int) for d in (p, q)):
+    if type(p) is not int or type(q) is not int:
         raise BadDimsError(f"grid dims must be integers, got {p!r} and {q!r}")
     if p < 1 or q < 1:
         raise BadDimsError(f"grid dims must be positive, got {p}x{q}")
@@ -111,42 +111,36 @@ def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> Ed
 class Graph(_Frozen):
     """A graph as its dims, its non-loop edges as sorted pairs, sorted
     (sorted_edges), and its loops, sorted.  It compares, hashes and prints
-    by dims and edges, exactly a frozenset of frozensets, so equal graphs
-    compare and hash equal; a graph built by key derives edges on first
-    read.  build_graph takes any other collection of edges."""
+    by dims and edges, exactly a frozenset of frozensets derived on first
+    read, so equal graphs compare and hash equal.  build_graph takes any
+    other collection of edges."""
 
     _fields = ("dims", "edges")
 
     def __init__(self, dims: Dims, edges: frozenset[Edge]):
-        """Store dims as checked_dims gives them, then require edges of one
-        or two grid vertices, each a 2-tuple of ints, and a non-loop edge;
-        keep edges, and sorted_edges and loops built from them."""
-        object.__setattr__(self, "dims", checked_dims(dims))
-        object.__setattr__(self, "edges", edges)
+        """Require dims that pass checked_dims, then edges of one or two
+        grid vertices, each a 2-tuple of ints, and a non-loop edge; hold
+        the graph by the key of each edge, as _from_keys does."""
+        dims = checked_dims(dims)
         if type(edges) is not frozenset or set(map(type, edges)) - {frozenset}:
             raise BadParamsError(
                 "edges must be a frozenset of frozensets; build_graph takes any collections"
             )
-        sizes = set(map(len, edges))
-        if bad := sizes - {1, 2}:
+        if bad := set(map(len, edges)) - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
-        # each vertex once; the pair keys below are int arithmetic
-        _check_vertices(frozenset().union(*edges), self.dims)
-        _require_a_pair(2 in sizes, 1 in sizes)
-        q, m = self.dims.q, _pair_base(self.dims)
-        by_key, loops = {}, []
+        # each vertex once; the keys below are int arithmetic
+        _check_vertices(frozenset().union(*edges), dims)
+        q, m = dims.q, _pair_base(dims)
+        pair_keys, loop_keys = set(), []
         for e in edges:
             if len(e) == 2:
-                u, v = e
-                a, b = u[0] * q + u[1], v[0] * q + v[1]
-                if a < b:
-                    by_key[a * m + b] = u, v
-                else:
-                    by_key[b * m + a] = v, u
+                (i, j), (s, t) = e
+                a, b = i * q + j, s * q + t
+                pair_keys.add(a * m + b if a < b else b * m + a)
             else:
-                loops += e
-        object.__setattr__(self, "sorted_edges", tuple([by_key[k] for k in sorted(by_key)]))
-        object.__setattr__(self, "loops", tuple(sorted(loops)))
+                ((i, j),) = e
+                loop_keys.append(i * q + j)
+        self._hold(dims, pair_keys, loop_keys)
 
     @classmethod
     def _from_keys(cls, dims: Dims, pair_keys: set[int], loop_keys: Collection[int] = ()) -> Graph:
@@ -155,21 +149,25 @@ class Graph(_Frozen):
         _pair_base).  Its caller vouches for every vertex: the parser checks
         every field, and graphsep's own builders make only grid vertices.
         So only the edge-count rules of __init__ run here."""
+        g = object.__new__(cls)
+        g._hold(dims, pair_keys, loop_keys)
+        return g
+
+    def _hold(self, dims: Dims, pair_keys: set[int], loop_keys: Collection[int]) -> None:
+        """Set dims, then sorted_edges and loops from their keys once a
+        non-loop edge is among them."""
         _require_a_pair(bool(pair_keys), bool(loop_keys))
         q, m = dims.q, _pair_base(dims)
-        g = object.__new__(cls)
-        object.__setattr__(g, "dims", dims)
+        object.__setattr__(self, "dims", dims)
         ends = [divmod(k, m) for k in sorted(pair_keys)]
         vertex = {a: _vertex(a, q) for a in {*chain.from_iterable(ends), *loop_keys}}
-        object.__setattr__(g, "sorted_edges", tuple([(vertex[a], vertex[b]) for a, b in ends]))
-        object.__setattr__(g, "loops", tuple([vertex[a] for a in sorted(loop_keys)]))
-        return g
+        object.__setattr__(self, "sorted_edges", tuple([(vertex[a], vertex[b]) for a, b in ends]))
+        object.__setattr__(self, "loops", tuple([vertex[a] for a in sorted(loop_keys)]))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """Each edge as a frozenset of its vertices, a loop of its one
-        vertex.  Graph(dims, edges) keeps the edges it was given; a graph
-        built by key derives them here on first read."""
+        vertex, derived from sorted_edges and loops on first read."""
         loops = (frozenset((v,)) for v in self.loops)
         return frozenset(chain(map(frozenset, self.sorted_edges), loops))
 
@@ -311,27 +309,17 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
 
 
 def separable_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
-    """All same-row and same-column edges as sorted pairs, sorted: a same-row
-    partner (i, t) of (i, j) sorts before any same-column one (s, j), s > i."""
+    """All same-row and same-column edges as sorted pairs, sorted: every
+    index of _separable_edges."""
     dims = checked_dims(dims)
-    pool = []
-    for i in range(1, dims.p + 1):
-        for j in range(1, dims.q + 1):
-            pool += [((i, j), (i, t)) for t in range(j + 1, dims.q + 1)]
-            pool += [((i, j), (s, j)) for s in range(i + 1, dims.p + 1)]
-    return pool
+    return _separable_edges(dims, range(_separable_count(dims)))
 
 
 def entangled_edge_pool(dims: Dims) -> list[tuple[Vertex, Vertex]]:
     """All edges whose endpoints differ in both coordinates, as sorted pairs,
-    sorted."""
+    sorted: every index of _entangled_edges."""
     dims = checked_dims(dims)
-    pool = []
-    for i in range(1, dims.p + 1):
-        for j in range(1, dims.q + 1):
-            for s in range(i + 1, dims.p + 1):
-                pool += [((i, j), (s, t)) for t in range(1, dims.q + 1) if t != j]
-    return pool
+    return _entangled_edges(dims, range(_entangled_count(dims)))
 
 
 def _separable_count(dims: Dims) -> int:
@@ -349,9 +337,10 @@ def _entangled_count(dims: Dims) -> int:
 
 
 def _entangled_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
-    """[entangled_edge_pool(dims)[k] for k in ks], 0 <= k < its length, by
-    arithmetic: vertex (i, j) heads r(q - 1) pairs, r = p - i, so row i and
-    the rows below it head q(q - 1) T(r) of them, T(r) = r(r + 1)/2."""
+    """The k-th sorted entangled pair for each k in ks, 0 <= k <
+    _entangled_count(dims), by arithmetic: vertex (i, j) heads r(q - 1)
+    pairs, r = p - i, so row i and the rows below it head q(q - 1) T(r) of
+    them, T(r) = r(r + 1)/2."""
     p, q = dims
     w, last = q * (q - 1), _entangled_count(dims) - 1
     edges = []
@@ -365,12 +354,12 @@ def _entangled_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex
 
 
 def _separable_edges(dims: Dims, ks: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
-    """[separable_edge_pool(dims)[k] for k in ks], 0 <= k < its length, by
-    arithmetic.  Vertex (i, j) heads q - j same-row pairs, then d = p - i
-    same-column ones, so the last u rows head q u(u + c)/2 pairs, c = q - 2,
-    and the last w vertices of a row head w(w + 2d - 1)/2 of that row's.
-    The least u with u(u + c) > x >= 0, c >= -1, is the least with
-    2u + c > sqrt(4x + c^2)."""
+    """The k-th sorted same-row or same-column pair for each k in ks,
+    0 <= k < _separable_count(dims), by arithmetic.  Vertex (i, j) heads
+    q - j same-row pairs, then d = p - i same-column ones, so the last u
+    rows head q u(u + c)/2 pairs, c = q - 2, and the last w vertices of a
+    row head w(w + 2d - 1)/2 of that row's.  The least u with
+    u(u + c) > x >= 0, c >= -1, is the least with 2u + c > sqrt(4x + c^2)."""
     p, q = dims
     c, last = q - 2, _separable_count(dims) - 1
     edges = []

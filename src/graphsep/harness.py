@@ -302,10 +302,10 @@ def _run_trial(suite: int, g: Graph) -> _Trial:
 def run_suite(suite: int, dims, trials: int, seed: int, *, dump_dir=None) -> SuiteReport:
     """Run one suite and collect failures instead of raising on them."""
     _check_suite_id(suite)
-    # a bool is an int, but neither a trial count nor a seed
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    # a bool or another int subclass is neither a trial count nor a seed
+    if type(trials) is not int or trials < 1:
         raise BadTrialCountError(f"trial count must be a positive integer, got {trials}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise BadParamsError(f"seed must be a nonnegative integer, got {seed}")
     dims = checked_dims(dims)
     start = time.perf_counter()

@@ -52,11 +52,12 @@ def density_eigenvalues(entries: dict, g: Graph) -> list[float]:
 
 def spectrum(g: Graph) -> dict[str, list[float]]:
     """Float eigenvalues of a graph's density matrix and of its partial
-    transpose.
+    transpose, on a grid that passes check_grid_size.
 
     When the two have equal entries (complete graphs, graphs with only
     same-row or same-column edges) one eigenvalue run serves both lists.
     """
+    check_grid_size(g.dims, "reports stop")
     lap = laplacian_entries(g)
     pt = partial_transpose_entries(lap, g.dims)
     pt_eigenvalues = density_eigenvalues(pt, g)

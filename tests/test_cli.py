@@ -11,7 +11,7 @@ import graphsep.matrix
 import graphsep.report
 from graphsep.cli import main
 from graphsep.report import analyze
-from graphsep.errors import GraphSepError, NoConvergenceError
+from graphsep.errors import BadDimsError, GraphSepError, NoConvergenceError
 from graphsep.graphfile import parse_graph_file
 from graphsep.graphs import (
     Dims,
@@ -291,11 +291,15 @@ def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(graphsep.report.MAX_DENSE_VERTICES) in err
+    # spectrum applies the bound itself, called directly as analyze is
+    message = "100000x100000 grid has 10000000000 vertices; reports stop at 1024"
+    with pytest.raises(BadDimsError, match=f"^{message}$"):
+        graphsep.report.spectrum(parse_graph_file(path))
 
 
 def test_generate_refuses_grids_past_the_vertex_bound(monkeypatch, capsys):
-    # complete, star and random build every edge or both pools of the grid;
-    # on 33x32 they are refused before any of it is built
+    # complete and star build every edge of the grid, and random draws from
+    # its edge pools; on 33x32 they are refused before any edge is built
     def build(*args):
         raise AssertionError("edges built")
 

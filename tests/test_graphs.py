@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsep.graphs
+import pool_reference
 from graphsep.errors import (
     BadDimsError,
     BadParamsError,
@@ -80,46 +81,89 @@ def test_classify_edge():
     assert classify_edge([(1, 1), (2, 2)], (2, 2)) == EdgeClass.ENTANGLED
 
 
+class SelfOrderingInt(int):
+    # an int to isinstance, but never below anything
+    __lt__ = lambda self, other: False  # noqa: E731
+
+
+NOT_SETS = "edges must be a frozenset of frozensets; build_graph takes any collections"
+
+# (error, message, dims, edges); a pair of messages is build_graph's, then
+# Graph's, where build_graph refuses the edges before Graph sees them
 INVALID_GRAPHS = [
-    (BadDimsError, Dims(0, 2), [frozenset({(1, 1), (1, 2)})]),
-    # dims must be a pair of ints, and a bool is not one
-    (BadDimsError, (2.0, 3), [frozenset({(1, 1), (2, 2)})]),
-    (BadDimsError, (2, 3.0), [frozenset({(1, 1), (2, 2)})]),
-    (BadDimsError, (True, 3), [frozenset({(1, 1), (1, 2)})]),
-    (BadDimsError, (2, "3"), [frozenset({(1, 1), (2, 2)})]),
-    (BadDimsError, (2,), [frozenset({(1, 1), (2, 1)})]),
-    (BadDimsError, (2, 3, 4), [frozenset({(1, 1), (2, 2)})]),
-    (BadDimsError, 6, [frozenset({(1, 1), (2, 2)})]),
-    (BadDimsError, None, [frozenset({(1, 1), (2, 2)})]),
-    (EmptyEdgeSetError, Dims(2, 2), []),
-    (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 1)})]),
-    (OutOfRangeError, Dims(2, 2), [frozenset({(1, 1), (3, 3)})]),
-    (OnlyLoopsError, Dims(2, 2), [frozenset({(1, 1)}), frozenset({(2, 2)})]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (1, 2), (2, 1)})]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, 2)}), frozenset()]),
-    # a vertex is a pair of ints, and a bool or a float is not one
-    (BadParamsError, Dims(2, 2), [frozenset({(True, 1), (2, 2)})]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1.0, 1), (2, 2)})]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1, 1, 1), (2, 2)})]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, "a")})]),
+    (BadDimsError, "grid dims must be positive, got 0x2", Dims(0, 2),
+     [frozenset({(1, 1), (1, 2)})]),
+    # dims must be a pair of ints, and a bool or another int subclass is not one
+    (BadDimsError, "grid dims must be integers, got 2.0 and 3", (2.0, 3),
+     [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be integers, got 2 and 3.0", (2, 3.0),
+     [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be integers, got True and 3", (True, 3),
+     [frozenset({(1, 1), (1, 2)})]),
+    (BadDimsError, "grid dims must be integers, got 2 and '3'", (2, "3"),
+     [frozenset({(1, 1), (2, 2)})]),
+    # (-1, -2) of these once passed, and complete_graph built an edge at (0, 0)
+    (BadDimsError, "grid dims must be integers, got -1 and -2",
+     (SelfOrderingInt(-1), SelfOrderingInt(-2)), [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be integers, got 2 and 2", (2, SelfOrderingInt(2)),
+     [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be a pair, got (2,)", (2,), [frozenset({(1, 1), (2, 1)})]),
+    (BadDimsError, "grid dims must be a pair, got (2, 3, 4)", (2, 3, 4),
+     [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be a pair, got 6", 6, [frozenset({(1, 1), (2, 2)})]),
+    (BadDimsError, "grid dims must be a pair, got None", None, [frozenset({(1, 1), (2, 2)})]),
+    (EmptyEdgeSetError, "graph needs at least one edge", Dims(2, 2), []),
+    (OutOfRangeError, "vertex (3,1) outside 2x2 grid", Dims(2, 2), [frozenset({(1, 1), (3, 1)})]),
+    (OutOfRangeError, "vertex (3,3) outside 2x2 grid", Dims(2, 2), [frozenset({(1, 1), (3, 3)})]),
+    (OnlyLoopsError, "graph has loops only; no matrix is defined", Dims(2, 2),
+     [frozenset({(1, 1)}), frozenset({(2, 2)})]),
+    (BadParamsError, "edge needs one or two vertices, got 3", Dims(2, 2),
+     [frozenset({(1, 1), (1, 2), (2, 1)})]),
+    (BadParamsError, "edge needs one or two vertices, got 0", Dims(2, 2),
+     [frozenset({(1, 1), (2, 2)}), frozenset()]),
+    # a vertex is a pair of ints, and a bool, a float or an int subclass is not one
+    (BadParamsError, "vertex must be a pair of ints, got (True, 1)", Dims(2, 2),
+     [frozenset({(True, 1), (2, 2)})]),
+    (BadParamsError, "vertex must be a pair of ints, got (1.0, 1)", Dims(2, 2),
+     [frozenset({(1.0, 1), (2, 2)})]),
+    (BadParamsError, "vertex must be a pair of ints, got (1, 1, 1)", Dims(2, 2),
+     [frozenset({(1, 1, 1), (2, 2)})]),
+    (BadParamsError, "vertex must be a pair of ints, got (2, 'a')", Dims(2, 2),
+     [frozenset({(1, 1), (2, "a")})]),
+    (BadParamsError, "vertex must be a pair of ints, got (1, 2)", Dims(2, 2),
+     [frozenset({(1, SelfOrderingInt(2)), (2, 2)})]),
     # an edge is a collection of vertices, and an int or None is not one
-    (BadParamsError, Dims(2, 2), [5]),
-    (BadParamsError, Dims(2, 2), [frozenset({(1, 1), (2, 2)}), None]),
+    (BadParamsError, ("edges must be sets of vertices: 'int' object is not iterable", NOT_SETS),
+     Dims(2, 2), [5]),
+    (BadParamsError,
+     ("edges must be sets of vertices: 'NoneType' object is not iterable", NOT_SETS),
+     Dims(2, 2), [frozenset({(1, 1), (2, 2)}), None]),
+    # two faults each, which pin the order of the checks: dims before
+    # edges, size before vertex, vertex type before range, range before
+    # only-loops
+    (BadDimsError, "grid dims must be positive, got 0x2", (0, 2), []),
+    (BadParamsError, "edge needs one or two vertices, got 3", Dims(2, 2),
+     [frozenset({(1.0, 1), (2, 2)}), frozenset({(1, 1), (1, 2), (2, 1)})]),
+    (BadParamsError, "vertex must be a pair of ints, got (True, 1)", Dims(2, 2),
+     [frozenset({(3, 3), (1, 1)}), frozenset({(True, 1), (2, 2)})]),
+    (OutOfRangeError, "vertex (3,3) outside 2x2 grid", Dims(2, 2), [frozenset({(3, 3)})]),
 ]
 
 
 def test_build_graph_validation():
-    # a Graph built directly is held to the same checks as build_graph's
-    for error, dims, edges in INVALID_GRAPHS:
-        for make in (build_graph, lambda d, e: Graph(d, frozenset(e))):
-            with pytest.raises(error):
+    # a Graph built directly is held to the same checks as build_graph's,
+    # in the same order and with the same messages
+    for error, message, dims, edges in INVALID_GRAPHS:
+        messages = (message, message) if isinstance(message, str) else message
+        for make, text in zip((build_graph, lambda d, e: Graph(d, frozenset(e))), messages):
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
                 make(dims, edges)
     # Graph takes only a frozenset of frozensets: a list edge [(1, 1), (1, 1)]
     # would otherwise count as a non-loop edge; build_graph reads it as a loop
     edges = [[(1, 1), (1, 1)], [(1, 1), (2, 2)]]
     for given in (edges, [frozenset(e) for e in edges], {frozenset(edges[1])},
                   frozenset([tuple(edges[1])])):
-        with pytest.raises(BadParamsError, match="frozenset"):
+        with pytest.raises(BadParamsError, match=f"^{re.escape(NOT_SETS)}$"):
             Graph(Dims(2, 2), given)
     g = build_graph(Dims(2, 2), edges)
     assert (g.loops, g.sorted_edges, g.degree_sum) == (((1, 1),), (((1, 1), (2, 2)),), 2)
@@ -172,7 +216,8 @@ def test_random_graph_refuses_counts_and_seeds_that_are_not_ints():
 )
 def test_generators_refuse_dims_that_are_not_ints(make):
     # refused as bad dims before any range or comb sees a float
-    for dims in ((2.0, 2), (2, 2.0), (2, True), (2,)):
+    for dims in ((2.0, 2), (2, 2.0), (2, True), (2,),
+                 (SelfOrderingInt(-1), SelfOrderingInt(-2))):
         with pytest.raises(BadDimsError):
             make(dims)
 
@@ -323,31 +368,15 @@ def test_pool_sizes_and_disjointness(dims):
     assert all(classify_edge(frozenset(pr)) == EdgeClass.ENTANGLED for pr in ent)
 
 
-def _separable_pool_by_sorting(dims):
-    pool = [((i, j), (i, t)) for i in range(1, dims.p + 1)
-            for j in range(1, dims.q + 1) for t in range(j + 1, dims.q + 1)]
-    pool += [((i, j), (s, j)) for j in range(1, dims.q + 1)
-             for i in range(1, dims.p + 1) for s in range(i + 1, dims.p + 1)]
-    return sorted(pool)
-
-
-def _entangled_pool_by_sorting(dims):
-    return sorted(
-        ((i, j), (s, t))
-        for i in range(1, dims.p + 1) for s in range(i + 1, dims.p + 1)
-        for j in range(1, dims.q + 1) for t in range(1, dims.q + 1) if j != t
-    )
-
-
 @pytest.mark.parametrize(
     "dims",
     [Dims(p, q) for p in range(1, 7) for q in range(1, 7)] + [Dims(2, 64), Dims(64, 2)],
     ids=str,
 )
 def test_pools_come_out_in_sorted_order(dims):
-    # the loops emit each pool already sorted, so neither calls sorted()
-    assert separable_edge_pool(dims) == _separable_pool_by_sorting(dims)
-    assert entangled_edge_pool(dims) == _entangled_pool_by_sorting(dims)
+    # the unrankers give each pool already sorted, so neither calls sorted()
+    assert separable_edge_pool(dims) == pool_reference.separable_pool(dims)
+    assert entangled_edge_pool(dims) == pool_reference.entangled_pool(dims)
 
 
 ORDER_GRIDS = [Dims(1, 5), Dims(1, 64), Dims(5, 1), Dims(64, 1), Dims(2, 64),
@@ -356,25 +385,32 @@ ORDER_GRIDS = [Dims(1, 5), Dims(1, 64), Dims(5, 1), Dims(64, 1), Dims(2, 64),
 
 @st.composite
 def graphs_with_loops(draw):
+    """A graph with loops, duplicates and reversed pairs, and the edges it
+    was built from."""
     p, q = dims = draw(st.sampled_from(ORDER_GRIDS))
     vertex = st.tuples(st.integers(1, p), st.integers(1, q))
     ends = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=40))
     u, v = ends[0]
     if u == v:  # one non-loop edge keeps the graph legal
         v = (u[0] % p + 1, u[1]) if p > 1 else (u[0], u[1] % q + 1)
-    return build_graph(dims, [{u, v}] + [set(e) for e in ends[1:]])
+    edges = [{u, v}] + [set(e) for e in ends[1:]]
+    return build_graph(dims, edges), edges
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_loops())
-def test_sorted_edges_is_tuple_order(g):
-    # the integer key sorts exactly as tuple order on the oriented pairs
-    assert g.sorted_edges == tuple(
-        sorted((min(e), max(e)) for e in g.edges if len(e) == 2)
-    )
-    assert g.entangled_edges == tuple(
-        (u, v) for u, v in g.sorted_edges if u[0] != v[0] and u[1] != v[1]
-    )
+def test_sorted_edges_is_tuple_order(built):
+    # the integer key sorts exactly as tuple order on the oriented pairs;
+    # each field is held to the input, as edges is derived from the others
+    g, edges = built
+    pairs = {(min(e), max(e)) for e in edges if len(e) == 2}
+    for h in (g, Graph(g.dims, frozenset(map(frozenset, edges)))):
+        assert h.sorted_edges == tuple(sorted(pairs))
+        assert h.loops == tuple(sorted({v for e in edges if len(e) == 1 for v in e}))
+        assert h.edges == frozenset(map(frozenset, edges))
+        assert h.entangled_edges == tuple(
+            (u, v) for u, v in sorted(pairs) if u[0] != v[0] and u[1] != v[1]
+        )
 
 
 def test_random_graph_determinism_and_counts():
@@ -399,24 +435,11 @@ def test_random_graph_validation():
         random_graph(Dims(2, 2), 0, 0, 0)
 
 
-def test_random_graph_lists_only_the_pool_it_draws_from(monkeypatch):
-    # a 32x32 grid has 492,032 entangled pairs; one separable edge lists none
-    def refuse(dims):
-        raise AssertionError("pool listed but not drawn from")
-
-    separable_only = random_graph(Dims(32, 32), 1, 0, 0)
-    entangled_only = random_graph(Dims(6, 6), 0, 2, 0)
-    monkeypatch.setattr(graphsep.graphs, "entangled_edge_pool", refuse)
-    assert random_graph(Dims(32, 32), 1, 0, 0) == separable_only
-    monkeypatch.undo()
-    monkeypatch.setattr(graphsep.graphs, "separable_edge_pool", refuse)
-    assert random_graph(Dims(6, 6), 0, 2, 0) == entangled_only
-
-
 def test_pool_counts_and_unranking_match_the_listed_pools():
     grids = [Dims(p, q) for p in range(1, 8) for q in range(1, 8)] + [Dims(1, 12), Dims(12, 1)]
     for dims in grids:
-        sep, ent = separable_edge_pool(dims), entangled_edge_pool(dims)
+        sep = pool_reference.separable_pool(dims)
+        ent = pool_reference.entangled_pool(dims)
         assert _separable_count(dims) == len(sep)
         assert _entangled_count(dims) == len(ent)
         assert _separable_edges(dims, range(len(sep))) == sep
@@ -426,22 +449,24 @@ def test_pool_counts_and_unranking_match_the_listed_pools():
 def test_entangled_edges_are_drawn_by_index(monkeypatch):
     # the k-th pair of each sorted pool, by arithmetic, on the largest
     # grids; sampling its indices draws what sampling the listed pool drew
-    pools = {d: entangled_edge_pool(d) for d in (Dims(2, 512), Dims(512, 2), Dims(32, 32))}
+    pools = {d: pool_reference.entangled_pool(d)
+             for d in (Dims(2, 512), Dims(512, 2), Dims(32, 32))}
     for dims, ent in pools.items():
         for pool, count, unranked in (
-            (separable_edge_pool(dims), _separable_count, _separable_edges),
+            (pool_reference.separable_pool(dims), _separable_count, _separable_edges),
             (ent, _entangled_count, _entangled_edges),
         ):
             n = len(pool)
             assert count(dims) == n
             ks = (0, 1, n // 3, n // 2, n - 1)
             assert unranked(dims, ks) == [pool[k] for k in ks]
-    pools[Dims(5, 4)] = entangled_edge_pool(Dims(5, 4))
+    pools[Dims(5, 4)] = pool_reference.entangled_pool(Dims(5, 4))
     cases = ((Dims(32, 32), 0, 1, 0), (Dims(2, 512), 3, 50, 7), (Dims(5, 4), 0, 120, 2))
     expected = []
     for dims, ns, ne, seed in cases:
         rng = random.Random(seed)
-        chosen = rng.sample(separable_edge_pool(dims), ns) + rng.sample(pools[dims], ne)
+        chosen = rng.sample(pool_reference.separable_pool(dims), ns)
+        chosen += rng.sample(pools[dims], ne)
         expected.append(build_graph(dims, [frozenset(e) for e in chosen]))
 
     def refuse(dims):
@@ -497,8 +522,8 @@ def test_graphs_built_by_key_equal_build_graph():
         ne = rng.randint(0, _entangled_count(dims))
         if ns + ne:
             draw = random.Random(seed)
-            chosen = draw.sample(separable_edge_pool(dims), ns)
-            chosen += draw.sample(entangled_edge_pool(dims), ne)
+            chosen = draw.sample(pool_reference.separable_pool(dims), ns)
+            chosen += draw.sample(pool_reference.entangled_pool(dims), ne)
             _same_graph(random_graph(dims, ns, ne, seed), build_graph(dims, sorted(chosen)))
     for suite in SUITE_IDS:
         for i in range(20):

@@ -10,6 +10,7 @@ import graphsep.graphs
 import graphsep.harness
 import graphsep.matrix
 import graphsep.separability
+import pool_reference
 from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
 from graphsep.graphfile import format_graph
 from graphsep.graphs import (
@@ -61,6 +62,11 @@ def test_suite_ids_and_descriptions():
     assert set(SUITE_DESCRIPTIONS) == set(SUITE_IDS)
 
 
+class SelfOrderingInt(int):
+    # an int to isinstance, but never below anything
+    __lt__ = lambda self, other: False  # noqa: E731
+
+
 def test_run_suite_validation():
     with pytest.raises(BadParamsError):
         run_suite(3, (2, 2), 10, 0)
@@ -98,6 +104,19 @@ def test_run_suite_validation():
     for dims in ((2.0, 2), (3, 3.0), (True, 3), (3, False), ("3", 3), (3,), (3, 3, 3), 9):
         with pytest.raises(BadDimsError):
             run_suite(1, dims, 1, 0)
+    # nor is an int subclass that orders itself: (-1, -2) of these once
+    # passed as dims, suite 5 then reported a false failure, and W(-3)
+    # trials ran none and came back ok
+    for suite in SUITE_IDS:
+        for dims in ((SelfOrderingInt(-1), SelfOrderingInt(-2)), (SelfOrderingInt(3), 3)):
+            with pytest.raises(BadDimsError, match="^grid dims must be integers, got "):
+                run_suite(suite, dims, 1, 0)
+    with pytest.raises(BadTrialCountError):
+        run_suite(1, (3, 3), SelfOrderingInt(-3), 0)
+    with pytest.raises(BadTrialCountError):
+        run_suite(1, (3, 3), SelfOrderingInt(2), 0)
+    with pytest.raises(BadParamsError, match="^seed must be"):
+        run_suite(1, (3, 3), 1, SelfOrderingInt(0))
 
 
 def test_suite_instance_reproducible():
@@ -336,7 +355,8 @@ def test_suite_instance_refuses_what_run_suite_refuses(monkeypatch):
 def test_suite1_draws_its_entangled_edge_by_index(monkeypatch):
     # the edge a suite 1 trial on the largest grid draws from the listed pool
     dims = Dims(32, 32)
-    sep_pool, ent_pool = separable_edge_pool(dims), entangled_edge_pool(dims)
+    sep_pool = pool_reference.separable_pool(dims)
+    ent_pool = pool_reference.entangled_pool(dims)
     seeds = [trial_seed(4, i) for i in range(2)]
     expected = []
     for tseed in seeds:
