@@ -130,5 +130,9 @@ def format_graph(g: Graph) -> str:
 
 
 def write_graph_file(path, g: Graph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_graph(g))
+    """format_graph of g written to path; GraphFileError when it cannot be."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(format_graph(g))
+    except OSError as exc:
+        raise GraphFileError(f"cannot write {path}: {exc}") from None

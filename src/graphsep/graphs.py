@@ -2,9 +2,10 @@
 
 Vertices are pairs (i, j) with 1 <= i <= p and 1 <= j <= q, laid out
 row-major so (i, j) has 1-based linear index (i - 1) * q + j; tuple order
-on vertices is that linear order.  An edge is a frozenset of two vertices,
-or of one vertex for a loop.  Loops never enter the matrices; they are kept
-on the graph so callers can still see them.
+on vertices is that linear order.  An edge is given as a collection of two
+vertices, or of one vertex for a loop, and held as a sorted pair.  Loops
+never enter the matrices; they are kept on the graph so callers can still
+see them.
 """
 
 from __future__ import annotations
@@ -111,21 +112,21 @@ def classify_edge(edge: Edge | Iterable[Vertex], dims: Dims | None = None) -> Ed
 class Graph(_Frozen):
     """A graph as its dims, its non-loop edges as sorted pairs, sorted
     (sorted_edges), and its loops, sorted.  It compares, hashes and prints
-    by dims and edges, exactly a frozenset of frozensets derived on first
-    read, so equal graphs compare and hash equal.  build_graph takes any
-    other collection of edges."""
+    by those three fields, so equal graphs compare and hash equal however
+    their edges were given."""
 
-    _fields = ("dims", "edges")
+    _fields = ("dims", "sorted_edges", "loops")
 
-    def __init__(self, dims: Dims, edges: frozenset[Edge]):
-        """Require dims that pass checked_dims, then edges of one or two
-        grid vertices, each a 2-tuple of ints, and a non-loop edge; hold
-        the graph by the key of each edge, as _from_keys does."""
+    def __init__(self, dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]):
+        """Require dims that pass checked_dims, then edges that are
+        collections of one or two grid vertices, each a 2-tuple of ints,
+        and a non-loop edge; duplicate edges collapse.  Hold the graph by
+        the key of each edge, as _from_keys does."""
         dims = checked_dims(dims)
-        if type(edges) is not frozenset or set(map(type, edges)) - {frozenset}:
-            raise BadParamsError(
-                "edges must be a frozenset of frozensets; build_graph takes any collections"
-            )
+        try:
+            edges = frozenset(map(frozenset, edges))
+        except TypeError as exc:
+            raise BadParamsError(f"edges must be sets of vertices: {exc}") from None
         if bad := set(map(len, edges)) - {1, 2}:
             raise BadParamsError(f"edge needs one or two vertices, got {min(bad)}")
         # each vertex once; the keys below are int arithmetic
@@ -156,20 +157,16 @@ class Graph(_Frozen):
     def _hold(self, dims: Dims, pair_keys: set[int], loop_keys: Collection[int]) -> None:
         """Set dims, then sorted_edges and loops from their keys once a
         non-loop edge is among them."""
-        _require_a_pair(bool(pair_keys), bool(loop_keys))
+        if not pair_keys:
+            if not loop_keys:
+                raise EmptyEdgeSetError("graph needs at least one edge")
+            raise OnlyLoopsError("graph has loops only; no matrix is defined")
         q, m = dims.q, _pair_base(dims)
         object.__setattr__(self, "dims", dims)
         ends = [divmod(k, m) for k in sorted(pair_keys)]
         vertex = {a: _vertex(a, q) for a in {*chain.from_iterable(ends), *loop_keys}}
         object.__setattr__(self, "sorted_edges", tuple([(vertex[a], vertex[b]) for a, b in ends]))
         object.__setattr__(self, "loops", tuple([vertex[a] for a in sorted(loop_keys)]))
-
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        """Each edge as a frozenset of its vertices, a loop of its one
-        vertex, derived from sorted_edges and loops on first read."""
-        loops = (frozenset((v,)) for v in self.loops)
-        return frozenset(chain(map(frozenset, self.sorted_edges), loops))
 
     @property
     def n(self) -> int:
@@ -206,21 +203,7 @@ def _graph_of_pairs(dims: Dims, pairs: Iterable[tuple[Vertex, Vertex]]) -> Graph
     return Graph._from_keys(dims, {(i * q + j) * m + s * q + t for (i, j), (s, t) in pairs})
 
 
-def _require_a_pair(has_pair: bool, has_loop: bool) -> None:
-    if not has_pair:
-        if not has_loop:
-            raise EmptyEdgeSetError("graph needs at least one edge")
-        raise OnlyLoopsError("graph has loops only; no matrix is defined")
-
-
-def build_graph(dims: Dims, edges: Iterable[Edge | Iterable[Vertex]]) -> Graph:
-    """Graph from any dims pair and any iterable of vertex collections;
-    duplicate edges collapse and Graph checks the rest."""
-    try:
-        edge_set = frozenset(map(frozenset, edges))
-    except TypeError as exc:
-        raise BadParamsError(f"edges must be sets of vertices: {exc}") from None
-    return Graph(dims, edge_set)
+build_graph = Graph
 
 
 def laplacian_entries(g: Graph) -> dict:
@@ -296,9 +279,13 @@ def pe_matching_graph(dims: Dims, pi: Iterable[int]) -> Graph:
     dims = checked_dims(dims)
     if dims.p != 2:
         raise BadParamsError(f"matching family needs p = 2, got p = {dims.p}")
-    perm = tuple(pi)
     q, m = dims.q, _pair_base(dims)
-    if sorted(perm) != list(range(1, q + 1)):
+    try:  # pi need not be iterable, nor its entries comparable
+        perm = tuple(pi)
+        permutes = sorted(perm) == list(range(1, q + 1))
+    except TypeError:
+        raise BadParamsError(f"pi must permute 1..{q}, got {pi!r}") from None
+    if not permutes:
         raise BadParamsError(f"pi must permute 1..{q}, got {perm}")
     if any(perm[j - 1] == j for j in range(1, q + 1)):
         raise BadParamsError("pi must not fix any column")

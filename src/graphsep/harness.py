@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import BadDimsError, BadParamsError, BadTrialCountError
+from .errors import BadDimsError, BadParamsError, BadTrialCountError, GraphFileError
 from .graphfile import format_graph, write_graph_file
 from .graphs import (
     Dims,
@@ -331,7 +331,10 @@ def run_suite(suite: int, dims, trials: int, seed: int, *, dump_dir=None) -> Sui
 
 def _dump_failure(dump_dir, suite: int, dims: Dims, trial: int, g: Graph) -> Path:
     out = Path(dump_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GraphFileError(f"cannot write {out}: {exc}") from None
     path = out / f"suite{suite}-p{dims.p}q{dims.q}-trial{trial:04d}.graph"
     write_graph_file(path, g)
     return path

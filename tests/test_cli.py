@@ -99,6 +99,14 @@ def test_generate_complete_round_trip(tmp_path):
     assert len(g.sorted_edges) == 6
 
 
+def test_generate_into_a_missing_directory_is_bad_input(tmp_path, capsys):
+    # a failed write exits 1 like a failed read, not 2 as an internal error
+    out = tmp_path / "missing" / "k.graph"
+    assert main(["generate", "complete", "--p", "2", "--q", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 def test_generate_star_to_stdout(capsys):
     assert main(["generate", "star", "--p", "2", "--q", "3"]) == 0
     out = capsys.readouterr().out

@@ -41,7 +41,7 @@ edge 1 1 1 2
 def test_parse_collapses_duplicate_edges():
     g = parse_graph_text("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 1\nedge 1 2 1 2\nedge 1 1 2 2\n")
     assert g == build_graph(Dims(2, 2), [{(1, 1), (2, 2)}, {(1, 2)}])
-    assert len(g.edges) == 2
+    assert (g.sorted_edges, g.loops) == ((((1, 1), (2, 2)),), ((1, 2),))
 
 
 def test_parse_loop_edge():
@@ -155,19 +155,6 @@ def test_only_loops_propagates():
     ):
         with pytest.raises(OnlyLoopsError, match="^graph has loops only; no matrix is defined$"):
             parse_graph_text(text)
-
-
-def test_parsed_graph_derives_edges_once():
-    g = parse_graph_text("dims 2 2\nedge 1 1 2 2\nedge 2 2 1 1\nedge 2 1 2 1\n")
-    assert "edges" not in vars(g)
-    edges = g.edges
-    assert edges == frozenset({frozenset({(1, 1), (2, 2)}), frozenset({(2, 1)})})
-    assert g.edges is edges
-    with pytest.raises(AttributeError):
-        g.edges = frozenset()
-    with pytest.raises(AttributeError):
-        del g.edges
-    assert g.edges is edges
 
 
 @pytest.mark.parametrize("parse", [parse_graph_text, reference_parse], ids=["parser", "reference"])
@@ -382,7 +369,7 @@ def test_parsed_graph_equals_the_built_one(case):
         assert parsed == built
         return
     assert parsed == built and hash(parsed) == hash(built)
-    for name in ("edges", "sorted_edges", "entangled_edges", "loops", "degree_sum"):
+    for name in ("sorted_edges", "entangled_edges", "loops", "degree_sum"):
         assert getattr(parsed, name) == getattr(built, name), name
 
 
@@ -427,5 +414,5 @@ def test_parse_memory_does_not_grow_with_dims():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(g.edges) == 5
+    assert (len(g.sorted_edges), g.loops) == (5, ())
     assert peak < 1_000_000

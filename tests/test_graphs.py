@@ -86,10 +86,7 @@ class SelfOrderingInt(int):
     __lt__ = lambda self, other: False  # noqa: E731
 
 
-NOT_SETS = "edges must be a frozenset of frozensets; build_graph takes any collections"
-
-# (error, message, dims, edges); a pair of messages is build_graph's, then
-# Graph's, where build_graph refuses the edges before Graph sees them
+# (error, message, dims, edges)
 INVALID_GRAPHS = [
     (BadDimsError, "grid dims must be positive, got 0x2", Dims(0, 2),
      [frozenset({(1, 1), (1, 2)})]),
@@ -133,15 +130,17 @@ INVALID_GRAPHS = [
     (BadParamsError, "vertex must be a pair of ints, got (1, 2)", Dims(2, 2),
      [frozenset({(1, SelfOrderingInt(2)), (2, 2)})]),
     # an edge is a collection of vertices, and an int or None is not one
-    (BadParamsError, ("edges must be sets of vertices: 'int' object is not iterable", NOT_SETS),
+    (BadParamsError, "edges must be sets of vertices: 'int' object is not iterable",
      Dims(2, 2), [5]),
-    (BadParamsError,
-     ("edges must be sets of vertices: 'NoneType' object is not iterable", NOT_SETS),
+    (BadParamsError, "edges must be sets of vertices: 'NoneType' object is not iterable",
      Dims(2, 2), [frozenset({(1, 1), (2, 2)}), None]),
     # two faults each, which pin the order of the checks: dims before
-    # edges, size before vertex, vertex type before range, range before
-    # only-loops
+    # edges, conversion before size, size before vertex, vertex type before
+    # range, range before only-loops
     (BadDimsError, "grid dims must be positive, got 0x2", (0, 2), []),
+    (BadDimsError, "grid dims must be positive, got 0x2", (0, 2), [5]),
+    (BadParamsError, "edges must be sets of vertices: 'int' object is not iterable",
+     Dims(2, 2), [frozenset({(1, 1), (1, 2), (2, 1)}), 5]),
     (BadParamsError, "edge needs one or two vertices, got 3", Dims(2, 2),
      [frozenset({(1.0, 1), (2, 2)}), frozenset({(1, 1), (1, 2), (2, 1)})]),
     (BadParamsError, "vertex must be a pair of ints, got (True, 1)", Dims(2, 2),
@@ -151,22 +150,18 @@ INVALID_GRAPHS = [
 
 
 def test_build_graph_validation():
-    # a Graph built directly is held to the same checks as build_graph's,
-    # in the same order and with the same messages
+    # build_graph is Graph: one constructor, whatever collection holds the
+    # edges, with its checks in one order and one message each
+    assert build_graph is Graph
     for error, message, dims, edges in INVALID_GRAPHS:
-        messages = (message, message) if isinstance(message, str) else message
-        for make, text in zip((build_graph, lambda d, e: Graph(d, frozenset(e))), messages):
-            with pytest.raises(error, match=f"^{re.escape(text)}$"):
-                make(dims, edges)
-    # Graph takes only a frozenset of frozensets: a list edge [(1, 1), (1, 1)]
-    # would otherwise count as a non-loop edge; build_graph reads it as a loop
+        for given in (edges, frozenset(edges)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                Graph(dims, given)
+    # a list edge [(1, 1), (1, 1)] is a set of one vertex: a loop
     edges = [[(1, 1), (1, 1)], [(1, 1), (2, 2)]]
-    for given in (edges, [frozenset(e) for e in edges], {frozenset(edges[1])},
-                  frozenset([tuple(edges[1])])):
-        with pytest.raises(BadParamsError, match=f"^{re.escape(NOT_SETS)}$"):
-            Graph(Dims(2, 2), given)
-    g = build_graph(Dims(2, 2), edges)
+    g = Graph(Dims(2, 2), edges)
     assert (g.loops, g.sorted_edges, g.degree_sum) == (((1, 1),), (((1, 1), (2, 2)),), 2)
+    assert g == Graph(Dims(2, 2), frozenset(map(frozenset, edges)))
     # an edge that is not a collection: BadParamsError, not a bare TypeError
     for make in (lambda: build_graph(Dims(2, 2), [5]), lambda: build_graph(Dims(2, 2), 5),
                  lambda: classify_edge(5), lambda: Graph(Dims(2, 2), frozenset({5}))):
@@ -175,13 +170,20 @@ def test_build_graph_validation():
 
 
 def test_equal_graphs_compare_and_hash_equal():
+    # a graph compares, hashes and prints by what it holds: dims,
+    # sorted_edges and loops, however its edges were given
     e = frozenset({(1, 1), (2, 2)})
-    made = [Graph(Dims(2, 2), frozenset({e})), Graph((2, 2), frozenset([e])),
+    made = [Graph(Dims(2, 2), frozenset({e})), Graph((2, 2), [e]),
             build_graph((2, 2), [e]), build_graph(Dims(2, 2), {e}),
-            build_graph(Dims(2, 2), [[(2, 2), (1, 1)], ((1, 1), (2, 2))])]
-    assert all(g == made[0] for g in made)
-    assert len({hash(g) for g in made}) == 1
+            Graph(Dims(2, 2), [[(2, 2), (1, 1)], [(1, 1), (2, 2)]])]
+    held = (Dims(2, 2), (((1, 1), (2, 2)),), ())
+    for g in made:
+        assert (g.dims, g.sorted_edges, g.loops) == held
+        assert g == made[0] and hash(g) == hash(held)
+        assert repr(g) == "Graph(dims=Dims(p=2, q=2), sorted_edges=(((1, 1), (2, 2)),), loops=())"
     assert made[0] != build_graph(Dims(2, 2), [{(1, 1), (2, 1)}])
+    with_loop = Graph(Dims(2, 2), [e, [(1, 2)]])
+    assert with_loop != made[0] and hash(with_loop) == hash((*held[:2], ((1, 2),)))
 
 
 def test_classify_edge_takes_any_collection():
@@ -226,7 +228,7 @@ def test_build_graph_dedups():
     g = build_graph(
         Dims(2, 2), [frozenset({(1, 1), (2, 2)}), frozenset({(2, 2), (1, 1)})]
     )
-    assert len(g.edges) == 1
+    assert (g.sorted_edges, g.loops) == ((((1, 1), (2, 2)),), ())
 
 
 def test_single_edge_matrices():
@@ -263,7 +265,7 @@ def test_star_and_complete_shapes():
     assert len(k.sorted_edges) == comb(6, 2)
     s = star_graph(Dims(2, 3))
     assert len(s.sorted_edges) == 5
-    assert all((1, 1) in e for e in s.edges)
+    assert all(u == (1, 1) for u, v in s.sorted_edges) and s.loops == ()
 
 
 def random_graph_params():
@@ -401,13 +403,12 @@ def graphs_with_loops(draw):
 @given(graphs_with_loops())
 def test_sorted_edges_is_tuple_order(built):
     # the integer key sorts exactly as tuple order on the oriented pairs;
-    # each field is held to the input, as edges is derived from the others
+    # each field is held to the input, whatever collection holds the edges
     g, edges = built
     pairs = {(min(e), max(e)) for e in edges if len(e) == 2}
     for h in (g, Graph(g.dims, frozenset(map(frozenset, edges)))):
         assert h.sorted_edges == tuple(sorted(pairs))
         assert h.loops == tuple(sorted({v for e in edges if len(e) == 1 for v in e}))
-        assert h.edges == frozenset(map(frozenset, edges))
         assert h.entangled_edges == tuple(
             (u, v) for u, v in sorted(pairs) if u[0] != v[0] and u[1] != v[1]
         )
@@ -419,9 +420,9 @@ def test_random_graph_determinism_and_counts():
     g3 = random_graph(Dims(3, 3), 4, 3, 124)
     assert g1 == g2
     assert g1 != g3
-    classes = [classify_edge(e) for e in g1.edges]
+    classes = [classify_edge(e) for e in g1.sorted_edges]
     assert sum(c == EdgeClass.ENTANGLED for c in classes) == 3
-    assert len(g1.edges) == 7
+    assert (len(g1.sorted_edges), g1.loops) == (7, ())
 
 
 def test_random_graph_validation():
@@ -478,10 +479,8 @@ def test_entangled_edges_are_drawn_by_index(monkeypatch):
 
 
 def _same_graph(g, ref):
-    # a frozenset prints in the order its table holds, so ref is built from
-    # its edges in sorted order, as a graph built by key derives edges
     assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
-    for name in ("edges", "sorted_edges", "loops", "entangled_edges", "degree_sum"):
+    for name in ("sorted_edges", "loops", "entangled_edges", "degree_sum"):
         assert getattr(g, name) == getattr(ref, name), name
 
 
@@ -547,6 +546,11 @@ def test_graphs_built_by_key_refuse_as_before():
          "edge counts must be nonnegative"),
         (lambda: random_graph(Dims(2, 2), True, 1, 0), BadParamsError,
          "edge counts and seed must be ints, got True, 1 and 0"),
+        # a pi that cannot be listed, or whose entries cannot be sorted,
+        # once raised a bare TypeError
+        (lambda: pe_matching_graph(Dims(2, 3), 5), BadParamsError, "pi must permute 1..3, got 5"),
+        (lambda: pe_matching_graph(Dims(2, 2), (2, "a")), BadParamsError,
+         "pi must permute 1..2, got (2, 'a')"),
     ]
     for call, error, message in refusals:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

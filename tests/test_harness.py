@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import graphsep.harness
 import graphsep.matrix
 import graphsep.separability
 import pool_reference
-from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError
+from graphsep.errors import BadDimsError, BadParamsError, BadTrialCountError, GraphFileError
 from graphsep.graphfile import format_graph
 from graphsep.graphs import (
     Dims,
@@ -253,6 +254,12 @@ def test_failures_dumped_to_dir(tmp_path, monkeypatch):
         "suite1-p2q2-trial0000.graph",
         "suite1-p2q2-trial0001.graph",
     ]
+    # a dump_dir that is a file cannot hold the dumps: bad input, reported
+    # as a failed write is
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(GraphFileError, match=f"^cannot write {re.escape(str(blocker))}: "):
+        run_suite(1, (2, 2), 2, 5, dump_dir=blocker)
 
 
 def test_no_dump_dir_created_when_clean(tmp_path):

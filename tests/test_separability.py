@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from graph_edges import edges_of
 import graphsep.graphs
 import graphsep.matrix
 import graphsep.report
@@ -150,6 +151,9 @@ def test_witness_values_known():
     g = build_graph(Dims(2, 3), [frozenset({(1, 2), (1, 3)})])
     vec = entangled_edge_witness(Dims(2, 3), {(1, 1), (2, 2)})
     assert witness_value(g, vec) == 0
+    # a vector of another grid's order
+    with pytest.raises(DimMismatchError, match="^vector length 4 != order 6$"):
+        witness_value(g, entangled_edge_witness(Dims(2, 2), e))
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,7 +168,7 @@ def test_one_entangled_edge_always_entangled(dims, ns, seed):
     v = verdict(g)
     assert v.status == Status.ENTANGLED
     assert revalidate(g, v)
-    e = next(e for e in g.edges if len({x[0] for x in e}) == 2 and len({x[1] for x in e}) == 2)
+    e = next((u, v) for u, v in g.sorted_edges if u[0] != v[0] and u[1] != v[1])
     assert witness_value(g, entangled_edge_witness(dims, e)) < 0
 
 
@@ -256,7 +260,7 @@ def test_product_decomposition_denied_with_entangled_edge():
 def swap_subsystems(g):
     """The same state with its subsystems exchanged: (i, j) becomes (j, i)."""
     p, q = g.dims
-    return build_graph(Dims(q, p), [frozenset((j, i) for i, j in e) for e in g.edges])
+    return build_graph(Dims(q, p), [frozenset((j, i) for i, j in e) for e in edges_of(g)])
 
 
 MATCHING_2X4 = pe_matching_graph(Dims(2, 4), (2, 3, 4, 1))
@@ -280,7 +284,7 @@ def test_pe_certificate_full_matching():
 def test_pe_certificate_survives_separable_edges():
     base = pe_matching_graph(Dims(2, 3), (2, 3, 1))
     g = build_graph(
-        Dims(2, 3), list(base.edges) + [frozenset({(1, 1), (1, 2)})]
+        Dims(2, 3), [*base.sorted_edges, frozenset({(1, 1), (1, 2)})]
     )
     assert pe_matching_certificate(g) == BlockLineSumSymmetric(False)
 
@@ -442,6 +446,9 @@ def test_revalidate_rejects_tampered_evidence():
         (w1, SparseSymMatrix(2, {(0, 0): small, (1, 1): big}), c1),
     ))
     assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=unphysical))
+    # positive weights that sum to 2: the honest terms, each weight doubled
+    doubled = ProductDecomposition(tuple((2 * w, r, c) for w, r, c in honest.terms))
+    assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=doubled))
     # a row factor of order 3 on a 2-row grid, with the same nonzero entries
     wide = ProductDecomposition(((w0, SparseSymMatrix(3, r0.entries), c0), (w1, r1, c1)))
     assert not revalidate(rows, Verdict(Status.SEPARABLE, certificate=wide))
@@ -701,7 +708,7 @@ def random_grid_graphs_with_loops(draw):
     p, q = g.dims
     vertex = st.tuples(st.integers(1, p), st.integers(1, q))
     loops = draw(st.lists(vertex, max_size=3))
-    return build_graph(g.dims, list(g.edges) + [frozenset({v}) for v in loops])
+    return build_graph(g.dims, edges_of(g) + [frozenset({v}) for v in loops])
 
 
 @settings(max_examples=150, deadline=None)
@@ -714,7 +721,7 @@ def test_edge_shortcuts_match_dense_references(g):
     pt = partial_transpose(lap, g.dims)
     assert degree_criterion(g) == dense_degree_criterion(pt)
     assert_block_certificate_matches_dense(g)
-    classes = [classify_edge(e) for e in g.edges]
+    classes = [classify_edge(e) for e in edges_of(g)]
     entangled = EdgeClass.ENTANGLED in classes
     assert (all_separable_certificate(g) is None) == entangled
     want = {cls.value: 0 for cls in EdgeClass}
@@ -722,7 +729,7 @@ def test_edge_shortcuts_match_dense_references(g):
         want[cls.value] += 1
     assert list(analyze(g).edge_classes.items()) == list(want.items())
     assert g.sorted_edges == tuple(
-        sorted(tuple(sorted(e)) for e in g.edges if len(e) == 2)
+        sorted(tuple(sorted(e)) for e in edges_of(g) if len(e) == 2)
     )
     assert g.entangled_edges == tuple(
         pr for pr in g.sorted_edges if classify_edge(pr) == EdgeClass.ENTANGLED
@@ -778,6 +785,12 @@ def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
         monkeypatch.setattr(graphsep.separability, name, granted)
     r = analyze(star_graph(Dims(3, 3)))
     assert r.verdict.status == Status.ENTANGLED and r.certificates == ()
+
+
+def test_analyze_refuses_evidence_that_fails_revalidation(monkeypatch):
+    monkeypatch.setattr(graphsep.report, "revalidate", lambda g, v: False)
+    with pytest.raises(RuntimeError, match="^verdict evidence failed revalidation$"):
+        analyze(star_graph(Dims(2, 2)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1052,7 +1065,7 @@ def test_verdict_invariant_under_relabelling(g, seed):
     rows, cols = rng.sample(range(1, p + 1), p), rng.sample(range(1, q + 1), q)
 
     def relabelled(f):
-        return build_graph(g.dims, [frozenset(map(f, e)) for e in g.edges])
+        return build_graph(g.dims, [frozenset(map(f, e)) for e in edges_of(g)])
 
     status = verdict(g).status
     assert verdict(relabelled(lambda v: (rows[v[0] - 1], v[1]))).status == status
@@ -1065,7 +1078,7 @@ def pt_graph(g):
     {(i,t),(s,j)}, which fixes loops and separable edges.  On a
     degree-preserving graph it is the partial transpose of the state."""
     edges = []
-    for e in g.edges:
+    for e in edges_of(g):
         (i, j), (s, t) = (*e, *e)[:2]  # a loop's vertex twice
         edges.append(frozenset({(i, t), (s, j)}))
     return build_graph(g.dims, edges)
