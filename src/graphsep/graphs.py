@@ -267,7 +267,6 @@ def star_graph(dims: Dims) -> Graph:
 
 def single_edge_graph(dims: Dims, edge: Edge | Iterable[Vertex]) -> Graph:
     """One edge whose endpoints differ in both coordinates."""
-    dims = checked_dims(dims)
     g = build_graph(dims, [edge])
     if not g.entangled_edges:
         raise BadParamsError("single-edge family needs both coordinates to differ")

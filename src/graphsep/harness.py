@@ -8,6 +8,7 @@ are identical run to run.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections import Counter
@@ -32,13 +33,7 @@ from .graphs import (
     star_graph,
     tensor_product,
 )
-from .matrix import (
-    SparseSymMatrix,
-    exact_str,
-    float12,
-    is_psd_exact,
-    partial_transpose_entries,
-)
+from .matrix import exact_str, float12, is_psd_integral, partial_transpose_entries
 from .report import check_grid_size, density_eigenvalues
 from .separability import (
     BlockLineSumSymmetric,
@@ -280,9 +275,9 @@ def _run_trial(suite: int, g: Graph) -> _Trial:
         return _Trial("partial-transpose-changed-trace")
     if pt_diagonal != diagonal:
         return _Trial("partial-transpose-changed-diagonal")
-    if not is_psd_exact(SparseSymMatrix(g.n, lap)):
+    if not is_psd_integral(lap):
         return _Trial("laplacian-not-psd")
-    ppt = is_psd_exact(SparseSymMatrix(g.n, pt))
+    ppt = is_psd_integral(pt)
     min_eigenvalue = density_eigenvalues(pt, g)[0]
     if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
         return _Trial("eigenvalue-sign-disagrees-with-exact-test")
@@ -308,6 +303,10 @@ def run_suite(suite: int, dims, trials: int, seed: int, *, dump_dir=None) -> Sui
     if type(seed) is not int or seed < 0:
         raise BadParamsError(f"seed must be a nonnegative integer, got {seed}")
     dims = checked_dims(dims)
+    if dump_dir is not None:  # refused before any trial; os.path's tests never raise
+        out = Path(dump_dir)
+        if not os.path.isdir(next((d for d in (out, *out.parents) if os.path.exists(d)), out)):
+            raise GraphFileError(f"cannot write {out}: not a directory")
     start = time.perf_counter()
     failures = []
     min_witness = None

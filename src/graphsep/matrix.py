@@ -39,13 +39,18 @@ def float12(value) -> float:
 
 def _check_exact(entries: dict[tuple[int, int], Entry], n: int) -> None:
     """Refuse any entry that is not exactly an int or a Fraction (a bool is
-    an int, but not an entry), then, entry by entry in order, one outside the
-    n-by-n matrix or unequal to its mirror.  A diagonal entry is its own
-    mirror, and with exact types a mirror that is the same object is equal
-    to it, so neither is compared."""
+    an int, but not an entry), then run _check_entries."""
     if not set(map(type, entries.values())) <= _EXACT_TYPES:
         bad = next(x for x in entries.values() if type(x) not in _EXACT_TYPES)
         raise TypeError(f"exact entry expected (int or Fraction), got {type(bad).__name__}")
+    _check_entries(entries, n)
+
+
+def _check_entries(entries: Mapping[tuple[int, int], Real], n: int) -> None:
+    """Raise, entry by entry in order, on one outside the n-by-n matrix or
+    unequal to its mirror, an absent mirror reading 0.  A diagonal entry is
+    its own mirror, and a mirror that is the same object is taken as equal,
+    so neither is compared."""
     get = entries.get
     for (r, c), x in entries.items():
         if not (0 <= r < n and 0 <= c < n):
@@ -184,16 +189,6 @@ def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
     return SparseSymMatrix(n, partial_transpose_entries(mat.entries, dims)).dense()
 
 
-def _check_entries(entries: Mapping[tuple[int, int], Real], n: int) -> None:
-    """Raise unless every entry lies in the n-by-n matrix and equals its
-    mirror; the check of eigenvalues_sym, whose entries may be floats."""
-    for (r, c), x in entries.items():
-        if not (0 <= r < n and 0 <= c < n):
-            raise DimMismatchError(f"entry ({r},{c}) outside order {n}")
-        if entries.get((c, r), 0) != x:
-            raise NotSymmetricError(f"entries ({r},{c}) and ({c},{r}) differ")
-
-
 def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[list[list]]:
     """The square block, rows ascending, of each connected component of the
     nonzero pattern of a checked symmetric matrix, in order of least row,
@@ -276,12 +271,12 @@ def is_psd_integral(entries: Mapping[tuple[int, int], int]) -> bool:
        PSD A, 1^T A 1 = |A^(1/2) 1|^2 = 0 forces A 1 = 0.
 
     Otherwise the matrix is the direct sum of its blocks on the connected
-    components of its nonzero pattern, so each block is tested on its own:
-    a 1-by-1 block by its sign, a larger one by fraction-free symmetric
-    elimination.  Pivoting runs in row order: a negative pivot refutes PSD,
-    a zero pivot with a nonzero residual row refutes PSD, and a zero row is
-    dropped.  Updates use the Bareiss rule (d*a[i][j] - a[i][k]*a[k][j]) /
-    prev so intermediates stay integers.
+    components of its nonzero pattern, so each block, a 1-by-1 one too, is
+    tested on its own by fraction-free symmetric elimination.  Pivoting runs
+    in row order: a negative pivot refutes PSD, a zero pivot with a nonzero
+    residual row refutes PSD, and a zero row is dropped.  Updates use the
+    Bareiss rule (d*a[i][j] - a[i][k]*a[k][j]) / prev so intermediates stay
+    integers.
     """
     sums = {}  # row -> row sum, for the rows that have an entry
     get = sums.get
@@ -294,9 +289,7 @@ def is_psd_integral(entries: Mapping[tuple[int, int], int]) -> bool:
         return True
     if not sum(sums.values()) and any(sums.values()):
         return False
-    return all(
-        a[0][0] > 0 if len(a) == 1 else _bareiss_psd(a) for a in _dense_blocks(entries, 0)
-    )
+    return all(map(_bareiss_psd, _dense_blocks(entries, 0)))
 
 
 def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:

@@ -40,7 +40,6 @@ from .matrix import (
     SymMatrix,
     add,
     exact_str,
-    is_psd_exact,
     is_psd_integral,
     kron,
     partial_transpose_entries,
@@ -60,7 +59,7 @@ def ppt_test(g: Graph) -> bool:
     positive off-diagonal entry and its entries total 0, so is_psd_integral
     decides it by its row sums alone: PSD when every one is 0, not PSD
     otherwise."""
-    return is_psd_exact(SparseSymMatrix(g.n, pt_laplacian_entries(g)))
+    return is_psd_integral(pt_laplacian_entries(g))
 
 
 class DegreeCriterionWitness(NamedTuple):

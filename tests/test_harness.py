@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -28,15 +29,19 @@ from graphsep.report import MAX_DENSE_VERTICES
 from graphsep.harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
+    TrialFailure,
     _dump_failure,
     run_suite,
     suite_instance,
     trial_seed,
 )
-from graphsep.matrix import SymMatrix
+from graphsep.matrix import SymMatrix, partial_transpose_entries
 from graphsep.separability import (
     BlockLineSumSymmetric,
+    DegreeCriterionWitness,
     ProductDecomposition,
+    Status,
+    Verdict,
     _block_line_sums_match,
     ppt_test,
     revalidate,
@@ -254,12 +259,22 @@ def test_failures_dumped_to_dir(tmp_path, monkeypatch):
         "suite1-p2q2-trial0000.graph",
         "suite1-p2q2-trial0001.graph",
     ]
-    # a dump_dir that is a file cannot hold the dumps: bad input, reported
-    # as a failed write is
+    # a dump_dir that is a file, or lies under one, cannot hold the dumps:
+    # bad input, reported as a failed write is, before any trial runs, so a
+    # run that would have no failure is refused too
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    with pytest.raises(GraphFileError, match=f"^cannot write {re.escape(str(blocker))}: "):
-        run_suite(1, (2, 2), 2, 5, dump_dir=blocker)
+    calls = []
+    monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args) or broken(*args))
+    for dump_dir in (blocker, blocker / "sub"):
+        with pytest.raises(GraphFileError, match=f"^cannot write {re.escape(str(dump_dir))}: "):
+            run_suite(1, (2, 2), 2, 5, dump_dir=dump_dir)
+    assert calls == []
+    monkeypatch.undo()
+    assert run_suite(1, (2, 2), 3, 0).ok
+    with pytest.raises(GraphFileError, match="^cannot write .*: not a directory$"):
+        run_suite(1, (2, 2), 3, 0, dump_dir=blocker)
+    assert sorted(tmp_path.iterdir()) == [blocker, tmp_path / "dumps"]
 
 
 def test_no_dump_dir_created_when_clean(tmp_path):
@@ -305,6 +320,86 @@ def test_suite7_fails_when_revalidation_fails(monkeypatch):
     monkeypatch.setattr(graphsep.harness, "revalidate", lambda g, v: False)
     report = run_suite(7, (2, 4), 5, 3)
     assert [f.reason for f in report.failures] == ["revalidation-failed"] * 5
+
+
+def _on_call(k, fake, real):
+    """real, except on its k-th call (1-based), which fake answers."""
+    calls = itertools.count(1)
+    return lambda *args: fake(*args) if next(calls) == k else real(*args)
+
+
+def _unknown(g):
+    return Verdict(Status.UNKNOWN)
+
+
+def _pt_negating_diagonal(entries, dims):
+    # still an involution, but the trace changes sign
+    pt = partial_transpose_entries(entries, dims)
+    return {(r, c): -x if r == c else x for (r, c), x in pt.items()}
+
+
+def _pt_reversing_diagonal(entries, dims):
+    # still an involution that keeps the trace, but not the diagonal
+    last = dims[0] * dims[1] - 1
+    pt = partial_transpose_entries(entries, dims)
+    return {(last - r, last - r) if r == c else (r, c): x for (r, c), x in pt.items()}
+
+
+# (suite, reason, the harness name patched, its fake made from the real
+# one).  Each row runs one trial at seed 1 on 3x3, on 2x5 for suite 7 and on
+# 2x3 for small-grid-verdict-unknown; suite 0's 3x3 instance is entangled,
+# so its partial transpose is not positive.
+SUITE_REASONS = [
+    (1, "partial-transpose-stayed-positive", "ppt_test", lambda real: lambda g: True),
+    (1, "witness-value-not-negative", "witness_value", lambda real: lambda g, w: Fraction(0)),
+    (1, "verdict-not-entangled", "verdict", lambda real: _unknown),
+    (2, "verdict-not-entangled", "verdict", lambda real: _unknown),
+    (2, "witness-value-not-negative", "witness_value", lambda real: lambda g, w: Fraction(0)),
+    (4, "block-certificate-missing", "block_lss_certificate", lambda real: lambda g: None),
+    (4, "partial-transpose-not-positive", "ppt_test", lambda real: lambda g: False),
+    (4, "verdict-not-separable-by-blocks", "verdict", lambda real: _unknown),
+    (5, "complete-not-separable-by-blocks", "verdict", lambda real: _unknown),
+    (5, "complete-not-fixed-by-partial-transpose", "partial_transpose_entries",
+     lambda real: lambda entries, dims: {}),
+    (5, "star-not-entangled", "verdict", lambda real: _on_call(2, _unknown, real)),
+    (5, "star-degree-witness-wrong-row", "verdict", lambda real: _on_call(
+        2, lambda g: Verdict(Status.ENTANGLED, witness=DegreeCriterionWitness(1, -1)), real)),
+    (7, "matching-certificate-missing", "pe_matching_certificate", lambda real: lambda g: None),
+    (7, "verdict-not-separable-by-blocks", "verdict", lambda real: _unknown),
+    (7, "revalidation-failed", "revalidate", lambda real: lambda g, v: False),
+    (7, "partial-transpose-not-positive", "ppt_test", lambda real: lambda g: False),
+    (0, "density-not-uniform-edge-mixture", "_uniform_edge_mixture", lambda real: lambda g: {}),
+    (0, "partial-transpose-not-involutive", "partial_transpose_entries",
+     lambda real: _on_call(2, lambda entries, dims: {}, real)),
+    (0, "partial-transpose-changed-trace", "partial_transpose_entries",
+     lambda real: _pt_negating_diagonal),
+    (0, "partial-transpose-changed-diagonal", "partial_transpose_entries",
+     lambda real: _pt_reversing_diagonal),
+    (0, "laplacian-not-psd", "is_psd_integral", lambda real: lambda entries: False),
+    (0, "eigenvalue-sign-disagrees-with-exact-test", "density_eigenvalues",
+     lambda real: lambda entries, g: [1.0]),
+    (0, "certificate-granted-despite-negative-partial-transpose", "block_lss_certificate",
+     lambda real: lambda g: BlockLineSumSymmetric()),
+    (0, "degree-and-positivity-tests-disagree", "degree_criterion", lambda real: lambda g: None),
+    (0, "small-grid-verdict-unknown", "verdict", lambda real: _unknown),
+    (0, "revalidation-failed", "revalidate", lambda real: lambda g, v: False),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, reason, name, make_fake",
+    SUITE_REASONS,
+    ids=[f"{suite}-{reason}" for suite, reason, *_ in SUITE_REASONS],
+)
+def test_every_suite_failure_reason_fires(monkeypatch, suite, reason, name, make_fake):
+    # one collaborator misbehaves, and exactly its check files the trial,
+    # on the instance or, for suite 5's star checks, on the star
+    dims = Dims(2, 5) if suite == 7 else Dims(2 if reason.startswith("small-") else 3, 3)
+    assert run_suite(suite, dims, 1, 1).ok
+    monkeypatch.setattr(graphsep.harness, name, make_fake(getattr(graphsep.harness, name)))
+    tseed = trial_seed(1, 0)
+    g = star_graph(dims) if reason.startswith("star-") else suite_instance(suite, dims, tseed)
+    assert run_suite(suite, dims, 1, 1).failures == (TrialFailure(0, tseed, reason, g),)
 
 
 def test_suites_build_no_dense_matrix(monkeypatch):

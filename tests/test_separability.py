@@ -1098,3 +1098,7 @@ def test_graph_partial_transpose_is_a_checked_symmetry(g):
     assert getattr(w.certificate, "swapped", None) == getattr(v.certificate, "swapped", None)
     assert revalidate(g, v) and revalidate(h, w)
     assert (pt_laplacian_entries(g) == laplacian_entries(h)) == (degree_criterion(g) is None)
+    # is_psd_integral's precondition on the maps ppt_test and suite 0 hand
+    # it: each is symmetric, in range and holds no 0 entry
+    for entries in (laplacian_entries(g), pt_laplacian_entries(g)):
+        assert SparseSymMatrix(g.n, entries).entries == entries and 0 not in entries.values()
