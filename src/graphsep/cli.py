@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="classify the graph in a file")
+    pa.set_defaults(run=_cmd_analyze)
     pa.add_argument("path", help="graph file to read")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument(
@@ -48,53 +49,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     pg = sub.add_parser("generate", help="write a graph from a named family")
+    pg.set_defaults(run=_cmd_generate)
     fam = pg.add_subparsers(dest="family", required=True)
 
-    def _grid_args(sp, with_n=False):
-        sp.add_argument("--p", type=int, required=True, help="number of rows")
+    # a family that builds every edge of the grid, or draws by index from
+    # its edge pools, is bounded: it stops at the reports' bound first
+    def family(name, help, build, bounded=False, p=None, **options):
+        sp = fam.add_parser(name, help=help)
+        sp.set_defaults(build=build, bounded=bounded)
+        rows = "number of rows" if p is None else f"must be {p}"
+        sp.add_argument("--p", type=int, required=p is None, default=p, help=rows)
         sp.add_argument("--q", type=int, required=True, help="number of columns")
-        if with_n:
-            sp.add_argument(
-                "--n", type=int, default=None, help="optional vertex-count cross-check"
-            )
+        for flag, spec in options.items():
+            sp.add_argument(f"--{flag}", **spec)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
-    _grid_args(fam.add_parser("complete", help="every pair of vertices joined"), True)
-    _grid_args(fam.add_parser("star", help="vertex (1,1) joined to all others"), True)
-
-    fe = fam.add_parser("single-edge", help="one edge differing in both coordinates")
-    fe.add_argument("--p", type=int, required=True)
-    fe.add_argument("--q", type=int, required=True)
-    fe.add_argument(
-        "--edge",
-        type=int,
-        nargs=4,
-        required=True,
-        metavar=("I", "J", "S", "T"),
-        help="endpoints (I,J) and (S,T)",
+    family(
+        "complete", "every pair of vertices joined",
+        lambda a: complete_graph(Dims(a.p, a.q)), bounded=True,
     )
-    fe.add_argument("--out", default=None)
-
-    fm = fam.add_parser(
-        "pe-matching", help="two-row graph matched by a fixed-point-free permutation"
+    family(
+        "star", "vertex (1,1) joined to all others",
+        lambda a: star_graph(Dims(a.p, a.q)), bounded=True,
     )
-    fm.add_argument("--p", type=int, default=2, help="must be 2")
-    fm.add_argument("--q", type=int, required=True)
-    fm.add_argument(
-        "--pi", required=True, help="comma-separated permutation of 1..Q, e.g. 2,3,1"
+    family(
+        "single-edge", "one edge differing in both coordinates",
+        lambda a: single_edge_graph(Dims(a.p, a.q), {tuple(a.edge[:2]), tuple(a.edge[2:])}),
+        edge=dict(
+            type=int, nargs=4, required=True, metavar=("I", "J", "S", "T"),
+            help="endpoints (I,J) and (S,T)",
+        ),
     )
-    fm.add_argument("--out", default=None)
-
-    fr = fam.add_parser("random", help="uniform sample from the two edge pools")
-    fr.add_argument("--p", type=int, required=True)
-    fr.add_argument("--q", type=int, required=True)
-    fr.add_argument("--separable", type=int, default=0, help="separable edge count")
-    fr.add_argument("--entangled", type=int, default=0, help="entangled edge count")
-    fr.add_argument("--seed", type=int, default=0)
-    fr.add_argument("--out", default=None)
+    family(
+        "pe-matching", "two-row graph matched by a fixed-point-free permutation",
+        lambda a: pe_matching_graph(Dims(a.p, a.q), _permutation(a.pi)), p=2,
+        pi=dict(required=True, help="comma-separated permutation of 1..Q, e.g. 2,3,1"),
+    )
+    family(
+        "random", "uniform sample from the two edge pools",
+        lambda a: random_graph(Dims(a.p, a.q), a.separable, a.entangled, a.seed),
+        bounded=True,
+        separable=dict(type=int, default=0, help="separable edge count"),
+        entangled=dict(type=int, default=0, help="entangled edge count"),
+        seed=dict(type=int, default=0),
+    )
 
     suite_list = ", ".join(f"{k}: {SUITE_DESCRIPTIONS[k]}" for k in SUITE_IDS)
     pv = sub.add_parser("verify", help="run a randomized verification suite")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument(
         "--theorem", type=int, required=True, help=f"suite id ({suite_list})"
     )
@@ -109,17 +111,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ps = sub.add_parser("spectrum", help="eigenvalue estimates for a graph file")
+    ps.set_defaults(run=_cmd_spectrum)
     ps.add_argument("path")
     ps.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
-def _emit_graph(g, out_path) -> None:
-    if out_path:
-        write_graph_file(out_path, g)
-    else:
-        print(format_graph(g), end="")
+def _permutation(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise BadParamsError(f"--pi must be comma-separated integers, got {text!r}")
 
 
 def _cmd_analyze(args) -> int:
@@ -133,31 +136,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    # complete and star build every edge of the grid, and random draws by
-    # index from its edge pools; all stop at the reports' bound first
-    if args.family in ("complete", "star", "random"):
+    if args.bounded:
         check_grid_size((args.p, args.q), f"generate {args.family} stops")
-    if args.family in ("complete", "star"):
-        if args.n is not None and args.n != args.p * args.q:
-            raise BadParamsError(
-                f"--n {args.n} does not match a {args.p}x{args.q} grid"
-            )
-        maker = complete_graph if args.family == "complete" else star_graph
-        g = maker(Dims(args.p, args.q))
-    elif args.family == "single-edge":
-        i, j, s, t = args.edge
-        g = single_edge_graph(Dims(args.p, args.q), {(i, j), (s, t)})
-    elif args.family == "pe-matching":
-        try:
-            pi = tuple(int(x) for x in args.pi.split(","))
-        except ValueError:
-            raise BadParamsError(f"--pi must be comma-separated integers, got {args.pi!r}")
-        g = pe_matching_graph(Dims(args.p, args.q), pi)
+    g = args.build(args)
+    if args.out:
+        write_graph_file(args.out, g)
     else:
-        g = random_graph(
-            Dims(args.p, args.q), args.separable, args.entangled, args.seed
-        )
-    _emit_graph(g, args.out)
+        print(format_graph(g), end="")
     return 0
 
 
@@ -189,13 +174,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_spectrum(args)
+        return args.run(args)
     except NoConvergenceError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -125,8 +125,9 @@ class SymMatrix(_Frozen):
 
 class SparseSymMatrix(_Frozen):
     """Immutable symmetric matrix of the given order with exact entries,
-    stored by 0-based (row, column); an absent entry is zero.  An entry is
-    exactly an int or a Fraction: a bool is an int, but not an entry."""
+    stored by 0-based (row, column); an absent entry is zero.  The order is
+    exactly a non-negative int, and an entry exactly an int or a Fraction: a
+    bool is an int, but neither an order nor an entry."""
 
     _fields = ("order", "entries")
 
@@ -136,6 +137,10 @@ class SparseSymMatrix(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.order) is not int:
+            raise TypeError(f"int order expected, got {type(self.order).__name__}")
+        if self.order < 0:
+            raise DimMismatchError(f"order {self.order} is negative")
         entries = dict(self.entries)
         object.__setattr__(self, "entries", MappingProxyType(entries))
         _check_exact(entries, self.order)

@@ -12,11 +12,12 @@ import graphsep.report
 from graphsep.cli import main
 from graphsep.report import analyze
 from graphsep.errors import BadDimsError, GraphSepError, NoConvergenceError
-from graphsep.graphfile import parse_graph_file
+from graphsep.graphfile import format_graph, parse_graph_file
 from graphsep.graphs import (
     Dims,
     complete_graph,
     pe_matching_graph,
+    random_graph,
     single_edge_graph,
     star_graph,
 )
@@ -114,10 +115,39 @@ def test_generate_star_to_stdout(capsys):
     assert out.count("edge ") == 5
 
 
-def test_generate_n_cross_check(capsys):
-    assert main(["generate", "complete", "--p", "2", "--q", "2", "--n", "5"]) == 1
-    assert "does not match" in capsys.readouterr().err
-    assert main(["generate", "complete", "--p", "2", "--q", "2", "--n", "4"]) == 0
+@pytest.mark.parametrize(
+    "family, args, graph",
+    [
+        ("complete", ["--p", "2", "--q", "2"], lambda: complete_graph(Dims(2, 2))),
+        ("star", ["--p", "2", "--q", "3"], lambda: star_graph(Dims(2, 3))),
+        (
+            "single-edge",
+            ["--p", "2", "--q", "2", "--edge", "1", "1", "2", "2"],
+            lambda: single_edge_graph(Dims(2, 2), {(1, 1), (2, 2)}),
+        ),
+        # --p defaults to 2
+        ("pe-matching", ["--q", "3", "--pi", "2,3,1"], lambda: pe_matching_graph(Dims(2, 3), (2, 3, 1))),
+        (
+            "random",
+            ["--p", "3", "--q", "3", "--separable", "2", "--entangled", "2", "--seed", "9"],
+            lambda: random_graph(Dims(3, 3), 2, 2, 9),
+        ),
+    ],
+)
+def test_every_family_prints_and_writes_its_library_graph(tmp_path, capsys, family, args, graph):
+    want = format_graph(graph())
+    assert main(["generate", family, *args]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / f"{family}.graph"
+    assert main(["generate", family, *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == want.encode()
+
+
+def test_generate_has_no_n_option(capsys):
+    # p * q is the vertex count; there is no option to restate it
+    assert main(["generate", "complete", "--p", "2", "--q", "2", "--n", "4"]) == 1
+    assert "unrecognized arguments: --n 4" in capsys.readouterr().err
 
 
 def test_generate_single_edge(capsys):
@@ -226,9 +256,13 @@ def test_usage_errors_exit_1():
     assert main(["generate"]) == 1
 
 
-def test_help_exits_0():
+def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    assert main(["verify", "--help"]) == 0
+    for command in ("analyze", "generate", "verify", "spectrum"):
+        assert main([command, "--help"]) == 0
+    for family in ("complete", "star", "single-edge", "pe-matching", "random"):
+        assert main(["generate", family, "--help"]) == 0
+        assert "--out OUT" in capsys.readouterr().out
 
 
 def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +276,19 @@ def test_failures_dumped_to_dir(tmp_path, monkeypatch):
     with pytest.raises(GraphFileError, match="^cannot write .*: not a directory$"):
         run_suite(1, (2, 2), 3, 0, dump_dir=blocker)
     assert sorted(tmp_path.iterdir()) == [blocker, tmp_path / "dumps"]
+    # a directory that passes that check can still fail to be made, when the
+    # first trial fails: a failed write too (mkdir is patched, since a chmod
+    # does not stop a superuser)
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(harness, "_run_trial", broken)
+    monkeypatch.setattr(Path, "mkdir", denied)
+    dump_dir = tmp_path / "denied"
+    message = f"^cannot write {re.escape(str(dump_dir))}: \\[Errno 13\\] Permission denied$"
+    with pytest.raises(GraphFileError, match=message):
+        run_suite(1, (2, 2), 2, 5, dump_dir=dump_dir)
+    assert not dump_dir.exists()
 
 
 def test_no_dump_dir_created_when_clean(tmp_path):

@@ -214,6 +214,10 @@ def test_sparse_matrix_validates_entries():
         SparseSymMatrix(2, {(0, 1): 1, (1, 0): 2})
     with pytest.raises(TypeError):
         SparseSymMatrix(1, {(0, 0): 0.5})
+    # an order below 0 holds no matrix; order 0 holds the empty one
+    with pytest.raises(DimMismatchError, match="^order -1 is negative$"):
+        SparseSymMatrix(-1, {})
+    assert SparseSymMatrix(0, {}).order == 0
     source = {(0, 0): 1}
     m = SparseSymMatrix(2, source)
     source[5, 5] = 1
@@ -293,6 +297,11 @@ def test_sparse_matrix_refuses_bools_and_subclasses():
     # a type error outranks any range or mirror error, wherever it is
     with pytest.raises(TypeError, match="bool"):
         SparseSymMatrix(2, {(5, 5): 1, (0, 1): 1, (1, 1): True})
+    # the order too is exactly an int, checked before any entry: a float
+    # order would pass revalidation and fail only when rendered
+    for order in (1.0, True, _Int(1)):
+        with pytest.raises(TypeError, match=f"^int order expected, got {type(order).__name__}$"):
+            SparseSymMatrix(order, {(0, 0): 0.5})
     # equal distinct mirrors are compared; the same object is not
     half = Fraction(1, 2)
     assert SparseSymMatrix(2, {(0, 1): half, (1, 0): Fraction(1, 2)}).entries[1, 0] == half
