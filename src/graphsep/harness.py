@@ -33,8 +33,14 @@ from .graphs import (
     star_graph,
     tensor_product,
 )
-from .matrix import exact_str, float12, is_psd_integral, partial_transpose_entries
-from .report import check_grid_size, density_eigenvalues
+from .matrix import (
+    exact_str,
+    float12,
+    float_definite,
+    is_psd_integral,
+    partial_transpose_entries,
+)
+from .report import check_grid_size
 from .separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
@@ -146,7 +152,7 @@ def _check_suite_id(suite: int) -> None:
 def suite_instance(suite: int, dims, tseed: int) -> Graph:
     """Deterministic instance for one trial, or BadDimsError, before anything is
     built, for dims the suite cannot run on: every suite stops at the reports'
-    vertex bound, as suite 0 takes the float spectrum of the partial transpose."""
+    vertex bound, as suite 0 factors every block of the partial transpose."""
     _check_suite_id(suite)
     p, q = dims = check_grid_size(dims, "suites stop")
     rng = random.Random(tseed)
@@ -278,8 +284,10 @@ def _run_trial(suite: int, g: Graph) -> _Trial:
     if not is_psd_integral(lap):
         return _Trial("laplacian-not-psd")
     ppt = is_psd_integral(pt)
-    min_eigenvalue = density_eigenvalues(pt, g)[0]
-    if abs(min_eigenvalue) > 1e-11 and (min_eigenvalue < 0) == ppt:
+    # float cross-check away from 0: the density's partial transpose plus
+    # 1e-11 I is definite if it is PSD, and minus 1e-11 I only if it is
+    density = {k: x / g.degree_sum for k, x in pt.items()}
+    if float_definite(density, g.n, 1e-11 if ppt else -1e-11) != ppt:
         return _Trial("eigenvalue-sign-disagrees-with-exact-test")
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):
         return _Trial("certificate-granted-despite-negative-partial-transpose")

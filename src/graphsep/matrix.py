@@ -2,7 +2,9 @@
 
 Entries are Python ints or fractions.Fraction values and every operation that
 feeds a classification decision stays in exact arithmetic.  Floating point
-appears only in eigenvalue estimation, which is reporting, never deciding.
+appears only in eigenvalue estimation, which is reporting, and in the
+shifted Cholesky test that suite 0 checks the exact PSD test against;
+neither decides a verdict.
 """
 
 from __future__ import annotations
@@ -367,6 +369,31 @@ def _ql(d: list[float], e: list[float]) -> list[float]:
                 e[l] = g
                 e[m] = 0.0
     return d
+
+
+def float_definite(entries: Mapping[tuple[int, int], Real], n: int, shift: float) -> bool:
+    """Whether the symmetric n-by-n matrix whose nonzero entries are given
+    by 0-based (row, column), plus shift times the identity, is positive
+    definite in float: whether left-looking Cholesky of each block's floats
+    keeps every pivot > 0.0.  A NaN pivot fails, and an empty row is the
+    pivot shift itself.  Cholesky's backward error is of order n*u*|A|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10)."""
+    _check_entries(entries, n)
+    blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
+    if not shift > 0.0 and sum(map(len, blocks)) < n:
+        return False
+    for a in blocks:
+        factor = []  # rows of the lower factor, row j holding j + 1 entries
+        for i, row in enumerate(a):
+            li = []
+            for j, lj in enumerate(factor):  # map stops at li's j entries
+                li.append((row[j] - sum(map(operator.mul, li, lj))) / lj[j])
+            pivot = row[i] + shift - sum(map(operator.mul, li, li))
+            if not pivot > 0.0:
+                return False
+            li.append(math.sqrt(pivot))
+            factor.append(li)
+    return True
 
 
 def eigenvalues_sym(entries: Mapping[tuple[int, int], Real], n: int) -> list[float]:

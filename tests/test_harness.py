@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,12 +22,14 @@ from graphsep.graphs import (
     build_graph,
     complete_graph,
     entangled_edge_pool,
+    laplacian_entries,
+    pe_matching_graph,
     random_graph,
     separable_edge_pool,
     single_edge_graph,
     star_graph,
 )
-from graphsep.report import MAX_DENSE_VERTICES
+from graphsep.report import MAX_DENSE_VERTICES, density_eigenvalues
 from graphsep.harness import (
     SUITE_DESCRIPTIONS,
     SUITE_IDS,
@@ -36,7 +39,12 @@ from graphsep.harness import (
     suite_instance,
     trial_seed,
 )
-from graphsep.matrix import SymMatrix, partial_transpose_entries
+from graphsep.matrix import (
+    SymMatrix,
+    float_definite,
+    is_psd_integral,
+    partial_transpose_entries,
+)
 from graphsep.separability import (
     BlockLineSumSymmetric,
     DegreeCriterionWitness,
@@ -329,6 +337,43 @@ def test_suite0_fails_unknown_on_two_column_grid(monkeypatch):
     assert [f.reason for f in report.failures] == ["small-grid-verdict-unknown"] * 3
 
 
+def _suite0_instances():
+    """Seeded suite-0 instances, mostly not PPT, then PPT ones: complete
+    graphs up to one 256-vertex block, and perfect entangled matchings alone
+    and with suite 7's separable edges."""
+    for p, q in [(3, 3), (4, 4), (5, 5), (2, 3), (2, 6), (2, 9)]:
+        for i in range(10):
+            yield suite_instance(0, Dims(p, q), trial_seed(1, i))
+    for p, q in [(2, 2), (3, 3), (4, 5), (16, 16)]:
+        yield complete_graph(Dims(p, q))
+    yield pe_matching_graph(Dims(2, 3), [2, 3, 1])
+    yield pe_matching_graph(Dims(2, 6), [2, 1, 4, 3, 6, 5])
+    for q in (3, 5, 8):
+        for i in range(3):
+            yield suite_instance(7, Dims(2, q), trial_seed(1, i))
+
+
+def test_suite0_shifted_cholesky_matches_the_least_eigenvalue():
+    # suite 0 files its float cross-check when the shifted Cholesky answers
+    # other than the exact test; the least eigenvalue of the QL spectrum
+    # stays the reference, filing when |least| > 1e-11 and its sign
+    # disagrees.  A PPT partial transpose keeps every degree, so its rows
+    # sum to 0 and its least eigenvalue is 0: definite at +1e-11 only.  A
+    # negative one is far below -1e-11 here: definite at neither shift
+    ppt_count = Counter()
+    for g in _suite0_instances():
+        pt = partial_transpose_entries(laplacian_entries(g), g.dims)
+        ppt = is_psd_integral(pt)
+        least = density_eigenvalues(pt, g)[0]
+        density = {k: x / g.degree_sum for k, x in pt.items()}
+        definite = {s: float_definite(density, g.n, s) for s in (1e-11, -1e-11)}
+        old = abs(least) > 1e-11 and (least < 0) == ppt
+        assert (definite[1e-11 if ppt else -1e-11] != ppt) == old, format_graph(g)
+        assert definite == {1e-11: ppt, -1e-11: False}, format_graph(g)
+        ppt_count[ppt] += 1
+    assert ppt_count[True] >= 15 and ppt_count[False] >= 40, ppt_count
+
+
 def test_suite7_fails_when_revalidation_fails(monkeypatch):
     # suite 7 re-derives each verdict's block certificate from the graph
     monkeypatch.setattr(graphsep.harness, "revalidate", lambda g, v: False)
@@ -390,8 +435,8 @@ SUITE_REASONS = [
     (0, "partial-transpose-changed-diagonal", "partial_transpose_entries",
      lambda real: _pt_reversing_diagonal),
     (0, "laplacian-not-psd", "is_psd_integral", lambda real: lambda entries: False),
-    (0, "eigenvalue-sign-disagrees-with-exact-test", "density_eigenvalues",
-     lambda real: lambda entries, g: [1.0]),
+    (0, "eigenvalue-sign-disagrees-with-exact-test", "float_definite",
+     lambda real: lambda entries, n, shift: not real(entries, n, shift)),
     (0, "certificate-granted-despite-negative-partial-transpose", "block_lss_certificate",
      lambda real: lambda g: BlockLineSumSymmetric()),
     (0, "degree-and-positivity-tests-disagree", "degree_criterion", lambda real: lambda g: None),
@@ -424,6 +469,19 @@ def test_suites_build_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(SymMatrix, "__post_init__", dense)
     for name in ("laplacian", "density_matrix"):
         monkeypatch.setattr(graphsep.graphs, name, dense)
+    for suite in SUITE_IDS:
+        dims = (2, 4) if suite == 7 else (3, 3)
+        assert run_suite(suite, dims, 20, 5).ok, suite
+
+
+def test_suites_run_no_ql(monkeypatch):
+    # so verify cannot meet QL's NoConvergenceError: suite 0's float
+    # cross-check is a shifted Cholesky, and no suite takes a spectrum
+    def ql(*args):
+        raise AssertionError("Householder reduction or QL reached")
+
+    for name in ("_tridiagonal", "_ql"):
+        monkeypatch.setattr(graphsep.matrix, name, ql)
     for suite in SUITE_IDS:
         dims = (2, 4) if suite == 7 else (3, 3)
         assert run_suite(suite, dims, 20, 5).ok, suite

@@ -25,6 +25,7 @@ from graphsep.matrix import (
     eigenvalues_sym,
     exact_str,
     float12,
+    float_definite,
     is_psd_exact,
     is_psd_integral,
     kron,
@@ -662,6 +663,78 @@ def test_eigenvalues_match_numpy(case):
     assert len(got) == n
     assert got == sorted(got)
     assert got == pytest.approx(sorted(np.linalg.eigvalsh(dense)), abs=1e-9)
+
+
+# A stated margin: away from it numpy's least eigenvalue and Cholesky's
+# backward error, both of order n*u*|A| (n <= 83, entries <= 4), cannot
+# change the answer.
+DEFINITE_MARGIN = 1e-9
+
+
+# No shrink phase, for the reason given at test_eigenvalues_match_numpy.
+@settings(
+    max_examples=100,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
+@given(
+    sparse_block_sym(),
+    st.one_of(st.sampled_from([1e-11, -1e-11, 0.0]), st.floats(-3.0, 3.0)),
+)
+def test_float_definite_matches_numpy(case, shift):
+    entries, n = case
+    floats = {k: float(x) for k, x in entries.items()}
+    dense = np.zeros((n, n))
+    for (r, c), x in floats.items():
+        dense[r, c] = x
+    least = np.linalg.eigvalsh(dense)[0] if n else math.inf
+    got = float_definite(floats, n, shift)
+    assert float_definite(entries, n, shift) == got  # exact entries are read as floats
+    if abs(least + shift) > DEFINITE_MARGIN:
+        assert got == (least + shift > 0)
+    if len({r for (r, c), x in floats.items() if x}) < n and shift <= 0:
+        assert not got  # an empty row is the eigenvalue 0, at any margin
+
+
+def test_float_definite_small_cases():
+    # an empty matrix is vacuously definite; an empty row is the pivot shift
+    assert float_definite({}, 0, -1.0) and float_definite({}, 0, 1e-11)
+    assert float_definite({}, 3, 1e-11) and not float_definite({}, 3, -1e-11)
+    assert not float_definite({}, 3, 0.0)
+    identity = {(r, r): 1.0 for r in (0, 1, 3)}
+    assert float_definite(identity, 4, 1e-11)
+    assert not float_definite(identity, 4, -1e-11)
+    assert float_definite({(r, r): 1.0 for r in range(3)}, 3, -1e-11)
+    # two blocks, one of them the projector onto (1, -1) with eigenvalue 0
+    half = Fraction(1, 2)
+    entries = {(0, 0): half, (0, 2): -half, (2, 0): -half, (2, 2): half, (1, 1): 3}
+    assert float_definite(entries, 3, 1e-11)
+    assert not float_definite(entries, 3, -1e-11)
+    assert not float_definite({**entries, (1, 1): -3}, 3, 1.0)
+    # a pivot of exactly 0.0 is not > 0, nor is a NaN one
+    assert not float_definite({(0, 0): 1.0}, 1, -1.0)
+    ones = {(r, c): 1.0 for r in range(2) for c in range(2)}
+    assert not float_definite(ones, 2, 0.0) and float_definite(ones, 2, 0.5)
+    assert not float_definite({(0, 0): math.nan}, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "entries, n, error",
+    [
+        ({(0, 1): 1, (1, 0): 2}, 2, NotSymmetricError),
+        ({(0, 1): 1.0}, 2, NotSymmetricError),
+        ({(0, 2): 1, (2, 0): 1}, 2, DimMismatchError),
+        ({(-1, -1): 1.0}, 2, DimMismatchError),
+        ({(0, 0): 1.0}, 0, DimMismatchError),
+    ],
+)
+def test_float_definite_refuses_what_eigenvalues_sym_refuses(entries, n, error):
+    with pytest.raises(error) as eig:
+        eigenvalues_sym(entries, n)
+    for shift in (1e-11, -1e-11):
+        with pytest.raises(error) as chol:
+            float_definite(entries, n, shift)
+        assert str(chol.value) == str(eig.value)
 
 
 @pytest.mark.parametrize(
