@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .errors import BadParamsError, GraphSepError, NoConvergenceError
-from .graphfile import format_graph, parse_graph_file, write_graph_file
+from .errors import GraphSepError, NoConvergenceError
+from .graphfile import _is_decimal, format_graph, parse_graph_file, write_graph_file
 from .graphs import (
     Dims,
     complete_graph,
@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = fam.add_parser(name, help=help)
         sp.set_defaults(build=build, bounded=bounded)
         rows = "number of rows" if p is None else f"must be {p}"
-        sp.add_argument("--p", type=int, required=p is None, default=p, help=rows)
-        sp.add_argument("--q", type=int, required=True, help="number of columns")
+        sp.add_argument("--p", type=_integer, required=p is None, default=p, help=rows)
+        sp.add_argument("--q", type=_integer, required=True, help="number of columns")
         for flag, spec in options.items():
             sp.add_argument(f"--{flag}", **spec)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
@@ -76,34 +76,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "single-edge", "one edge differing in both coordinates",
         lambda a: single_edge_graph(Dims(a.p, a.q), {tuple(a.edge[:2]), tuple(a.edge[2:])}),
         edge=dict(
-            type=int, nargs=4, required=True, metavar=("I", "J", "S", "T"),
+            type=_integer, nargs=4, required=True, metavar=("I", "J", "S", "T"),
             help="endpoints (I,J) and (S,T)",
         ),
     )
     family(
         "pe-matching", "two-row graph matched by a fixed-point-free permutation",
-        lambda a: pe_matching_graph(Dims(a.p, a.q), _permutation(a.pi)), p=2,
-        pi=dict(required=True, help="comma-separated permutation of 1..Q, e.g. 2,3,1"),
+        lambda a: pe_matching_graph(Dims(a.p, a.q), a.pi), p=2,
+        pi=dict(
+            type=_permutation, required=True,
+            help="comma-separated permutation of 1..Q, e.g. 2,3,1",
+        ),
     )
     family(
         "random", "uniform sample from the two edge pools",
         lambda a: random_graph(Dims(a.p, a.q), a.separable, a.entangled, a.seed),
         bounded=True,
-        separable=dict(type=int, default=0, help="separable edge count"),
-        entangled=dict(type=int, default=0, help="entangled edge count"),
-        seed=dict(type=int, default=0),
+        separable=dict(type=_integer, default=0, help="separable edge count"),
+        entangled=dict(type=_integer, default=0, help="entangled edge count"),
+        seed=dict(type=_integer, default=0),
     )
 
     suite_list = ", ".join(f"{k}: {SUITE_DESCRIPTIONS[k]}" for k in SUITE_IDS)
     pv = sub.add_parser("verify", help="run a randomized verification suite")
     pv.set_defaults(run=_cmd_verify)
     pv.add_argument(
-        "--theorem", type=int, required=True, help=f"suite id ({suite_list})"
+        "--theorem", type=_integer, required=True, help=f"suite id ({suite_list})"
     )
-    pv.add_argument("--p", type=int, required=True)
-    pv.add_argument("--q", type=int, required=True)
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--p", type=_integer, required=True)
+    pv.add_argument("--q", type=_integer, required=True)
+    pv.add_argument("--trials", type=_integer, default=100)
+    pv.add_argument("--seed", type=_integer, default=0)
     pv.add_argument(
         "--dump-dir",
         default="graphsep-failures",
@@ -118,11 +121,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """An integer option's value, in the one form graph files take (see
+    graphfile._is_decimal); any other form is a usage error, exit 1."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    return int(text)
+
+
 def _permutation(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise BadParamsError(f"--pi must be comma-separated integers, got {text!r}")
+    """--pi: comma-separated fields, each an _integer."""
+    return tuple(map(_integer, text.split(",")))
 
 
 def _cmd_analyze(args) -> int:

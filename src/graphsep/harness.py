@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +27,6 @@ from .graphs import (
     checked_dims,
     complete_graph,
     laplacian_entries,
-    linear_index,
     pe_matching_graph,
     star_graph,
     tensor_product,
@@ -200,16 +198,18 @@ def suite_instance(suite: int, dims, tseed: int) -> Graph:
     return complete_graph(dims)  # suite 5
 
 
-def _uniform_edge_mixture(g: Graph) -> Counter:
+def _uniform_edge_mixture(g: Graph) -> dict:
     """degree_sum times the uniform mixture of the edges' difference
     projectors, by 0-based (row, column)."""
-    mixture = Counter()
-    for u, v in g.sorted_edges:
-        r, c = linear_index(u, g.dims) - 1, linear_index(v, g.dims) - 1
-        mixture[r, r] += 1
-        mixture[c, c] += 1
-        mixture[r, c] -= 1
-        mixture[c, r] -= 1
+    q = g.dims.q
+    mixture = {}  # a plain dict: Counter calls __missing__ for every new key
+    get = mixture.get
+    for (i, j), (s, t) in g.sorted_edges:
+        r, c = (i - 1) * q + j - 1, (s - 1) * q + t - 1  # 0-based linear_index
+        mixture[r, r] = get((r, r), 0) + 1
+        mixture[c, c] = get((c, c), 0) + 1
+        mixture[r, c] = get((r, c), 0) - 1
+        mixture[c, r] = get((c, r), 0) - 1
     return mixture
 
 

@@ -341,14 +341,33 @@ def _block_line_sums_match(g: Graph, swapped: bool) -> bool:
     with each edge read as {(j,i),(t,s)} when swapped.  Diagonal blocks
     always do; an entangled edge {(i,j),(s,t)} with i < s adds to row j and
     column t of block (i, s), whose transpose is block (s, i).  Other edges
-    lie in a diagonal block or cancel, so only entangled edges are read."""
+    lie in a diagonal block or cancel, so only entangled edges are read.
+
+    The excess of row pair i < s at column c, on the P-by-Q grid the edge
+    is read on, is keyed by the one int (i (P + 1) + s) (Q + 1) + c: each
+    1-based coordinate is below its base, so distinct triples never share
+    a key."""
+    p, q = g.dims
     excess = {}  # a plain dict: Counter calls __missing__ for every new key
     get = excess.get
-    for (i, j), (s, t) in g.entangled_edges:
-        if swapped:  # the smaller swapped row comes first
-            i, j, s, t = (j, i, t, s) if j < t else (t, s, j, i)
-        excess[i, s, j] = get((i, s, j), 0) + 1
-        excess[i, s, t] = get((i, s, t), 0) - 1
+    if swapped:  # the q-by-p grid; the smaller swapped row comes first
+        rows, cols = q + 1, p + 1
+        for (i, j), (s, t) in g.entangled_edges:
+            if j < t:
+                base = (j * rows + t) * cols
+                a, b = base + i, base + s
+            else:
+                base = (t * rows + j) * cols
+                a, b = base + s, base + i
+            excess[a] = get(a, 0) + 1
+            excess[b] = get(b, 0) - 1
+    else:
+        rows, cols = p + 1, q + 1
+        for (i, j), (s, t) in g.entangled_edges:
+            base = (i * rows + s) * cols
+            a, b = base + j, base + t
+            excess[a] = get(a, 0) + 1
+            excess[b] = get(b, 0) - 1
     return not any(excess.values())
 
 

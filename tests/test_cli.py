@@ -167,6 +167,66 @@ def test_generate_pe_matching(capsys):
     assert main(["generate", "pe-matching", "--p", "3", "--q", "3", "--pi", "2,3,1"]) == 1
 
 
+# every integer option, with {} where the value goes; each command exits 0
+# with {} as its _PLAIN value, 2 by default
+_INTEGER_OPTIONS = {
+    "generate --p": ["generate", "complete", "--p", "{}", "--q", "2"],
+    "generate --q": ["generate", "star", "--p", "2", "--q", "{}"],
+    "--edge": ["generate", "single-edge", "--p", "2", "--q", "2", "--edge", "1", "1", "{}", "2"],
+    "--separable": ["generate", "random", "--p", "2", "--q", "2", "--separable", "{}"],
+    "--entangled": ["generate", "random", "--p", "2", "--q", "2", "--entangled", "{}"],
+    "generate --seed": ["generate", "random", "--p", "2", "--q", "2", "--separable", "1", "--seed", "{}"],
+    "--theorem": ["verify", "--theorem", "{}", "--p", "2", "--q", "2", "--trials", "1"],
+    "verify --p": ["verify", "--theorem", "1", "--p", "{}", "--q", "2", "--trials", "1"],
+    "verify --q": ["verify", "--theorem", "1", "--p", "2", "--q", "{}", "--trials", "1"],
+    "--trials": ["verify", "--theorem", "1", "--p", "2", "--q", "2", "--trials", "{}"],
+    "verify --seed": ["verify", "--theorem", "1", "--p", "2", "--q", "2", "--trials", "1", "--seed", "{}"],
+    "--pi field 1": ["generate", "pe-matching", "--q", "3", "--pi", "{},3,1"],
+    "--pi field 2": ["generate", "pe-matching", "--q", "3", "--pi", "2,{},1"],
+    "--pi field 3": ["generate", "pe-matching", "--q", "3", "--pi", "3,1,{}"],
+}
+_PLAIN = {"--theorem": "1", "--pi field 1": "2", "--pi field 2": "3", "--pi field 3": "2"}
+
+
+def _fill(option, value):
+    return [arg.replace("{}", value) for arg in _INTEGER_OPTIONS[option]]
+
+
+def _output(args, capsys, dump_dir):
+    """What the command prints, less a suite report's elapsed_ms."""
+    if args[0] == "verify":
+        assert main([*args, "--dump-dir", str(dump_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["elapsed_ms"]
+        return report
+    assert main(args) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", _INTEGER_OPTIONS)
+def test_integer_options_take_the_graph_file_form(tmp_path, capsys, option):
+    # an optional '-', then ASCII digits, as in graph files: leading zeros
+    # give the plain value
+    plain = _PLAIN.get(option, "2")
+    want = _output(_fill(option, plain), capsys, tmp_path / "d")
+    assert _output(_fill(option, "0" + plain), capsys, tmp_path / "d") == want
+
+
+@pytest.mark.parametrize("form", ["+2", "2_0", " 2", "\u0662"], ids=["plus", "underscore", "space", "arabic-indic"])
+@pytest.mark.parametrize("option", _INTEGER_OPTIONS)
+def test_integer_options_refuse_what_graph_files_refuse(capsys, option, form):
+    # int() takes each of these forms, and a graph file refuses each one
+    assert main(_fill(option, form)) == 1
+    assert f"bad integer {form!r}" in capsys.readouterr().err
+
+
+def test_negative_integer_options_reach_their_own_checks(capsys):
+    # '-' is part of the form, so the value's own check answers
+    assert main(["generate", "random", "--p", "2", "--q", "2", "--separable", "1", "--seed", "-3"]) == 0
+    assert main(["generate", "complete", "--p", "-2", "--q", "2"]) == 1
+    assert "grid dims must be positive" in capsys.readouterr().err
+
+
 def test_generate_random_deterministic(capsys):
     args = ["generate", "random", "--p", "3", "--q", "3", "--separable", "2",
             "--entangled", "2", "--seed", "9"]

@@ -24,6 +24,7 @@ from graphsep.graphs import (
     Graph,
     _entangled_count,
     _entangled_edges,
+    _graph_of_pairs,
     _separable_count,
     _separable_edges,
     build_graph,
@@ -41,6 +42,7 @@ from graphsep.graphs import (
     star_graph,
     tensor_product,
 )
+from graphsep.graphfile import parse_graph_text
 from graphsep.harness import SUITE_IDS, run_suite, suite_instance, trial_seed
 from graphsep.report import check_grid_size
 from graphsep.separability import entangled_edge_witness
@@ -305,6 +307,38 @@ def test_tensor_product_known_small_case():
     t = tensor_product(k2, k2)
     assert t.dims == Dims(2, 2)
     assert t.sorted_edges == (((1, 1), (2, 2)), ((1, 2), (2, 1)))
+
+
+def _fresh(i, j):
+    """A new tuple on each call, so no two vertices a test passes in are
+    one object to begin with."""
+    return tuple([i, j])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_graph_text(
+            "dims 3 3\nedge 1 1 2 2\nedge 3 1 2 2\nedge 1 1 1 1\nedge 2 2 2 2\nedge 1 1 3 3\n"
+        ),
+        lambda: Graph(Dims(3, 3), [
+            [_fresh(1, 1), _fresh(2, 2)], [_fresh(2, 2), _fresh(3, 1)],
+            [_fresh(1, 1)], [_fresh(2, 2)], [_fresh(3, 3), _fresh(1, 1)],
+        ]),
+        lambda: _graph_of_pairs(Dims(3, 3), [
+            (_fresh(1, 1), _fresh(2, 2)), (_fresh(2, 2), _fresh(3, 1)), (_fresh(1, 1), _fresh(3, 3)),
+        ]),
+        lambda: complete_graph(Dims(3, 4)),
+        lambda: tensor_product(complete_graph(Dims(2, 2)), star_graph(Dims(2, 3))),
+    ],
+    ids=["parsed", "Graph", "_graph_of_pairs", "complete_graph", "tensor_product"],
+)
+def test_each_vertex_is_held_as_one_tuple(build):
+    # every edge and loop at a vertex shares that vertex's one tuple, so a
+    # graph holds one tuple per distinct vertex, not one per edge end
+    g = build()
+    held = [v for e in g.sorted_edges for v in e] + list(g.loops)
+    assert len({id(v) for v in held}) == len(set(held))
 
 
 def adjacency(g):

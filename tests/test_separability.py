@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations
 from types import MappingProxyType
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graph_edges import edges_of
+import separability_reference
 import graphsep.graphs
 import graphsep.matrix
 import graphsep.report
@@ -775,6 +777,85 @@ def test_every_check_evidence_revalidates_on_its_own(g):
         if cert is not None
     )
     assert r.certificates == (granted if witness is None else ())
+
+
+def _cycle_blocks(rng, dims, count):
+    """Up to count column cycles, each on one random row pair i < s: edges
+    (i, c1)-(s, c2), ..., (i, ck)-(s, c1) give every column of block (i, s)
+    one row entry and one column entry, so the given-order check holds
+    unless two cycles share an edge."""
+    p, q = dims
+    edges = set()
+    if p < 2 or q < 2:
+        return edges
+    for _ in range(count):
+        i, s = sorted(rng.sample(range(1, p + 1), 2))
+        cols = rng.sample(range(1, q + 1), rng.randint(2, q))
+        edges.update(((i, a), (s, b)) for a, b in zip(cols, cols[1:] + cols[:1]))
+    return edges
+
+
+def _thin_grid_graphs(dims, seed):
+    """Graphs on dims whose block checks come out every way: random
+    entangled edges, the same paired with their partial-transpose images,
+    cycle blocks as given and cycle blocks of the q-by-p grid swapped in."""
+    rng = random.Random(seed)
+    p, q = dims
+    pool = entangled_edge_pool(dims) or separable_edge_pool(dims)
+    graphs = [complete_graph(dims), star_graph(dims)]
+    for _ in range(40):
+        chosen = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        paired = {((i, t), (s, j)) for (i, j), (s, t) in chosen if i != s and j != t}
+        swapped = {((j, i), (t, s)) for (i, j), (s, t) in _cycle_blocks(rng, Dims(q, p), 2)}
+        for edges in (
+            chosen,
+            {*chosen, *paired},
+            {*chosen[1:], *paired} or chosen,
+            _cycle_blocks(rng, dims, 2) or chosen,
+            {*_cycle_blocks(rng, dims, 1), *chosen[:1]},
+            swapped or chosen,
+            {*swapped, *chosen[:1]},
+        ):
+            graphs.append(build_graph(dims, [frozenset(e) for e in edges]))
+    return graphs
+
+
+def _shifted_edge_pairs(dims):
+    """Two-edge graphs {(i,a),(s,b)} and {(k,b+d),(l,a+d)} on distinct row
+    pairs i < s and k < l, for each column shift d.  Neither block is line-sum
+    symmetric, but their excesses, +-1 at columns a, b and b+d, a+d, cancel
+    under any packing that gives (i, s, c) and (k, l, c + d) one key, as a
+    base taken from the wrong axis does on a long thin grid."""
+    p, q = dims
+    for (i, s), (k, l) in combinations(combinations(range(1, p + 1), 2), 2):
+        for d in range(2 - q, q - 1):
+            a, b = (1, 2) if d >= 0 else (q - 1, q)
+            yield build_graph(dims, [{(i, a), (s, b)}, {(k, b + d), (l, a + d)}])
+
+
+@pytest.mark.parametrize("p, q", [(2, 9), (9, 2), (3, 12), (12, 3), (1, 7), (7, 1)])
+def test_int_keyed_block_check_matches_tuple_keys_on_thin_grids(p, q):
+    # one int per (row pair, column) on the grid the edge is read on: with a
+    # base taken from the wrong axis, keys of a long thin grid collide
+    dims, seen = Dims(p, q), set()
+    swapped_pairs = (swap_subsystems(g) for g in _shifted_edge_pairs(Dims(q, p)))
+    graphs = chain(_thin_grid_graphs(dims, seed=p * 100 + q), _shifted_edge_pairs(dims), swapped_pairs)
+    for g in graphs:
+        for swapped in (False, True):
+            got = _block_line_sums_match(g, swapped)
+            assert got == separability_reference.block_line_sums_match(g, swapped)
+            seen.add((swapped, got))
+    # every outcome is met in both orders where entangled edges exist
+    want = 4 if min(dims) > 1 else 2
+    assert len(seen) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_grid_graphs_with_loops(), pt_paired_graphs()), st.booleans())
+def test_int_keyed_block_check_matches_tuple_keys(g, swapped):
+    assert _block_line_sums_match(g, swapped) == separability_reference.block_line_sums_match(
+        g, swapped
+    )
 
 
 def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
