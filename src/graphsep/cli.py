@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import GraphSepError, NoConvergenceError
-from .graphfile import _is_decimal, format_graph, parse_graph_file, write_graph_file
+from .graphfile import _decimal, format_graph, parse_graph_file, write_graph_file
 from .graphs import (
     Dims,
     complete_graph,
@@ -123,10 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _integer(text: str) -> int:
     """An integer option's value, in the one form graph files take (see
-    graphfile._is_decimal); any other form is a usage error, exit 1."""
-    if not _is_decimal(text):
+    graphfile._decimal); any other form is a usage error, exit 1."""
+    value = _decimal(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    return int(text)
+    return value
 
 
 def _permutation(text: str) -> tuple[int, ...]:

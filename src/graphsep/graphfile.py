@@ -99,19 +99,26 @@ def _checked_line(raw: str, lineno: int, dims: Dims | None, rows: dict, cols: di
     return i * q + j, s * q + t
 
 
-def _is_decimal(field: str) -> bool:
-    """Whether field is the one integer form graphsep reads, in files and
-    on the command line: an optional leading '-', then ASCII digits.
-    int() alone would also take forms such as '+3', '1_0', ' 3' and digits
-    of other scripts; an ASCII string is isdigit() only when it is made of
-    0-9."""
-    return field.isascii() and field.removeprefix("-").isdigit()
+def _decimal(field: str) -> int | None:
+    """The int that field spells in the one integer form graphsep reads, in
+    files and on the command line: an optional leading '-', then ASCII
+    digits.  None for any other form, and for digits past Python's
+    int-string limit, which int() refuses with ValueError.  int() alone
+    would also take forms such as '+3', '1_0', ' 3' and digits of other
+    scripts; an ASCII string is isdigit() only when it is made of 0-9."""
+    if not (field.isascii() and field.removeprefix("-").isdigit()):
+        return None
+    try:
+        return int(field)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        return None
 
 
 def _parse_int(field: str, lineno: int) -> int:
-    if not _is_decimal(field):
+    value = _decimal(field)
+    if value is None:
         raise GraphFileError(f"bad integer {field!r}", line=lineno)
-    return int(field)
+    return value
 
 
 def parse_graph_file(path) -> Graph:

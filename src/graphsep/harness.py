@@ -286,7 +286,8 @@ def _run_trial(suite: int, g: Graph) -> _Trial:
     ppt = is_psd_integral(pt)
     # float cross-check away from 0: the density's partial transpose plus
     # 1e-11 I is definite if it is PSD, and minus 1e-11 I only if it is
-    density = {k: x / g.degree_sum for k, x in pt.items()}
+    ds = g.degree_sum
+    density = {k: x / ds for k, x in pt.items()}
     if float_definite(density, g.n, 1e-11 if ppt else -1e-11) != ppt:
         return _Trial("eigenvalue-sign-disagrees-with-exact-test")
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):

@@ -396,15 +396,68 @@ def float_definite(entries: Mapping[tuple[int, int], Real], n: int, shift: float
     return True
 
 
+def _twin_quotient(a: list[list[float]], values: list[float]) -> list[list[float]]:
+    """The block a with each class of twin rows merged into one row; the
+    eigenvalues the merging takes out are appended to values.
+
+    Rows u and v are twins when they have equal diagonal d and agree outside
+    their own 2x2 block.  Twinship is an equivalence, and all pairs of one
+    class share the entry t of that block (0 for false twins, as a star's
+    leaves), so a row joins a class when it is a twin of the class's least
+    row.  Each e_u - e_v within a class is an eigenvector for d - t, and the
+    class indicator scaled to unit length spans the rest: a class of k rows
+    becomes one row with diagonal d + (k - 1) t and its entry with a class
+    of k' rows times sqrt(k) sqrt(k') (equitable partitions; Godsil and Royle,
+    Algebraic Graph Theory, ch. 9).  A block without twins is returned as
+    it is.  Each row is compared, as a whole list, with the least row of each
+    class on its diagonal: at most k^3 / 2 float comparisons on k rows, in C,
+    against the k^3 Python float operations of Householder reduction.
+    """
+    by_diagonal = {}  # diagonal entry -> its classes, each a list of rows ascending
+    for u, row in enumerate(a):
+        classes = by_diagonal.setdefault(row[u], [])
+        for c in classes:
+            r = c[0]
+            x, y = row.copy(), a[r].copy()
+            x[u] = x[r] = y[u] = y[r] = 0.0
+            if x == y:
+                c.append(u)
+                break
+        else:
+            classes.append([u])
+    if sum(map(len, by_diagonal.values())) == len(a):
+        return a
+    classes = sorted(c for cs in by_diagonal.values() for c in cs)
+    leads = [c[0] for c in classes]
+    roots = [math.sqrt(len(c)) for c in classes]
+    quotient = []
+    for c, root in zip(classes, roots):
+        row = a[c[0]]
+        merged = [root * other * row[r] for r, other in zip(leads, roots)]
+        if len(c) > 1:
+            d, t = row[c[0]], row[c[1]]
+            values += [d - t] * (len(c) - 1)
+            merged[len(quotient)] = d + (len(c) - 1) * t
+        quotient.append(merged)
+    return quotient
+
+
 def eigenvalues_sym(entries: Mapping[tuple[int, int], Real], n: int) -> list[float]:
     """All n eigenvalues, ascending, of the symmetric n-by-n matrix whose
     nonzero entries are given by 0-based (row, column).
 
     The matrix is the direct sum of its blocks on the connected components
-    of its nonzero pattern, so Householder reduction and QL run on each
-    block's floats on its own and an empty row contributes exactly 0.0.
+    of its nonzero pattern, so each block's floats are solved on their own
+    and an empty row contributes exactly 0.0.  The twin rows of a block of
+    three or more rows are deflated exactly first (_twin_quotient).  What
+    is left is its own eigenvalue when it has one row, and otherwise goes to
+    Householder reduction and QL.
     """
     _check_entries(entries, n)
     blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
-    zeros = [0.0] * (n - sum(map(len, blocks)))
-    return sorted(zeros + [x for a in blocks for x in _ql(*_tridiagonal(a))])
+    values = [0.0] * (n - sum(map(len, blocks)))
+    for a in blocks:
+        if len(a) > 2:  # QL solves two rows faster than they are searched for twins
+            a = _twin_quotient(a, values)
+        values += [a[0][0]] if len(a) == 1 else _ql(*_tridiagonal(a))
+    return sorted(values)

@@ -220,6 +220,18 @@ def test_integer_options_refuse_what_graph_files_refuse(capsys, option, form):
     assert f"bad integer {form!r}" in capsys.readouterr().err
 
 
+def test_integers_past_the_int_string_limit_are_bad_input(tmp_path, capsys):
+    # more digits than int() reads by default: bad input, exit 1, from an
+    # option and from a graph file alike, never an internal error
+    long = "9" * 5000
+    assert main(["generate", "complete", "--p", "2", "--q", long]) == 1
+    assert f"bad integer '{long}'" in capsys.readouterr().err
+    path = tmp_path / "long.graph"
+    path.write_text(f"dims 2 {long}\nedge 1 1 2 2\n")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: bad integer")
+
+
 def test_negative_integer_options_reach_their_own_checks(capsys):
     # '-' is part of the form, so the value's own check answers
     assert main(["generate", "random", "--p", "2", "--q", "2", "--separable", "1", "--seed", "-3"]) == 0

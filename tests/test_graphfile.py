@@ -129,6 +129,19 @@ def test_bad_integer():
     assert exc.value.line == 2
 
 
+def test_integer_past_the_int_string_limit_is_a_bad_integer():
+    # int() refuses more digits than sys.get_int_max_str_digits() (4300 by
+    # default) with ValueError; the parser reports a bad integer on its line
+    long = "9" * 5000
+    for text, line in (
+        (f"dims 2 {long}\nedge 1 1 2 2\n", 1),
+        (f"dims 2 2\nedge 1 1 2 2\nedge 1 -{long} 2 2\n", 3),
+    ):
+        with pytest.raises(GraphFileError, match="bad integer") as exc:
+            parse_graph_text(text)
+        assert exc.value.line == line
+
+
 def test_nonpositive_dims():
     with pytest.raises(GraphFileError, match="positive"):
         parse_graph_text("dims 0 2\nedge 1 1 1 2\n")

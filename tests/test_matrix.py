@@ -32,6 +32,7 @@ from graphsep.matrix import (
     partial_transpose,
     partial_transpose_entries,
 )
+from graphsep.report import analyze, spectrum
 
 
 def sym_ints(n, lo=-4, hi=4):
@@ -610,8 +611,11 @@ def test_eigenvalues_small_cases():
 def sparse_block_sym(draw):
     """Sparse symmetric int/Fraction entries of a direct sum of random blocks
     (1-by-1 and empty rows included), relabelled by a random permutation.
-    A block is arbitrary, a scaled identity, rank one, or a scaled identity
-    plus rank one; the last three have highly degenerate spectra."""
+    A block is arbitrary, a scaled identity, rank one, a scaled identity
+    plus rank one, or planted twins; the last four have highly degenerate
+    spectra.  Planted twins are classes of 2-6 rows, each agreeing outside
+    its own 2x2 blocks, false (entry 0 within the class) or true, among
+    single rows, all scaled by one fraction."""
     value = st.one_of(
         st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
     )
@@ -622,8 +626,23 @@ def sparse_block_sym(draw):
     entries = {}
     start = 0
     for k in sizes:
-        kind = draw(st.sampled_from(["arbitrary", "identity", "rank-one", "both"]))
-        if kind == "arbitrary":
+        kind = draw(st.sampled_from(["arbitrary", "identity", "rank-one", "both", "twins"]))
+        if kind == "twins":
+            of, m = [], 0  # the class of each row, and the number of classes
+            while len(of) < k:
+                of += [m] * draw(st.integers(1, min(6, k - len(of))))
+                m += 1
+            diagonal = [draw(value) for _ in range(m)]
+            within = [draw(value) if draw(st.booleans()) else 0 for _ in range(m)]
+            between = {(a, b): draw(value) for a in range(m) for b in range(a + 1, m)}
+            scale = draw(st.fractions(-4, 4, max_denominator=20).filter(bool))
+            block = {}
+            for r in range(k):
+                for c in range(r, k):
+                    a, b = of[r], of[c]
+                    x = diagonal[a] if r == c else within[a] if a == b else between[a, b]
+                    block[r, c] = scale * x
+        elif kind == "arbitrary":
             block = {}
             for r in range(k):
                 for c in range(r, k):
@@ -762,6 +781,26 @@ def test_ql_iteration_cap_raises(monkeypatch):
     assert eigenvalues_sym({(0, 0): 3, (1, 1): -2}, 3) == [-2.0, 0.0, 3.0]
     with pytest.raises(NoConvergenceError, match="QL stopped after 0 iterations"):
         eigenvalues_sym(entries, 3)
+
+
+def test_twin_deflation_keeps_householder_blocks_small(monkeypatch):
+    # A complete graph's Laplacian is one class of true twins; a star's is its
+    # hub and one class of false twins, and its partial transpose's block the
+    # hub and two.  Without deflation _tridiagonal gets 256 and 15 rows here.
+    orders = []
+    tridiagonal = graphsep.matrix._tridiagonal
+
+    def recording(a):
+        orders.append(len(a))
+        return tridiagonal(a)
+
+    monkeypatch.setattr(graphsep.matrix, "_tridiagonal", recording)
+    complete = spectrum(complete_graph(Dims(16, 16)))
+    spectrum(star_graph(Dims(16, 16)))
+    analyze(star_graph(Dims(8, 8)))
+    assert orders and max(orders) <= 3
+    # degree_sum 65280, and the Laplacian's eigenvalues 0 once and 256
+    assert complete["density"] == pytest.approx([0.0] + [1 / 255] * 255, abs=1e-15)
 
 
 @settings(max_examples=40)

@@ -40,6 +40,32 @@ certificates: none
         ' "degree_criterion": {"holds": false, "violating_row": 3, "row_sum": "-1"},'
         ' "certificates": []}',
     ),
+    # the least eigenvalue of a partial transpose with twin rows: the star's
+    # row-1 and column-1 leaves form two classes of false twins
+    "star-3x3": (
+        "dims 3 3\nedge 1 1 1 2\nedge 1 1 1 3\nedge 1 1 2 1\nedge 1 1 2 2\n"
+        "edge 1 1 2 3\nedge 1 1 3 1\nedge 1 1 3 2\nedge 1 1 3 3\n",
+        """\
+verdict: entangled
+witness: degree change at row 7, sum -2
+dims: 3x3 (9 vertices)
+edges: 8 (loops: 0)
+edge classes: entangled=4 separable-same-column=2 separable-same-row=2
+degree sum: 16
+purity: 11/32
+partial transpose positive: no (min eigenvalue about -0.0890268)
+degrees preserved: no (row 7 sum -2)
+certificates: none
+""",
+        '{"verdict": "entangled", "certificate": null,'
+        ' "witness": {"kind": "degree-criterion", "row": 7, "row_sum": "-2"},'
+        ' "dims": [3, 3], "vertices": 9, "edges": 8, "loops": 0, "degree_sum": 16,'
+        ' "edge_classes": {"separable-same-row": 2, "separable-same-column": 2,'
+        ' "entangled": 4, "loop": 0}, "purity": "11/32",'
+        ' "ppt": {"holds": false, "min_eigenvalue_estimate": -0.0890268063061},'
+        ' "degree_criterion": {"holds": false, "violating_row": 7, "row_sum": "-2"},'
+        ' "certificates": []}',
+    ),
     "all-separable": (
         "dims 2 2\nedge 1 1 1 2\n",
         """\
