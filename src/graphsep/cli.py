@@ -1,14 +1,16 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad input or parameters, 2 internal error
-(numerical non-convergence included), 3 verification suite reported
-failures.
+Exit codes: 0 success, 1 bad input or parameters (a closed stdout
+included), 2 internal error (numerical non-convergence included), 3
+verification suite reported failures.  A message past _ECHO_LIMIT
+characters is printed with its middle cut out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import GraphSepError, NoConvergenceError
@@ -32,9 +34,28 @@ from .report import (
     spectrum_lines,
 )
 
+_ECHO_LIMIT = 240
+
+
+def _shortened(message: str) -> str:
+    """message, or past _ECHO_LIMIT characters its first and last 100 with
+    the number of characters cut from between them: a refused field is not
+    echoed whole, and the rule that refused it, at the end, stays."""
+    if len(message) <= _ECHO_LIMIT:
+        return message
+    return f"{message[:100]}...[{len(message) - 200} characters cut]...{message[-100:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subcommands' too, are
+    _shortened."""
+
+    def error(self, message):
+        super().error(_shortened(message))
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphsep",
         description="Classify graph density matrices as separable or entangled.",
     )
@@ -184,16 +205,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's signal docs advise for SIGPIPE: the flush at exit
+        # goes to devnull, so it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NoConvergenceError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(_shortened(f"internal error: {exc}"), file=sys.stderr)
         return 2
     except GraphSepError as exc:
         location = f"line {exc.line}: " if exc.line is not None else ""
-        print(f"error: {location}{exc}", file=sys.stderr)
+        print(_shortened(f"error: {location}{exc}"), file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(_shortened(f"internal error: {str(exc) or type(exc).__name__}"), file=sys.stderr)
         return 2
 
 

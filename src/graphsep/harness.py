@@ -285,10 +285,10 @@ def _run_trial(suite: int, g: Graph) -> _Trial:
         return _Trial("laplacian-not-psd")
     ppt = is_psd_integral(pt)
     # float cross-check away from 0: the density's partial transpose plus
-    # 1e-11 I is definite if it is PSD, and minus 1e-11 I only if it is
-    ds = g.degree_sum
-    density = {k: x / ds for k, x in pt.items()}
-    if float_definite(density, g.n, 1e-11 if ppt else -1e-11) != ppt:
+    # 1e-11 I is definite if it is PSD, and minus 1e-11 I only if it is;
+    # asked of degree_sum times both, L^Gamma +- 1e-11 degree_sum I
+    shift = 1e-11 * g.degree_sum
+    if float_definite(pt, g.n, shift if ppt else -shift) != ppt:
         return _Trial("eigenvalue-sign-disagrees-with-exact-test")
     if not ppt and (all_separable_certificate(g) or block_lss_certificate(g)):
         return _Trial("certificate-granted-despite-negative-partial-transpose")

@@ -200,7 +200,8 @@ def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[l
     """The square block, rows ascending, of each connected component of the
     nonzero pattern of a checked symmetric matrix, in order of least row,
     filled from each row's nonzero entries with zero elsewhere; a row with
-    no nonzero entry is in none."""
+    no nonzero entry is in none.  Entry x is stored as zero + x: x for 0,
+    float(x) for 0.0, but 0.0 for a Fraction that float() makes -0.0."""
     adjacent = {}  # row -> {column: nonzero entry}
     for (r, c), x in entries.items():
         if x:
@@ -224,7 +225,7 @@ def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[l
         for r in rows:
             row = [zero] * len(rows)
             for c, x in adjacent[r].items():
-                row[where[c]] = x
+                row[where[c]] = zero + x
             block.append(row)
         blocks.append(block)
     return blocks
@@ -379,7 +380,7 @@ def float_definite(entries: Mapping[tuple[int, int], Real], n: int, shift: float
     pivot shift itself.  Cholesky's backward error is of order n*u*|A|
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10)."""
     _check_entries(entries, n)
-    blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
+    blocks = _dense_blocks(entries, 0.0)
     if not shift > 0.0 and sum(map(len, blocks)) < n:
         return False
     for a in blocks:
@@ -454,7 +455,7 @@ def eigenvalues_sym(entries: Mapping[tuple[int, int], Real], n: int) -> list[flo
     Householder reduction and QL.
     """
     _check_entries(entries, n)
-    blocks = _dense_blocks({k: float(x) for k, x in entries.items()}, 0.0)
+    blocks = _dense_blocks(entries, 0.0)
     values = [0.0] * (n - sum(map(len, blocks)))
     for a in blocks:
         if len(a) > 2:  # QL solves two rows faster than they are searched for twins

@@ -84,24 +84,10 @@ class DegreeCriterionWitness(NamedTuple):
         return {"kind": self.kind, "row": self.row, "row_sum": exact_str(self.row_sum)}
 
 
-def _pt_row_sums(g: Graph) -> dict[int, int]:
-    """Nonzero row sums of the partially transposed Laplacian by 1-based row."""
-    q = g.dims.q
-    sums = {}  # a plain dict: Counter calls __missing__ for every new row
-    get = sums.get
-    for (i, j), (s, t) in g.entangled_edges:  # other edges' four updates cancel
-        a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
-        sums[a + j] = get(a + j, 0) + 1
-        sums[b + t] = get(b + t, 0) + 1
-        sums[a + t] = get(a + t, 0) - 1
-        sums[b + j] = get(b + j, 0) - 1
-    return {row: x for row, x in sums.items() if x}
-
-
 def _pt_row_sum(g: Graph, row: int) -> int:
     """Sum of one 1-based row of the partially transposed Laplacian, over the
-    entangled edges alone, as in _pt_row_sums; a row outside the grid sums
-    to zero."""
+    entangled edges alone, as in degree_criterion; a row outside the grid
+    sums to zero."""
     q = g.dims.q
     total = 0
     for (i, j), (s, t) in g.entangled_edges:
@@ -113,7 +99,16 @@ def _pt_row_sum(g: Graph, row: int) -> int:
 def degree_criterion(g: Graph) -> DegreeCriterionWitness | None:
     """Witness that the partial transpose changes a vertex degree, or None
     when every degree is preserved."""
-    negative = [(row, x) for row, x in _pt_row_sums(g).items() if x < 0]
+    q = g.dims.q
+    sums = {}  # 1-based row -> sum; a plain dict: Counter calls __missing__ per new row
+    get = sums.get
+    for (i, j), (s, t) in g.entangled_edges:  # other edges' four updates cancel
+        a, b = (i - 1) * q, (s - 1) * q  # 1-based linear_index, inlined for speed
+        sums[a + j] = get(a + j, 0) + 1
+        sums[b + t] = get(b + t, 0) + 1
+        sums[a + t] = get(a + t, 0) - 1
+        sums[b + j] = get(b + j, 0) - 1
+    negative = [(row, x) for row, x in sums.items() if x < 0]
     return DegreeCriterionWitness(*max(negative)) if negative else None
 
 

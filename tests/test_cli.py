@@ -222,14 +222,56 @@ def test_integer_options_refuse_what_graph_files_refuse(capsys, option, form):
 
 def test_integers_past_the_int_string_limit_are_bad_input(tmp_path, capsys):
     # more digits than int() reads by default: bad input, exit 1, from an
-    # option and from a graph file alike, never an internal error
+    # option and from a graph file alike, never an internal error; the
+    # field is echoed with its middle cut out
     long = "9" * 5000
     assert main(["generate", "complete", "--p", "2", "--q", long]) == 1
-    assert f"bad integer '{long}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad integer '999" in err and "characters cut" in err and long not in err
+    assert max(map(len, err.splitlines())) <= 300
     path = tmp_path / "long.graph"
     path.write_text(f"dims 2 {long}\nedge 1 1 2 2\n")
     assert main(["analyze", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 1: bad integer")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: bad integer") and long not in err
+    assert max(map(len, err.splitlines())) <= 300
+
+
+LONG = "9" * 4000  # within int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "text, args, start, rule",
+    [
+        (f"dims 2 {LONG}\nedge 1 1 2 2\n", None, "error: 2x999", "reports stop at 1024"),
+        (f"dims 2 2\nedge 2 {LONG} 1 1\n", None, "error: line 2: vertex (2,999", "outside 2x2 grid"),
+        (f"dims 2 2\n{'k' * 5000} 1 1 2 2\n", None, "error: line 2: unknown keyword 'kkk", "kkk'"),
+        (None, ["generate", "complete", "--p", "2", "--q", LONG], "error: 2x999",
+         "generate complete stops at 1024"),
+        (None, ["analyze", "g.graph", "--format", "k" * 5000], "usage: graphsep analyze",
+         "(choose from"),
+    ],
+    ids=["dims-past-the-bound", "vertex-off-the-grid", "keyword", "generate-past-the-bound",
+         "format-choice"],
+)
+def test_over_long_fields_are_echoed_shortened(tmp_path, capsys, text, args, start, rule):
+    # the message keeps its start and the rule that refused, and says how
+    # many characters it left out
+    if args is None:
+        path = tmp_path / "long.graph"
+        path.write_text(text)
+        args = ["analyze", str(path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and rule in err[-120:]
+    assert "characters cut" in err
+    assert max(map(len, err.splitlines())) <= 300
+
+
+def test_short_messages_are_printed_whole():
+    for n in (0, 1, 239, 240):
+        assert graphsep.cli._shortened("x" * n) == "x" * n
+    assert graphsep.cli._shortened("x" * 241) == "x" * 100 + "...[41 characters cut]..." + "x" * 100
 
 
 def test_negative_integer_options_reach_their_own_checks(capsys):
@@ -469,3 +511,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "dims 2 2"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "{graph}"],
+        ["analyze", "{graph}", "--format", "json", "--spectrum"],
+        ["spectrum", "{graph}"],
+        ["verify", "--theorem", "1", "--p", "3", "--q", "3", "--trials", "2", "--dump-dir", "{dump}"],
+        ["generate", "complete", "--p", "3", "--q", "3"],
+    ],
+    ids=["analyze", "analyze-json-spectrum", "spectrum", "verify", "generate"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_bad_output_not_an_internal_error(tmp_path, args, unbuffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE, at a print when stdout is unbuffered
+    # and at a flush otherwise: exit 1, and nothing on stderr, not even from
+    # the interpreter's flush at exit
+    graph = tmp_path / "star.graph"
+    write_graph_file(graph, star_graph(Dims(3, 3)))
+    args = [a.format(graph=graph, dump=tmp_path / "dump") for a in args]
+    src = str(Path(graphsep.report.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphsep.cli", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -140,6 +140,7 @@ def test_integer_past_the_int_string_limit_is_a_bad_integer():
         with pytest.raises(GraphFileError, match="bad integer") as exc:
             parse_graph_text(text)
         assert exc.value.line == line
+        assert long in str(exc.value)  # the command line shortens it, not the library
 
 
 def test_nonpositive_dims():

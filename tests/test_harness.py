@@ -367,11 +367,32 @@ def test_suite0_shifted_cholesky_matches_the_least_eigenvalue():
         least = density_eigenvalues(pt, g)[0]
         density = {k: x / g.degree_sum for k, x in pt.items()}
         definite = {s: float_definite(density, g.n, s) for s in (1e-11, -1e-11)}
+        # suite 0 asks it of the integer map, the shift times degree_sum
+        scaled = {s: float_definite(pt, g.n, s * g.degree_sum) for s in (1e-11, -1e-11)}
+        assert scaled == definite, format_graph(g)
         old = abs(least) > 1e-11 and (least < 0) == ppt
         assert (definite[1e-11 if ppt else -1e-11] != ppt) == old, format_graph(g)
         assert definite == {1e-11: ppt, -1e-11: False}, format_graph(g)
         ppt_count[ppt] += 1
     assert ppt_count[True] >= 15 and ppt_count[False] >= 40, ppt_count
+
+
+def test_suite0_asks_its_float_question_of_the_integer_map(monkeypatch):
+    # suite 0 hands float_definite the integer partial transpose and the
+    # shift 1e-11 times degree_sum, its trace: no density map is built
+    calls = []
+
+    def spy(entries, n, shift):
+        calls.append((entries, shift))
+        return float_definite(entries, n, shift)
+
+    monkeypatch.setattr(graphsep.harness, "float_definite", spy)
+    assert run_suite(0, (3, 3), 10, 1).ok
+    assert len(calls) == 10
+    for entries, shift in calls:
+        assert all(type(x) is int for x in entries.values())
+        trace = sum(x for (r, c), x in entries.items() if r == c)
+        assert abs(shift) == 1e-11 * trace
 
 
 def test_suite7_fails_when_revalidation_fails(monkeypatch):

@@ -679,6 +679,8 @@ def test_eigenvalues_match_numpy(case):
     for (r, c), x in entries.items():
         dense[r, c] = float(x)
     got = eigenvalues_sym(entries, n)
+    # exact entries are read as floats, bit for bit
+    assert eigenvalues_sym({k: float(x) for k, x in entries.items()}, n) == got
     assert len(got) == n
     assert got == sorted(got)
     assert got == pytest.approx(sorted(np.linalg.eigvalsh(dense)), abs=1e-9)

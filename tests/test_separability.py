@@ -47,7 +47,6 @@ from graphsep.separability import (
     Verdict,
     _block_line_sums_match,
     _pt_row_sum,
-    _pt_row_sums,
     all_separable_certificate,
     block_lss_certificate,
     degree_criterion,
@@ -964,10 +963,14 @@ def test_product_revalidation_over_a_common_denominator(g, data):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(random_grid_graphs_with_loops(), pt_paired_graphs()))
 def test_degree_witness_row_sum_matches_every_row_sum(g):
-    # revalidate sums the witness's own row; degree_criterion reads every
-    # row's sum from _pt_row_sums, so each checks the other at every row
-    sums = _pt_row_sums(g)
-    assert 0 not in sums and g.n + 1 not in sums
+    # revalidate sums the witness's own row over the entangled edges; the
+    # reference sums every row of the partial transpose built by the
+    # generic index rule, and degree_criterion names its last negative row
+    sums = {}
+    for (r, c), x in pt_laplacian_entries(g).items():
+        sums[r + 1] = sums.get(r + 1, 0) + x
+    negative = [(row, x) for row, x in sums.items() if x < 0]
+    assert degree_criterion(g) == (DegreeCriterionWitness(*max(negative)) if negative else None)
     for row in range(g.n + 2):
         x = sums.get(row, 0)
         assert _pt_row_sum(g, row) == x
