@@ -99,7 +99,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     report's counts and float estimates."""
     check_grid_size(g.dims, "reports stop")
     entangled = len(g.entangled_edges)
-    same_row = sum(u[0] == v[0] for u, v in g.sorted_edges)
+    same_row = len([0 for (i, _), (s, _) in g.sorted_edges if i == s])
     counts = {
         EdgeClass.SAME_ROW.value: same_row,
         EdgeClass.SAME_COLUMN.value: len(g.sorted_edges) - entangled - same_row,

@@ -417,23 +417,38 @@ class Verdict(NamedTuple):
 
 
 def verdict(g: Graph) -> Verdict:
-    """Classify a graph state: the degree check, then the all-separable
-    product construction, then block line-sum symmetry.  Each check runs
-    only when the one before it decided nothing.
+    """Classify a graph state: the all-separable product construction when
+    no edge is entangled, then block line-sum symmetry as given, then the
+    degree check, then block line-sum symmetry with the subsystems swapped.
+    Each check runs only when the ones before it decided nothing.
 
     A changed degree is an entanglement witness.  Preserved degrees already
     make the partial transpose positive, since it is then the Laplacian of
     another graph (Braunstein, Ghosh and Severini, PRA 73, 2006; Hildebrand,
-    Mancini and Severini, MSCS 18, 2008), so only then are the certificates
-    tried.  Anything neither of them certifies is reported unknown.
+    Mancini and Severini, MSCS 18, 2008).  Anything no certificate covers is
+    reported unknown.
+
+    The certificates may come first because each implies preserved degrees.
+    With i < s, an entangled edge {(i,j),(s,t)} adds +1 to the given-order
+    excess (i, s, j) and -1 to (i, s, t), so the partial transpose's row
+    sum at vertex (r, c) is the sum over s > r of excess (r, s, c) less the
+    sum over i < r of excess (i, r, c): all zero when the blocks match.
+    Swapped, each row sum is the same number read at vertex (c, r) of the
+    q-by-p grid, and with no entangled edge every row sum is zero.  So the
+    order changes no verdict and no evidence: a certified graph skips the
+    degree pass, and a degree-violating one pays one failed given-order
+    block pass before it.
     """
+    if not g.entangled_edges:
+        return Verdict(Status.SEPARABLE, certificate=all_separable_certificate(g))
+    if _block_line_sums_match(g, False):
+        return Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric(False))
     witness = degree_criterion(g)
     if witness is not None:
         return Verdict(Status.ENTANGLED, witness=witness)
-    cert = all_separable_certificate(g) or block_lss_certificate(g)
-    if cert is None:
-        return Verdict(Status.UNKNOWN)
-    return Verdict(Status.SEPARABLE, certificate=cert)
+    if _block_line_sums_match(g, True):
+        return Verdict(Status.SEPARABLE, certificate=BlockLineSumSymmetric(True))
+    return Verdict(Status.UNKNOWN)
 
 
 # The evidence each decided status may carry, compared by exact type, so a

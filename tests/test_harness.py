@@ -328,10 +328,12 @@ def test_suite0_decides_every_two_column_grid(dims):
 def test_suite0_fails_unknown_on_two_column_grid(monkeypatch):
     # with the block check held to the subsystem order as given, some 4x2
     # graphs go unknown, and suite 0 reports each of them
-    def as_given(g):
-        return BlockLineSumSymmetric() if _block_line_sums_match(g, False) else None
-
-    monkeypatch.setattr(graphsep.separability, "block_lss_certificate", as_given)
+    real = _block_line_sums_match
+    monkeypatch.setattr(
+        graphsep.separability,
+        "_block_line_sums_match",
+        lambda g, swapped: not swapped and real(g, False),
+    )
     report = run_suite(0, (4, 2), 300, 1)
     assert report.unknown_count == 3
     assert [f.reason for f in report.failures] == ["small-grid-verdict-unknown"] * 3

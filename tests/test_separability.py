@@ -857,6 +857,49 @@ def test_int_keyed_block_check_matches_tuple_keys(g, swapped):
     )
 
 
+def _verdict_order_graphs():
+    """Every nonempty subset of the entangled-edge pool on 2x3, 3x2, 2x4 and
+    4x2, then seeded graphs with separable edges on larger and one-line
+    grids: random entangled edges, the same with their partial-transpose
+    images, and cycle blocks as given and swapped in."""
+    for dims in (Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2)):
+        pool = entangled_edge_pool(dims)
+        for mask in range(1, 1 << len(pool)):
+            yield build_graph(dims, [frozenset(e) for k, e in enumerate(pool) if mask >> k & 1])
+    yield build_graph(Dims(3, 3), UNKNOWN_EDGES)
+    for p, q in [(3, 3), (3, 4), (4, 4), (2, 6), (5, 5), (1, 4), (4, 1)]:
+        dims, rng = Dims(p, q), random.Random(p * 100 + q)
+        pool, separable = entangled_edge_pool(dims), separable_edge_pool(dims)
+        for _ in range(25):
+            chosen = rng.sample(pool, rng.randint(0, min(6, len(pool))))
+            paired = {((i, t), (s, j)) for (i, j), (s, t) in chosen}
+            swapped = {((j, i), (t, s)) for (i, j), (s, t) in _cycle_blocks(rng, Dims(q, p), 2)}
+            extra = rng.sample(separable, rng.randint(1, min(3, len(separable))))
+            for edges in (chosen, {*chosen, *paired}, _cycle_blocks(rng, dims, 2), swapped):
+                yield build_graph(dims, [frozenset(e) for e in {*edges, *extra}])
+
+
+def test_certificates_imply_preserved_degrees_so_verdict_order_is_free():
+    # a given-order or swapped block certificate forces every row sum of the
+    # partial transpose to 0, so verdict may try it before the degree check
+    # and still return what the degree-first order returns
+    seen = set()
+    for g in _verdict_order_graphs():
+        for swapped in (False, True):
+            if _block_line_sums_match(g, swapped):
+                assert degree_criterion(g) is None, (g, swapped)
+        v = verdict(g)
+        assert v == separability_reference.verdict_degree_first(g), g
+        seen.add((v.status, v.certificate and v.certificate.label))
+    assert seen == {
+        (Status.ENTANGLED, None),
+        (Status.UNKNOWN, None),
+        (Status.SEPARABLE, ProductDecomposition.kind),
+        (Status.SEPARABLE, BlockLineSumSymmetric(False).label),
+        (Status.SEPARABLE, BlockLineSumSymmetric(True).label),
+    }
+
+
 def test_analyze_takes_no_certificate_when_degrees_change(monkeypatch):
     def granted(g):
         raise AssertionError("certificates asked for")
