@@ -196,19 +196,18 @@ def partial_transpose(mat: SymMatrix, dims) -> SymMatrix:
     return SparseSymMatrix(n, partial_transpose_entries(mat.entries, dims)).dense()
 
 
-def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[list[list]]:
-    """The square block, rows ascending, of each connected component of the
-    nonzero pattern of a checked symmetric matrix, in order of least row,
-    filled from each row's nonzero entries with zero elsewhere; a row with
-    no nonzero entry is in none.  Entry x is stored as zero + x: x for 0,
-    float(x) for 0.0, but 0.0 for a Fraction that float() makes -0.0."""
-    adjacent = {}  # row -> {column: nonzero entry}
-    for (r, c), x in entries.items():
-        if x:
-            adjacent.setdefault(r, {})[c] = x
+def _component_blocks(
+    adjacent: dict[int, dict], starts: list[int], zero: Real
+) -> list[list[list]]:
+    """The square block, rows ascending, of each connected component of a
+    symmetric pattern, given as row -> {column: nonzero entry}, that holds a
+    row of starts, in order of the first such row; each block is filled
+    from its rows' entries with zero elsewhere.  Entry x is stored as
+    zero + x: x for 0, float(x) for 0.0, but 0.0 for a Fraction that
+    float() makes -0.0."""
     blocks = []
     where = {}  # row -> its index in its block; every row the walks reached
-    for start in sorted(adjacent):  # the least row of a component not yet walked
+    for start in starts:
         if start in where:
             continue
         where[start] = 0
@@ -229,6 +228,17 @@ def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[l
             block.append(row)
         blocks.append(block)
     return blocks
+
+
+def _dense_blocks(entries: Mapping[tuple[int, int], Real], zero: Real) -> list[list[list]]:
+    """The blocks of every connected component of the nonzero pattern of a
+    checked symmetric matrix, in order of least row, as _component_blocks
+    fills them; a row with no nonzero entry is in none."""
+    adjacent = {}
+    for (r, c), x in entries.items():
+        if x:
+            adjacent.setdefault(r, {})[c] = x
+    return _component_blocks(adjacent, sorted(adjacent), zero)
 
 
 def _bareiss_psd(a: list[list[Entry]]) -> bool:
@@ -443,22 +453,29 @@ def _twin_quotient(a: list[list[float]], values: list[float]) -> list[list[float
     return quotient
 
 
+def _block_eigenvalues(a: list[list[float]], values: list[float]) -> None:
+    """Append the eigenvalues of one dense symmetric float block to values.
+
+    The twin rows of a block of three or more rows are deflated exactly
+    first (_twin_quotient).  What is left is its own eigenvalue when it has
+    one row, and otherwise goes to Householder reduction and QL.
+    """
+    if len(a) > 2:  # QL solves two rows faster than they are searched for twins
+        a = _twin_quotient(a, values)
+    values += [a[0][0]] if len(a) == 1 else _ql(*_tridiagonal(a))
+
+
 def eigenvalues_sym(entries: Mapping[tuple[int, int], Real], n: int) -> list[float]:
     """All n eigenvalues, ascending, of the symmetric n-by-n matrix whose
     nonzero entries are given by 0-based (row, column).
 
     The matrix is the direct sum of its blocks on the connected components
     of its nonzero pattern, so each block's floats are solved on their own
-    and an empty row contributes exactly 0.0.  The twin rows of a block of
-    three or more rows are deflated exactly first (_twin_quotient).  What
-    is left is its own eigenvalue when it has one row, and otherwise goes to
-    Householder reduction and QL.
+    (_block_eigenvalues) and an empty row contributes exactly 0.0.
     """
     _check_entries(entries, n)
     blocks = _dense_blocks(entries, 0.0)
     values = [0.0] * (n - sum(map(len, blocks)))
     for a in blocks:
-        if len(a) > 2:  # QL solves two rows faster than they are searched for twins
-            a = _twin_quotient(a, values)
-        values += [a[0][0]] if len(a) == 1 else _ql(*_tridiagonal(a))
+        _block_eigenvalues(a, values)
     return sorted(values)

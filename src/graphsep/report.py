@@ -3,7 +3,9 @@
 The float eigenvalue estimates of a report are computed here, next to the
 exact checks; no verdict depends on them.  They come from the nonzero
 entries of the Laplacian and of its partial transpose, so no n-by-n matrix
-is built.
+is built.  The least eigenvalue that every report prints is solved only on
+the components of the partial transpose that hold a negative row sum; the
+spectrum, asked for, solves every component.
 """
 
 from __future__ import annotations
@@ -15,11 +17,17 @@ from typing import NamedTuple
 
 from .errors import BadDimsError
 from .graphs import Dims, EdgeClass, Graph, checked_dims, laplacian_entries
-from .matrix import eigenvalues_sym, exact_str, float12, partial_transpose_entries
+from .matrix import (
+    _block_eigenvalues,
+    _component_blocks,
+    eigenvalues_sym,
+    exact_str,
+    float12,
+    partial_transpose_entries,
+)
 from .separability import (
     Status,
     Verdict,
-    pt_laplacian_entries,
     revalidate,
     verdict,
     verdict_to_json_dict,
@@ -48,6 +56,42 @@ def density_eigenvalues(entries: dict, g: Graph) -> list[float]:
     """
     ds = g.degree_sum
     return eigenvalues_sym({k: x / ds for k, x in entries.items()}, g.n)
+
+
+def _least_pt_eigenvalue(g: Graph) -> float:
+    """density_eigenvalues(pt_laplacian_entries(g), g)[0] of a graph whose
+    partial transpose has a negative row sum, solving only the blocks that
+    hold one.
+
+    The partial transpose has the degrees on its diagonal and -1 where each
+    edge moves to, so it is a Z-matrix, and a block whose row sums are all >= 0
+    is PSD by Gershgorin (is_psd_integral's rule 1): the least eigenvalue,
+    negative, lies in a block with a negative row sum.  Each reached block
+    has the entries, row order and solver of eigenvalues_sym, so the float
+    is the same.
+    """
+    q, ds = g.dims.q, g.degree_sum
+    off = -1 / ds
+    degrees = {}  # row -> degree, the partial transpose's diagonal
+    get = degrees.get
+    adjacent = {}  # row -> {column: entry}: the moved edges, then the diagonal
+    for (i, j), (s, t) in g.sorted_edges:
+        r, c = (i - 1) * q + j - 1, (s - 1) * q + t - 1
+        degrees[r] = get(r, 0) + 1
+        degrees[c] = get(c, 0) + 1
+        a, b = r - j + t, c - t + j  # {(i,j),(s,t)} moves to ((i,t),(s,j))
+        adjacent.setdefault(a, {})[b] = off
+        adjacent.setdefault(b, {})[a] = off
+    # a row's sum is its degree less its -1s; a row with a degree and no -1
+    # is a 1-by-1 block of positive sum, so no walk needs its diagonal
+    starts = [r for r, row in adjacent.items() if get(r, 0) < len(row)]
+    for r, row in adjacent.items():
+        if r in degrees:
+            row[r] = degrees[r] / ds
+    values = []
+    for a in _component_blocks(adjacent, starts, 0.0):
+        _block_eigenvalues(a, values)
+    return min(values)
 
 
 def spectrum(g: Graph) -> dict[str, list[float]]:
@@ -113,7 +157,7 @@ def analyze(g: Graph, include_spectrum: bool = False) -> AnalysisReport:
     if v.witness is None:  # the partial transpose is a graph Laplacian: least eigenvalue 0
         least = 0.0
     elif spec is None:
-        least = density_eigenvalues(pt_laplacian_entries(g), g)[0]
+        least = _least_pt_eigenvalue(g)
     else:
         least = spec["partial_transpose"][0]
     certificates = () if v.certificate is None else v.certificate.passes

@@ -158,8 +158,10 @@ def witness_value(g: Graph, x: Sequence) -> Fraction:
 
 def _matrix_strings(mat: SparseSymMatrix) -> list[list[str]]:
     n = mat.order
-    strs = {k: exact_str(x) for k, x in mat.entries.items()}
-    return [[strs.get((r, c), "0") for c in range(n)] for r in range(n)]
+    rows = [["0"] * n for _ in range(n)]
+    for (r, c), x in mat.entries.items():
+        rows[r][c] = exact_str(x)
+    return rows
 
 
 class BlockLineSumSymmetric(NamedTuple):

@@ -383,11 +383,14 @@ def test_non_convergence_is_internal_error(tmp_path, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise NoConvergenceError("eigenvalues stopped")
 
-    # every binding, so an eigenvalue call anywhere on the verdict path would raise
+    # every binding of the whole-matrix and the per-block solver, so an
+    # eigenvalue call anywhere on the verdict path would raise
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "graphsep" and hasattr(module, "eigenvalues_sym"):
-            monkeypatch.setattr(module, "eigenvalues_sym", no_convergence)
+        for solver in ("eigenvalues_sym", "_block_eigenvalues"):
+            if name.split(".")[0] == "graphsep" and hasattr(module, solver):
+                monkeypatch.setattr(module, solver, no_convergence)
     assert graphsep.report.eigenvalues_sym is no_convergence
+    assert graphsep.report._block_eigenvalues is no_convergence
     cases = [
         (star_graph(Dims(3, 3)), Status.ENTANGLED),
         (complete_graph(Dims(3, 3)), Status.SEPARABLE),
@@ -440,6 +443,7 @@ def test_oversized_dense_reports_are_refused(tmp_path, monkeypatch, capsys):
         raise AssertionError("spectrum computed")
 
     monkeypatch.setattr(graphsep.report, "eigenvalues_sym", spectrum)
+    monkeypatch.setattr(graphsep.report, "_block_eigenvalues", spectrum)
     path = tmp_path / "huge.graph"
     path.write_text("dims 100000 100000\nedge 1 1 2 2\n")
     for command in ("analyze", "spectrum"):

@@ -1070,6 +1070,7 @@ def test_degree_preserving_reports_run_no_jacobi(monkeypatch):
         raise AssertionError("Jacobi ran")
 
     monkeypatch.setattr(graphsep.report, "eigenvalues_sym", jacobi)
+    monkeypatch.setattr(graphsep.report, "_block_eigenvalues", jacobi)
     graphs = [
         complete_graph(Dims(8, 8)),
         pe_matching_graph(Dims(2, 6), (2, 3, 4, 5, 6, 1)),
@@ -1128,6 +1129,47 @@ def test_min_eigenvalue_estimate_matches_numpy(g):
         assert least >= -1e-9
     else:
         assert r.min_eigenvalue_estimate == pytest.approx(least, abs=1e-9)
+    assert_least_is_the_spectrum_one(g)
+
+
+def assert_least_is_the_spectrum_one(g):
+    """analyze's estimate equals, float for float, the least of the full
+    partial-transpose spectrum, built directly and by analyze --spectrum."""
+    least = analyze(g).min_eigenvalue_estimate
+    assert least == analyze(g, include_spectrum=True).min_eigenvalue_estimate
+    # a degree-preserving graph's estimate is 0.0 exactly, where the float
+    # spectrum may read a rounding error
+    if degree_criterion(g) is not None:
+        assert least == density_eigenvalues(pt_laplacian_entries(g), g)[0]
+
+
+def test_least_eigenvalue_of_stars_and_a_large_single_edge():
+    stars = [star_graph(Dims(p, q)) for p in range(2, 9) for q in range(2, 9)]
+    large = single_edge_graph(Dims(32, 32), {(1, 1), (32, 32)})
+    for g in [*stars, star_graph(Dims(2, 16)), large]:
+        assert_least_is_the_spectrum_one(g)
+
+
+def test_least_eigenvalue_skips_blocks_without_a_negative_row_sum(monkeypatch):
+    # a star on rows 1-2 beside a clique on row 3: the clique's same-row
+    # edges stay put, so its block has zero row sums and is never solved,
+    # and neither is a star leaf (2, t) that the transpose leaves alone
+    star = [{(1, 1), v} for v in [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4)]]
+    clique = [{(3, j), (3, t)} for j, t in combinations(range(1, 5), 2)]
+    g = build_graph(Dims(3, 4), star + clique)
+    real = graphsep.report._block_eigenvalues
+    diagonals = []
+
+    def recording(a, values):
+        diagonals.append([row[i] for i, row in enumerate(a)])
+        return real(a, values)
+
+    monkeypatch.setattr(graphsep.report, "_block_eigenvalues", recording)
+    least = analyze(g).min_eigenvalue_estimate
+    # rows (1,1), (1,2), (1,3), (1,4), (2,1): the hub's degree 7, then 1s
+    assert diagonals == [[d / g.degree_sum for d in (7, 1, 1, 1, 1)]]
+    assert least < 0
+    assert_least_is_the_spectrum_one(g)
 
 
 @settings(max_examples=200, deadline=None)
