@@ -47,15 +47,6 @@ from .graphs import (
     star_graph,
     tensor_product,
 )
-from .harness import (
-    SUITE_DESCRIPTIONS,
-    SUITE_IDS,
-    SuiteReport,
-    TrialFailure,
-    run_suite,
-    suite_instance,
-    trial_seed,
-)
 from .matrix import (
     SparseSymMatrix,
     SymMatrix,
@@ -93,3 +84,29 @@ from .separability import (
 )
 
 __version__ = "0.1.0"
+
+# The suites' names resolve on first use (PEP 562), so a process that never
+# runs a suite never imports harness.py.  Each access reads harness afresh
+# and nothing is stored here: a wrapper bound in harness and later removed
+# would otherwise outlive its removal.
+_HARNESS_NAMES = frozenset({
+    "SUITE_DESCRIPTIONS",
+    "SUITE_IDS",
+    "SuiteReport",
+    "TrialFailure",
+    "run_suite",
+    "suite_instance",
+    "trial_seed",
+})
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HARNESS_NAMES})

@@ -11,11 +11,10 @@ see them.
 from __future__ import annotations
 
 import math
-import random
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, FrozenSet, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Collection, FrozenSet, Iterable, NamedTuple
 
 from .errors import (
     BadDimsError,
@@ -25,6 +24,9 @@ from .errors import (
     OutOfRangeError,
 )
 from .matrix import SparseSymMatrix, SymMatrix, _Frozen
+
+if TYPE_CHECKING:
+    import random
 
 Vertex = tuple[int, int]
 Edge = FrozenSet[Vertex]
@@ -393,5 +395,8 @@ def random_graph(
             raise BadParamsError(f"asked for {num} {kind} edges, pool has {count}")
     if num_separable + num_entangled == 0:
         raise EmptyEdgeSetError("graph needs at least one edge")
+    # imported on first use: analyze and spectrum never draw a graph
+    import random
+
     rng = random.Random(seed)
     return _graph_of_pairs(dims, _draw_edges(rng, dims, num_separable, num_entangled))

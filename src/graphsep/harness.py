@@ -53,19 +53,9 @@ from .separability import (
     verdict,
     witness_value,
 )
+from .suites import SUITE_DESCRIPTIONS, SUITE_IDS
 
 MASK64 = (1 << 64) - 1
-
-SUITE_DESCRIPTIONS = {
-    0: "structural invariants and criterion cross-consistency",
-    1: "one entangled edge forces entanglement",
-    2: "entangled edges sharing a vertex force entanglement",
-    4: "tensor products of separable factors stay separable",
-    5: "complete graphs are separable, stars are entangled",
-    7: "perfect entangled matchings are separable",
-}
-
-SUITE_IDS = tuple(SUITE_DESCRIPTIONS)
 
 
 def trial_seed(seed: int, index: int) -> int:

@@ -31,6 +31,10 @@ _EPS = math.ulp(1.0)  # machine epsilon
 
 def exact_str(value: Entry) -> str:
     """Canonical "num/den" form; integral values print without a denominator."""
+    # an int or a Fraction already prints so; any other type (a bool
+    # included, which prints "True") goes through Fraction
+    if type(value) in _EXACT_TYPES:
+        return str(value)
     return str(Fraction(value))
 
 

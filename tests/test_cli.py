@@ -22,6 +22,7 @@ from graphsep.graphs import (
     star_graph,
 )
 from graphsep.graphfile import write_graph_file
+from graphsep.harness import SUITE_DESCRIPTIONS, SUITE_IDS
 from graphsep.separability import Status, revalidate, verdict
 
 
@@ -311,6 +312,14 @@ def test_verify_cross_consistency_suite(capsys, tmp_path):
             "--seed", "0", "--dump-dir", str(tmp_path / "d")]
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["theorem"] == 0
+
+
+def test_verify_help_lists_every_suite(capsys):
+    assert main(["verify", "--help"]) == 0
+    # argparse wraps its lines, at hyphens too, so whitespace is left out
+    out = "".join(capsys.readouterr().out.split())
+    for k in SUITE_IDS:
+        assert "".join(f"{k}: {SUITE_DESCRIPTIONS[k]}".split()) in out
 
 
 def test_verify_bad_dims_exit_1(capsys, tmp_path):

@@ -67,6 +67,10 @@ def test_exact_str():
     assert exact_str(Fraction(-5, 32)) == "-5/32"
     assert exact_str(2) == "2"
     assert exact_str(Fraction(0)) == "0"
+    # an int or a Fraction prints itself, anything else through Fraction
+    for x in (0, 7, -12, Fraction(3, 8), Fraction(-5, 32), Fraction(6, 3),
+              Fraction(-4, 2), True, False, 0.5):
+        assert exact_str(x) == str(Fraction(x)), x
 
 
 def test_float12_stable():

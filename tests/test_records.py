@@ -25,20 +25,48 @@ from graphsep.separability import (
 )
 
 
-def test_start_up_loads_no_dataclasses():
-    # dataclasses imports inspect, and with it ast, dis and tokenize, which
-    # nothing else graphsep loads needs; -S keeps site's imports out
+def _bare_python(code):
+    """stdout of code run by a fresh interpreter under -S, which keeps
+    site's imports out, with only graphsep's source on the path."""
     src = str(Path(graphsep.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import sys, graphsep, graphsep.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_start_up_loads_no_dataclasses():
+    # dataclasses imports inspect, and with it ast, dis and tokenize, which
+    # nothing else graphsep loads needs
+    code = (
+        "import sys, graphsep, graphsep.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _bare_python(code) == "[]\n"
+
+
+def test_start_up_loads_no_suites():
+    # analyze, spectrum and generate run no suite, so neither harness.py nor
+    # the pathlib and random it imports load until a suite name is read;
+    # the package reads each name from harness and keeps none of them
+    code = """
+import sys, graphsep, graphsep.cli
+print(sorted({"graphsep.harness", "pathlib", "random"} & set(sys.modules)))
+import graphsep.harness
+names = ("SUITE_DESCRIPTIONS", "SUITE_IDS", "SuiteReport", "TrialFailure",
+         "run_suite", "suite_instance", "trial_seed")
+print([n for n in names if getattr(graphsep, n) is not getattr(graphsep.harness, n)])
+print(sorted(set(names) & set(vars(graphsep))))
+try:
+    graphsep.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _bare_python(code) == (
+        "[]\n[]\n[]\nmodule 'graphsep' has no attribute 'no_such_name'\n"
+    )
 
 
 def _records():
